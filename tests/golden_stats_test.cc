@@ -1,0 +1,178 @@
+/**
+ * @file
+ * Golden digests of the simulator's observable results.
+ *
+ * Each test runs one canonical configuration and compares an FNV-1a
+ * digest of its full output — the StatRegistry dump of a run, the
+ * fingerprint of a fault- and replay-dosed fork sweep, the fingerprint
+ * of a dosed soak chain — against a pinned value. Host-side changes
+ * (data structures, parallelism, allocation) must leave every digest
+ * untouched. A change to the timing model or to recovery semantics
+ * moves them on purpose: such a change updates the constants here in
+ * the same commit and says why.
+ *
+ * On a mismatch the test prints the new digest and the output it was
+ * computed from, so the diff can be reviewed instead of guessed.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cctype>
+#include <sstream>
+#include <string>
+
+#include "common/hash.hh"
+#include "core/crash_sweep.hh"
+#include "core/soak.hh"
+#include "core/system.hh"
+
+namespace cnvm
+{
+namespace
+{
+
+std::uint64_t
+digestOf(const std::string &text)
+{
+    return fnv1a(text.data(), text.size());
+}
+
+/** Fails with the new digest and the text it covers when @p text does
+ *  not hash to @p golden. */
+void
+expectGolden(const std::string &what, const std::string &text,
+             std::uint64_t golden)
+{
+    const std::uint64_t got = digestOf(text);
+    EXPECT_EQ(got, golden)
+        << what << ": digest 0x" << std::hex << got << " != golden 0x"
+        << golden << std::dec << "\n--- output ---\n"
+        << text;
+}
+
+/** One 1-core canonical run per paper design: the hash table (the
+ *  write-heavy workload, so the counter cache and both write queues
+ *  stay busy). */
+SystemConfig
+designConfig(DesignPoint design)
+{
+    SystemConfig cfg;
+    cfg.design = design;
+    cfg.workload = WorkloadKind::HashTable;
+    cfg.wl.regionBytes = 1 << 20;
+    cfg.wl.txnTarget = 400;
+    cfg.wl.computePerTxn = 200;
+    cfg.memctl.counterCacheBytes = 16 << 10;
+    return cfg;
+}
+
+std::string
+statsDumpOf(const SystemConfig &cfg)
+{
+    System sys(cfg);
+    sys.run();
+    std::ostringstream os;
+    sys.statsRegistry().dump(os);
+    return os.str();
+}
+
+struct DesignGolden
+{
+    DesignPoint design;
+    std::uint64_t digest;
+};
+
+/** Names the parameter by its design, so test listings stay stable
+ *  (gtest would otherwise print the struct's raw bytes, padding
+ *  included). */
+void
+PrintTo(const DesignGolden &g, std::ostream *os)
+{
+    *os << designName(g.design);
+}
+
+class GoldenDesignDump : public ::testing::TestWithParam<DesignGolden>
+{
+};
+
+TEST_P(GoldenDesignDump, StatsDumpMatches)
+{
+    const DesignGolden &g = GetParam();
+    expectGolden(designName(g.design), statsDumpOf(designConfig(g.design)),
+                 g.digest);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperDesigns, GoldenDesignDump,
+    ::testing::Values(
+        DesignGolden{DesignPoint::NoEncryption, 0x0e9caf1be7b572c7ull},
+        DesignGolden{DesignPoint::Ideal, 0xf814e021ca913f9aull},
+        DesignGolden{DesignPoint::Colocated, 0x464a8b4a5e20cffeull},
+        DesignGolden{DesignPoint::ColocatedCC, 0xfcffc2dd56db3154ull},
+        DesignGolden{DesignPoint::FCA, 0x869078c4fe76dd83ull},
+        DesignGolden{DesignPoint::SCA, 0x93867ca2576a362full}),
+    [](const ::testing::TestParamInfo<DesignGolden> &info) {
+        // Test names allow only alphanumerics ("Co-located w/ C-Cache").
+        std::string name;
+        for (char c : std::string(designName(info.param.design)))
+            if (std::isalnum(static_cast<unsigned char>(c)))
+                name += c;
+        return name;
+    });
+
+TEST(GoldenStats, ScaHashFourCoresFourChannels)
+{
+    SystemConfig cfg = designConfig(DesignPoint::SCA);
+    cfg.numCores = 4;
+    cfg.numChannels = 4;
+    cfg.wl.regionBytes = 512 << 10;
+    cfg.wl.txnTarget = 150;
+    cfg.memctl.counterCacheBytes = 32 << 10;
+    expectGolden("SCA/hash/4c4ch", statsDumpOf(cfg),
+                 0xcfa5a1cd1f31c082ull);
+}
+
+/** The recovery-side machine: small ArraySwap region with digests,
+ *  MAC and integrity tree armed. */
+SystemConfig
+armedConfig()
+{
+    SystemConfig cfg;
+    cfg.design = DesignPoint::SCA;
+    cfg.workload = WorkloadKind::ArraySwap;
+    cfg.wl.regionBytes = 256 << 10;
+    cfg.wl.txnTarget = 30;
+    cfg.wl.computePerTxn = 100;
+    cfg.wl.recordDigests = true;
+    cfg.wl.setupFill = 0.3;
+    cfg.memctl.counterCacheBytes = 16 << 10;
+    cfg.memctl.integrityMac = true;
+    cfg.memctl.integrityTree = true;
+    return cfg;
+}
+
+TEST(GoldenStats, ForkSweepFingerprintMacAndTree)
+{
+    SweepOptions opt;
+    opt.points = 16;
+    opt.mode = SweepMode::Fork;
+    opt.faults = FaultSpec::allKindsWithReplays(13);
+    expectGolden("fork sweep", runSweep(armedConfig(), opt).fingerprint(),
+                 0x80c093e8e0cfec5bull);
+}
+
+TEST(GoldenStats, SoakChainFingerprint)
+{
+    SoakOptions opt;
+    opt.cycles = 5;
+    opt.txnsPerCycle = 8;
+    opt.seed = 3;
+    opt.faults = FaultSpec::allKindsWithReplays(17);
+    opt.faultPeriod = 2;
+    expectGolden("soak chain",
+                 runSoakChain(armedConfig(), opt).fingerprint(),
+                 0x72536b461b63ea35ull);
+}
+
+} // namespace
+} // namespace cnvm
