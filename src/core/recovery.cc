@@ -126,15 +126,18 @@ RecoveredImage::verifyLine(Addr line_addr) const
     return v;
 }
 
-std::unordered_map<Addr, LineData>::iterator
+LineData &
 RecoveredImage::install(Addr line_addr, const VerifiedLine &v) const
 {
     detected += v.detected;
     repaired += v.repaired;
     replays += v.replayed;
     if (v.quarantined)
-        quarantine.insert(line_addr);
-    return cache.emplace(line_addr, v.plain).first;
+        quarantine[line_addr] = true;
+    auto [line, inserted] = cache.tryEmplace(line_addr);
+    if (inserted)
+        *line = v.plain;
+    return *line;
 }
 
 void
@@ -186,10 +189,9 @@ RecoveredImage::preScan(Addr base, Addr end, WorkPool *pool,
 LineData &
 RecoveredImage::cachedLine(Addr line_addr) const
 {
-    auto it = cache.find(line_addr);
-    if (it == cache.end())
-        it = install(line_addr, verifyLine(line_addr));
-    return it->second;
+    if (LineData *line = cache.find(line_addr))
+        return *line;
+    return install(line_addr, verifyLine(line_addr));
 }
 
 void
@@ -231,8 +233,9 @@ RecoveredImage::line(Addr line_addr) const
 std::vector<Addr>
 RecoveredImage::quarantinedLineAddrs() const
 {
-    std::vector<Addr> out(quarantine.begin(), quarantine.end());
-    std::sort(out.begin(), out.end());
+    std::vector<Addr> out;
+    out.reserve(quarantine.size());
+    quarantine.forEach([&out](Addr addr, bool) { out.push_back(addr); });
     return out;
 }
 

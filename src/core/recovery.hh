@@ -14,10 +14,9 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "common/line_table.hh"
 #include "memctl/mem_controller.hh"
 #include "nvm/nvm_device.hh"
 #include "nvm/persist_image.hh"
@@ -115,10 +114,10 @@ class RecoveredImage : public ByteReader
 
     /** True when @p line_addr is quarantined. */
     bool isQuarantined(Addr line_addr) const
-    { return quarantine.count(lineAlign(line_addr)) > 0; }
+    { return quarantine.contains(lineAlign(line_addr)); }
 
-    /** The quarantined line addresses, sorted — deterministic however
-     *  the pre-scan shards landed them. */
+    /** The quarantined line addresses, ascending — deterministic
+     *  however the pre-scan shards landed them. */
     std::vector<Addr> quarantinedLineAddrs() const;
 
     /** Lifts a line's quarantine (rollback restored it from an intact
@@ -131,7 +130,7 @@ class RecoveredImage : public ByteReader
     const MemController &ctl;
 
     /** Decrypted lines plus rollback overlays. */
-    mutable std::unordered_map<Addr, LineData> cache;
+    mutable LineTable<LineData> cache;
 
     /**
      * Integrity bookkeeping (populated lazily as lines decrypt).
@@ -144,7 +143,10 @@ class RecoveredImage : public ByteReader
     mutable std::uint64_t detected = 0;
     mutable std::uint64_t repaired = 0;
     mutable std::uint64_t replays = 0;
-    mutable std::unordered_set<Addr> quarantine;
+
+    /** Quarantined lines; the value is always true — presence is the
+     *  mark. */
+    mutable LineTable<bool> quarantine;
 
     /** Verify-root-first outcome, fixed at construction (the counter
      *  store never changes during recovery). */
@@ -167,9 +169,9 @@ class RecoveredImage : public ByteReader
      *  threads. */
     VerifiedLine verifyLine(Addr line_addr) const;
 
-    /** Folds a verified line into the cache and the bookkeeping. */
-    std::unordered_map<Addr, LineData>::iterator
-    install(Addr line_addr, const VerifiedLine &v) const;
+    /** Folds a verified line into the cache and the bookkeeping; a
+     *  line already cached keeps its bytes. */
+    LineData &install(Addr line_addr, const VerifiedLine &v) const;
 
     LineData &cachedLine(Addr line_addr) const;
 };

@@ -301,6 +301,16 @@ System::build(const ResumeState *resume)
         // counter lines whose neighbouring slots are not yet
         // initialized, and a later flush of that stale (clean) copy
         // would regress the persisted counters.
+        //
+        // The warm order is ShadowMem::forEachLine's hash-map bucket
+        // order, and it decides which counter lines the cache holds
+        // when the run starts: warming in ascending address order
+        // instead changes the stats dump of every counter-cache design
+        // (the golden digests catch it). Simulated results therefore
+        // depend on the standard library's unordered_map layout; an
+        // explicit order would be a deliberate timing-model change.
+        // (Installing in ascending order instead moves none of the
+        // golden digests; only the warm order matters.)
         for (auto &wl : workloads) {
             wl->shadowMem().forEachLine(
                 [this, &map](Addr addr, const LineData &) {

@@ -396,8 +396,8 @@ MemController::currentCounters(Addr ctr_addr) const
     for (unsigned s = 0; s < countersPerLine; ++s) {
         Addr data_addr = first_line * lineBytes
                        + static_cast<Addr>(s) * lineBytes;
-        auto it = currentCounter.find(data_addr);
-        values[s] = it == currentCounter.end() ? 0 : it->second;
+        const std::uint64_t *counter = currentCounter.find(data_addr);
+        values[s] = counter == nullptr ? 0 : *counter;
     }
     return values;
 }
@@ -1552,21 +1552,22 @@ MemController::reseedFromPersistedImage()
     // "Counter state across a power failure").
     currentCounter.clear();
     globalCounter = 0;
-    for (const auto &[ctr_addr, values] : nvm.persistedCounterLines()) {
-        // The image is shared across channels; this channel's engine
-        // only rebuilds the counters of the lines it owns.
-        if (ctrLineChannel(ctr_addr) != cfg.channelId)
-            continue;
-        std::uint64_t first_line =
-            (ctr_addr - cfg.counterRegionBase) / lineBytes
-            * countersPerLine;
-        for (unsigned s = 0; s < countersPerLine; ++s) {
-            if (values[s] == 0)
-                continue;
-            currentCounter[(first_line + s) * lineBytes] = values[s];
-            globalCounter = std::max(globalCounter, values[s]);
-        }
-    }
+    nvm.persistedState().forEachCounterLine(
+        [this](Addr ctr_addr, const CounterLine &values) {
+            // The image is shared across channels; this channel's
+            // engine only rebuilds the counters of the lines it owns.
+            if (ctrLineChannel(ctr_addr) != cfg.channelId)
+                return;
+            std::uint64_t first_line =
+                (ctr_addr - cfg.counterRegionBase) / lineBytes
+                * countersPerLine;
+            for (unsigned s = 0; s < countersPerLine; ++s) {
+                if (values[s] == 0)
+                    continue;
+                currentCounter[(first_line + s) * lineBytes] = values[s];
+                globalCounter = std::max(globalCounter, values[s]);
+            }
+        });
     // Pending kick events from before the failure are epoch-guarded
     // no-ops, so they will never clear these flags themselves; left
     // set, they would wedge the drain engine of the post-crash state.

@@ -28,6 +28,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/line_table.hh"
 #include "crypto/ctr_engine.hh"
 #include "mem/mem_backend.hh"
 #include "memctl/counter_cache.hh"
@@ -475,7 +476,7 @@ class MemController : public MemBackend
     std::uint64_t globalCounter = 0;
 
     /** Engine's record of the counter each line was last encrypted with. */
-    std::unordered_map<Addr, std::uint64_t> currentCounter;
+    LineTable<std::uint64_t> currentCounter;
 
     std::vector<std::function<void()>> retryCallbacks;
 

@@ -76,8 +76,9 @@ FaultModel::applyMediaFaults(PersistImage &img)
         && spec.counterFaults == 0 && spec.replays == 0)
         return;
 
-    // Victims come from the sorted persisted-line list: unordered_map
-    // iteration order would break Replay/Fork fingerprint identity.
+    // Victims come from the ascending persisted-line list, so their
+    // placement depends on the image's contents alone — which is what
+    // keeps Replay/Fork fingerprints identical.
     std::vector<Addr> lines = img.dataLineAddrs();
     if (lines.empty())
         return;
@@ -116,7 +117,7 @@ FaultModel::applyMediaFaults(PersistImage &img)
     // counter yields garbage plaintext (paper equation 4) with nothing
     // in the data line itself to betray it. Skipped when the design
     // persists no counters (nothing to corrupt).
-    if (!img.counterLines().empty()) {
+    if (img.counterLineCount() > 0) {
         for (unsigned n = 0; n < spec.counterFaults; ++n) {
             Addr addr = victim();
             std::uint64_t line_index = addr / lineBytes;
@@ -136,11 +137,11 @@ FaultModel::applyMediaFaults(PersistImage &img)
 
     // Replay faults, drawn strictly after the media kinds so a
     // replay-free spec consumes exactly the historical RNG stream.
-    // Victims come from the sorted list of lines with a recorded stale
-    // triple; from each draw the model probes forward (wrapping) for a
-    // line where the replay actually lands — skipping already-faulted
-    // lines (a replay atop media corruption is not stealthy) and
-    // no-op replays replayLine() refuses.
+    // Victims come from the ascending list of lines with a recorded
+    // stale triple; from each draw the model probes forward (wrapping)
+    // for a line where the replay actually lands — skipping already-
+    // faulted lines (a replay atop media corruption is not stealthy)
+    // and no-op replays replayLine() refuses.
     if (spec.replays > 0) {
         std::vector<Addr> candidates = img.replayableLineAddrs();
         if (candidates.empty())

@@ -20,9 +20,9 @@
  * Faults are seeded and deterministic per plan point: the same
  * FaultSpec applied to the same persisted image mutates it
  * identically, in Replay and Fork sweep modes alike, at any job
- * count. Victim lines are chosen from the *sorted* persisted address
- * list, never from hash-map iteration order, which is what makes the
- * sweep fingerprint reproducible.
+ * count. Victim lines are chosen from the persisted address list in
+ * ascending order (the image's page-table iteration order), which is
+ * what makes the sweep fingerprint reproducible.
  *
  * Injected corruptions are recorded in the image as simulator-only
  * ground truth (PersistImage::lineFaulted), which is how the crash
@@ -131,7 +131,7 @@ class FaultModel
 
     /**
      * Mutates @p img in place: torn tails, bit flips and counter
-     * faults on victims drawn from the sorted persisted line list.
+     * faults on victims drawn from the ascending persisted line list.
      * Corrupted lines are marked as ground truth for the oracle.
      */
     void applyMediaFaults(PersistImage &img);

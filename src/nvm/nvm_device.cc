@@ -122,10 +122,8 @@ LineData
 NvmDevice::livePlainRead(Addr line_addr) const
 {
     cnvm_assert(isLineAligned(line_addr));
-    auto it = livePlain.find(line_addr);
-    if (it == livePlain.end())
-        return LineData{};
-    return it->second;
+    const LineData *line = livePlain.find(line_addr);
+    return line == nullptr ? LineData{} : *line;
 }
 
 void

@@ -27,9 +27,9 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
+#include "common/line_table.hh"
 #include "common/types.hh"
 #include "crypto/ctr_engine.hh"
 #include "mem/channel_map.hh"
@@ -120,13 +120,6 @@ class NvmDevice
         return persisted.persistedCounters(ctr_line_addr);
     }
 
-    /** @copydoc PersistImage::counterLines */
-    const std::unordered_map<Addr, CounterLine> &
-    persistedCounterLines() const
-    {
-        return persisted.counterLines();
-    }
-
     /** @copydoc PersistSource::persistedCipherCounter */
     std::uint64_t
     persistedCipherCounter(Addr line_addr) const
@@ -142,9 +135,10 @@ class NvmDevice
      * The whole persisted half of the device, as one object.
      *
      * The const view is the fork-capture entry point: copying it (a
-     * sparse copy — cost scales with the touched footprint) plus the
-     * controller's ADR overlay is exactly the state recovery may rely
-     * on after a power failure at this instant. The accessor has no
+     * deep copy of the touched pages — cost scales with the touched
+     * footprint) plus the controller's ADR overlay is exactly the
+     * state recovery may rely on after a power failure at this
+     * instant. The accessor has no
      * side effects: no stats counters move and no timing state is
      * touched, so capturing a fork cannot perturb the trunk run.
      */
@@ -174,10 +168,12 @@ class NvmDevice
      * Guards the persisted image under the partitioned kernel, where
      * per-channel controller threads drain into the shared device
      * concurrently. Lines interleave across channels at block
-     * granularity within the same unordered_map, so concurrent drains
-     * can rehash under each other — controllers take this lock around
-     * every runtime persisted-image access. The classic single-queue
-     * kernel takes it too (uncontended) rather than branch per access.
+     * granularity, so one image page (and its presence mask) holds
+     * lines of several channels, and a drain to an untouched page
+     * inserts into the shared page directory — controllers take this
+     * lock around every runtime persisted-image access. The classic
+     * single-queue kernel takes it too (uncontended) rather than
+     * branch per access.
      */
     std::mutex &imageMutex() const { return imgMutex; }
 
@@ -239,7 +235,7 @@ class NvmDevice
      *  those disjoint writes into a data race. */
     std::vector<std::uint8_t> lastWasWrite;
 
-    std::unordered_map<Addr, LineData> livePlain;
+    LineTable<LineData> livePlain;
 
     /** Everything that survives a power failure (paper section 2.2.2). */
     PersistImage persisted;

@@ -7,32 +7,31 @@
 namespace cnvm
 {
 
+PersistImage::DataLine &
+PersistImage::drainedLine(Addr line_addr)
+{
+    DataLine *line = dataLines.find(line_addr);
+    cnvm_assert(line != nullptr);
+    return *line;
+}
+
 void
 PersistImage::drainData(Addr line_addr, const LineData &ciphertext,
                         std::uint64_t cipher_counter)
 {
     cnvm_assert(isLineAligned(line_addr));
+    auto [line, inserted] = dataLines.tryEmplace(line_addr);
     // Record the superseded triple before overwriting: a persistence-
     // based replay attack needs a *complete* stale (cipher, counter,
     // MAC) snapshot, and this is the only moment it exists. The MAC
-    // drained with the old burst is still in macStore here — drainMac()
-    // for the new burst only lands after drainData().
-    auto it = cipherImage.find(line_addr);
-    if (it != cipherImage.end()) {
-        auto cc = cipherCounterOf.find(line_addr);
-        const std::uint64_t prev =
-            cc == cipherCounterOf.end() ? 0 : cc->second;
-        if (prev != cipher_counter) {
-            StaleTriple &stale = staleTriples[line_addr];
-            stale.cipher = it->second;
-            stale.counter = prev;
-            auto mac = macStore.find(line_addr);
-            stale.hasMac = mac != macStore.end();
-            stale.mac = stale.hasMac ? mac->second : 0;
-        }
+    // drained with the old burst is still in the record here —
+    // drainMac() for the new burst only lands after drainData().
+    if (!inserted && line->cipherCounter != cipher_counter) {
+        staleTriples[line_addr] = {line->cipher, line->cipherCounter,
+                                   line->mac, line->hasMac};
     }
-    cipherImage[line_addr] = ciphertext;
-    cipherCounterOf[line_addr] = cipher_counter;
+    line->cipher = ciphertext;
+    line->cipherCounter = cipher_counter;
 }
 
 void
@@ -45,38 +44,37 @@ PersistImage::drainCounters(Addr ctr_line_addr, const CounterLine &values)
 const LineData *
 PersistImage::persistedLine(Addr line_addr) const
 {
-    auto it = cipherImage.find(line_addr);
-    return it == cipherImage.end() ? nullptr : &it->second;
+    const DataLine *line = dataLines.find(line_addr);
+    return line == nullptr ? nullptr : &line->cipher;
 }
 
 CounterLine
 PersistImage::persistedCounters(Addr ctr_line_addr) const
 {
-    auto it = counterStore.find(ctr_line_addr);
-    if (it == counterStore.end())
-        return CounterLine{};
-    return it->second;
+    const CounterLine *values = counterStore.find(ctr_line_addr);
+    return values == nullptr ? CounterLine{} : *values;
 }
 
 std::uint64_t
 PersistImage::persistedCipherCounter(Addr line_addr) const
 {
-    auto it = cipherCounterOf.find(line_addr);
-    return it == cipherCounterOf.end() ? 0 : it->second;
+    const DataLine *line = dataLines.find(line_addr);
+    return line == nullptr ? 0 : line->cipherCounter;
 }
 
 void
 PersistImage::drainMac(Addr line_addr, std::uint64_t mac)
 {
-    cnvm_assert(isLineAligned(line_addr));
-    macStore[line_addr] = mac;
+    DataLine &line = drainedLine(line_addr);
+    line.mac = mac;
+    line.hasMac = true;
 }
 
 const std::uint64_t *
 PersistImage::persistedMac(Addr line_addr) const
 {
-    auto it = macStore.find(line_addr);
-    return it == macStore.end() ? nullptr : &it->second;
+    const DataLine *line = dataLines.find(line_addr);
+    return line == nullptr || !line->hasMac ? nullptr : &line->mac;
 }
 
 void
@@ -121,10 +119,8 @@ PersistImage::persistedTreeLeafIndices() const
 void
 PersistImage::corruptDataLine(Addr line_addr, const LineData &corrupted)
 {
-    auto it = cipherImage.find(line_addr);
-    cnvm_assert(it != cipherImage.end());
-    it->second = corrupted;
-    faulted.insert(line_addr);
+    drainedLine(line_addr).cipher = corrupted;
+    faulted[line_addr] = true;
 }
 
 void
@@ -133,19 +129,19 @@ PersistImage::corruptCounterSlot(Addr ctr_line_addr, unsigned slot,
 {
     cnvm_assert(slot < countersPerLine);
     counterStore[ctr_line_addr][slot] = value;
-    faulted.insert(data_line_addr);
+    faulted[data_line_addr] = true;
 }
 
 bool
 PersistImage::lineFaulted(Addr line_addr) const
 {
-    return faulted.count(line_addr) > 0;
+    return faulted.contains(line_addr);
 }
 
 bool
 PersistImage::lineReplayed(Addr line_addr) const
 {
-    return replayed.count(line_addr) > 0;
+    return replayed.contains(line_addr);
 }
 
 bool
@@ -153,25 +149,21 @@ PersistImage::replayLine(Addr line_addr, Addr ctr_line_addr,
                          unsigned slot)
 {
     cnvm_assert(slot < countersPerLine);
-    auto it = staleTriples.find(line_addr);
-    if (it == staleTriples.end())
+    const StaleTriple *stale = staleTriples.find(line_addr);
+    if (stale == nullptr)
         return false;
-    auto cs = counterStore.find(ctr_line_addr);
-    const std::uint64_t stored =
-        cs == counterStore.end() ? 0 : cs->second[slot];
     // A "replay" to the value already stored would change nothing —
     // undetectable because there is nothing to detect. Skip it so the
     // replayed ground truth only marks lines that really rolled back.
-    if (it->second.counter == stored)
+    if (stale->counter == persistedCounters(ctr_line_addr)[slot])
         return false;
-    cipherImage[line_addr] = it->second.cipher;
-    cipherCounterOf[line_addr] = it->second.counter;
-    if (it->second.hasMac)
-        macStore[line_addr] = it->second.mac;
-    else
-        macStore.erase(line_addr);
-    counterStore[ctr_line_addr][slot] = it->second.counter;
-    replayed.insert(line_addr);
+    DataLine &line = drainedLine(line_addr);
+    line.cipher = stale->cipher;
+    line.cipherCounter = stale->counter;
+    line.mac = stale->mac;
+    line.hasMac = stale->hasMac;
+    counterStore[ctr_line_addr][slot] = stale->counter;
+    replayed[line_addr] = true;
     return true;
 }
 
@@ -180,9 +172,8 @@ PersistImage::replayableLineAddrs() const
 {
     std::vector<Addr> addrs;
     addrs.reserve(staleTriples.size());
-    for (const auto &[addr, stale] : staleTriples)
-        addrs.push_back(addr);
-    std::sort(addrs.begin(), addrs.end());
+    staleTriples.forEach(
+        [&addrs](Addr addr, const StaleTriple &) { addrs.push_back(addr); });
     return addrs;
 }
 
@@ -190,10 +181,9 @@ std::vector<Addr>
 PersistImage::dataLineAddrs() const
 {
     std::vector<Addr> addrs;
-    addrs.reserve(cipherImage.size());
-    for (const auto &[addr, line] : cipherImage)
-        addrs.push_back(addr);
-    std::sort(addrs.begin(), addrs.end());
+    addrs.reserve(dataLines.size());
+    dataLines.forEach(
+        [&addrs](Addr addr, const DataLine &) { addrs.push_back(addr); });
     return addrs;
 }
 
@@ -202,9 +192,8 @@ PersistImage::counterLineAddrs() const
 {
     std::vector<Addr> addrs;
     addrs.reserve(counterStore.size());
-    for (const auto &[addr, values] : counterStore)
-        addrs.push_back(addr);
-    std::sort(addrs.begin(), addrs.end());
+    counterStore.forEach(
+        [&addrs](Addr addr, const CounterLine &) { addrs.push_back(addr); });
     return addrs;
 }
 

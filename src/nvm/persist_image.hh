@@ -7,7 +7,7 @@
  * discards every volatile structure; what recovery works from is
  * exactly the persisted ciphertext image, the persisted counter store,
  * and (simulator-only) the ground-truth record of which counter each
- * ciphertext was encrypted with. PersistImage bundles those three maps
+ * ciphertext was encrypted with. PersistImage bundles that state
  * behind the PersistSource interface that the recovery engine and the
  * crash oracle consume, so the same classification code runs against
  * the live device after an in-place crash *and* against a PersistFork
@@ -20,9 +20,9 @@
 #include <array>
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "common/line_table.hh"
 #include "common/types.hh"
 
 namespace cnvm
@@ -83,7 +83,7 @@ class PersistSource
     virtual bool lineReplayed(Addr line_addr) const = 0;
 
     /**
-     * Every persisted counter-line address, sorted. Recovery's
+     * Every persisted counter-line address, ascending. Recovery's
      * verify-root-first step scans the counter region with it —
      * architecturally legitimate, the counter store is persistent
      * state recovery already walks to rebuild the engine registers.
@@ -104,10 +104,10 @@ class PersistSource
 
 /**
  * The state that survives a power failure: ciphertext image, counter
- * store, and the oracle's cipher-counter record. Copyable — the maps
- * hold only lines ever drained, so a copy is sparse in the region
- * size: its cost scales with the touched footprint, not the address
- * space.
+ * store, and the oracle's cipher-counter record. Copyable — the line
+ * tables hold only pages with a line ever drained, so a copy deep-
+ * copies those pages: its cost scales with the touched footprint, not
+ * the address space.
  */
 class PersistImage final : public PersistSource
 {
@@ -134,7 +134,8 @@ class PersistImage final : public PersistSource
     /**
      * Stores the integrity MAC persisted alongside a line's write
      * burst (ECC spare bits). Called by the controller right after
-     * drainData() when integrity metadata is enabled.
+     * drainData() when integrity metadata is enabled; the line must
+     * already be drained.
      */
     void drainMac(Addr line_addr, std::uint64_t mac);
 
@@ -185,7 +186,7 @@ class PersistImage final : public PersistSource
     bool replayLine(Addr line_addr, Addr ctr_line_addr, unsigned slot);
 
     /**
-     * Every data line with a recorded stale triple, sorted — the
+     * Every data line with a recorded stale triple, ascending — the
      * fault model's replay-victim candidate list.
      */
     std::vector<Addr> replayableLineAddrs() const;
@@ -213,19 +214,24 @@ class PersistImage final : public PersistSource
     std::size_t replayedLineCount() const { return replayed.size(); }
 
     /**
-     * The whole persisted counter store. The controller's crash path
-     * models recovery's counter-region scan with it, rebuilding the
+     * Visits every persisted counter line as fn(ctr_line_addr, values),
+     * in ascending address order. The controller's crash path models
+     * recovery's counter-region scan with it, rebuilding the
      * encryption engine's volatile counter registers from persistent
      * state only.
      */
-    const std::unordered_map<Addr, CounterLine> &
-    counterLines() const
+    template <typename Fn>
+    void
+    forEachCounterLine(Fn &&fn) const
     {
-        return counterStore;
+        counterStore.forEach(fn);
     }
 
+    /** Number of persisted counter lines. */
+    std::size_t counterLineCount() const { return counterStore.size(); }
+
     /** Number of distinct lines present in the persisted image. */
-    std::size_t lineCount() const { return cipherImage.size(); }
+    std::size_t lineCount() const { return dataLines.size(); }
 
     /** Number of data lines an injected fault corrupted. */
     std::size_t faultedLineCount() const { return faulted.size(); }
@@ -248,13 +254,27 @@ class PersistImage final : public PersistSource
     }
 
     /**
-     * Every persisted data-line address, sorted. The fault model draws
-     * victims from this list — hash-map iteration order would make
-     * fault placement differ between otherwise identical sweeps.
+     * Every persisted data-line address, ascending. The fault model
+     * draws victims from this list, so fault placement is a function
+     * of the image's contents alone.
      */
     std::vector<Addr> dataLineAddrs() const;
 
   private:
+    /** One drained data line, as persisted by its last write burst. */
+    struct DataLine
+    {
+        LineData cipher{};
+
+        /** Counter the ciphertext was encrypted with (oracle ground
+         *  truth, not an architectural structure). */
+        std::uint64_t cipherCounter = 0;
+
+        /** Integrity MAC (ECC spare bits), valid iff hasMac. */
+        std::uint64_t mac = 0;
+        bool hasMac = false;
+    };
+
     /** The triple a data line held before its last overwrite at a new
      *  counter — the replay attack's raw material. */
     struct StaleTriple
@@ -272,15 +292,14 @@ class PersistImage final : public PersistSource
         return (static_cast<std::uint64_t>(level) << 32) | index;
     }
 
-    std::unordered_map<Addr, LineData> cipherImage;
-    std::unordered_map<Addr, CounterLine> counterStore;
+    /** The drained line at @p line_addr, which must be present. */
+    DataLine &drainedLine(Addr line_addr);
 
-    /** Counter each persisted ciphertext was encrypted with (oracle
-     *  ground truth, not an architectural structure). */
-    std::unordered_map<Addr, std::uint64_t> cipherCounterOf;
+    LineTable<DataLine> dataLines;
+    LineTable<CounterLine> counterStore;
 
-    /** Per-line integrity MACs (ECC spare bits), when enabled. */
-    std::unordered_map<Addr, std::uint64_t> macStore;
+    /** Last superseded triple per overwritten line (attack surface). */
+    LineTable<StaleTriple> staleTriples;
 
     /** Persisted integrity-tree nodes, keyed by treeKey(). */
     std::unordered_map<std::uint64_t, std::uint64_t> treeStore;
@@ -289,15 +308,13 @@ class PersistImage final : public PersistSource
     std::uint64_t treeRoot = 0;
     bool treeRootPresent = false;
 
-    /** Data lines corrupted by injected faults (oracle ground truth). */
-    std::unordered_set<Addr> faulted;
-
-    /** Last superseded triple per overwritten line (attack surface). */
-    std::unordered_map<Addr, StaleTriple> staleTriples;
+    /** Data lines corrupted by injected faults (oracle ground truth;
+     *  presence is the mark, the value is always true). */
+    LineTable<bool> faulted;
 
     /** Data lines an injected replay rolled back (oracle ground
      *  truth — recovery code must never consult it). */
-    std::unordered_set<Addr> replayed;
+    LineTable<bool> replayed;
 };
 
 } // namespace cnvm

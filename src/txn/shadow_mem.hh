@@ -38,7 +38,16 @@ class ShadowMem : public ByteReader
 
     std::size_t touchedLines() const { return lines.size(); }
 
-    /** Visits every touched line (order unspecified). */
+    /**
+     * Visits every touched line in std::unordered_map iteration order:
+     * bucket order, which depends on the standard library's hash and
+     * growth policy, not on the addresses' order. Simulated results
+     * depend on this order — System::build warms the counter cache in
+     * it, and warming in ascending address order instead changes the
+     * stats of every counter-cache design (DESIGN.md section 4). Keep
+     * this container and order until a change that means to move the
+     * timing model replaces both.
+     */
     template <typename Fn>
     void
     forEachLine(Fn &&fn) const

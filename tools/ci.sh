@@ -152,8 +152,13 @@ cmake -B "$tsan" -S "$repo" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-sanitize-recover=all"
 cmake --build "$tsan" -j "$(nproc)" \
-    --target cnvm_crash_sweep runner_test
+    --target cnvm_crash_sweep runner_test line_table_test recovery_test
 "$tsan/tests/runner_test"
+# The line tables behind the persisted image: pre-scan workers look up
+# lines in the shared image concurrently, so a const lookup that
+# mutated anything (a last-page cache, say) would race here.
+"$tsan/tests/line_table_test"
+"$tsan/tests/recovery_test" --gtest_filter='RecoveryParallel.*'
 "$tsan/tools/cnvm_crash_sweep" --points 8 --jobs 4
 "$tsan/tools/cnvm_crash_sweep" --points 8 --jobs 4 --mode fork
 # Fault capture happens on the trunk thread while workers classify
