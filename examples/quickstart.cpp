@@ -79,8 +79,8 @@ main(int argc, char **argv)
     // 4. Dump the full stat registry for anything else.
     std::printf("\nselected stats:\n");
     for (const char *name :
-         {"memctl.atomic_pairs", "memctl.ctr_inserts",
-          "memctl.data_inserts", "memctl.data_coalesces",
+         {"memctl.ch0.atomic_pairs", "memctl.ch0.ctr_inserts",
+          "memctl.ch0.data_inserts", "memctl.ch0.data_coalesces",
           "core0.fences", "core0.fence_stall_ticks"}) {
         const stats::Stat *stat = sys.statsRegistry().find(name);
         if (stat != nullptr)

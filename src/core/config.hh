@@ -63,27 +63,6 @@ struct SystemConfig
      */
     bool warmCounterCache = true;
 
-    /**
-     * Host threads for the partitioned simulation kernel. 0 (default)
-     * keeps the classic single-queue kernel. >= 1 partitions the
-     * simulation — one event queue per channel plus a coordinator
-     * queue — and runs the channel queues on that many pinned host
-     * threads; 1 is the partitioned-serial reference. Every
-     * partitioned run is byte-identical to every other at any job
-     * count; the classic kernel is a separate timing configuration
-     * (the partition adds channelHopLatency per cross-domain hop).
-     */
-    unsigned simJobs = 0;
-
-    /**
-     * Simulated latency of a coordinator<->channel hop under the
-     * partitioned kernel; also its conservative synchronization
-     * quantum (the lookahead). Must stay <= every cross-domain
-     * latency, which holds trivially because all hops use exactly
-     * this value.
-     */
-    Tick channelHopLatency = nsToTicks(5);
-
     /** Deterministic per-core seed derivation. */
     std::uint64_t
     coreSeed(unsigned core) const

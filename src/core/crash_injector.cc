@@ -79,13 +79,6 @@ CrashInjector::CrashInjector(EventQueue &eq, std::vector<CrashSpec> specs,
     }
 }
 
-CrashInjector::CrashInjector(EventQueue &eq, const CrashSpec &spec,
-                             std::function<void()> fire_fn)
-    : CrashInjector(eq, std::vector<CrashSpec>{spec},
-                    [fn = std::move(fire_fn)](std::size_t) { fn(); })
-{
-}
-
 void
 CrashInjector::start()
 {
@@ -115,14 +108,6 @@ CrashInjector::fireSoon(std::size_t i)
     Armed &a = armed[i];
     if (disarmed || a.didFire || a.fireEvent->scheduled())
         return;
-    if (immediateFire) {
-        // Barrier replay (see setImmediateFire): the controllers are
-        // quiescent, so fire in place.
-        a.didFire = true;
-        ++firedCount;
-        fire(i);
-        return;
-    }
     // MinPriority: the failure observes the triggering controller state
     // before any other model event pending for this tick runs.
     eventq.schedule(*a.fireEvent, eventq.curTick());

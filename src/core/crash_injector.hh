@@ -119,23 +119,8 @@ class CrashInjector
     CrashInjector(EventQueue &eq, std::vector<CrashSpec> specs,
                   FireFn fire);
 
-    /** Single-spec convenience (the classic teardown use). */
-    CrashInjector(EventQueue &eq, const CrashSpec &spec,
-                  std::function<void()> fire);
-
     /** Schedules the tick triggers (no-op for semantic specs). */
     void start();
-
-    /**
-     * Immediate-fire mode for the partitioned kernel: semantic
-     * triggers invoke the fire callback synchronously instead of
-     * scheduling a deferred event. The partitioned System replays
-     * controller events at window barriers — the controllers are
-     * already quiescent there, so the deferral that protects the
-     * in-loop case is unnecessary, and scheduling at the coordinator's
-     * (stale) current tick would be wrong.
-     */
-    void setImmediateFire(bool on) { immediateFire = on; }
 
     /** Observer for MemController semantic events. */
     void onCtlEvent(CtlEvent ev);
@@ -177,7 +162,6 @@ class CrashInjector
     std::size_t firedCount = 0;
     std::size_t semanticSpecs = 0;
     bool disarmed = false;
-    bool immediateFire = false;
 
     /** Occurrences of each CtlEvent observed so far. */
     std::array<std::uint64_t, numCtlEvents> seen{};

@@ -383,7 +383,7 @@ soakChainExpectedOk(DesignPoint d, bool integrity_mac,
  * crash→recover→resume cycles followed by a final resume, a run to
  * completion, a clean shutdown and a full integrity examination.
  * Pure function of (cfg, opt) — identical at any recoveryJobs and
- * under any cfg.numChannels / cfg.simJobs configuration.
+ * under any cfg.numChannels configuration.
  */
 SoakChainResult runSoakChain(const SystemConfig &cfg,
                              const SoakOptions &opt);

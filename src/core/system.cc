@@ -67,25 +67,6 @@ System::~System() = default;
 void
 System::build(const ResumeState *resume)
 {
-    if (cfg.simJobs > 0) {
-        // Partitioned kernel: one domain per channel plus the
-        // coordinator (CPU/cache/workload) domain, synchronized in
-        // windows of the cross-domain hop latency. The channel
-        // domains come first so domain index == channel id.
-        kernel = std::make_unique<ParallelKernel>(cfg.channelHopLatency,
-                                                  cfg.simJobs);
-        for (unsigned ch = 0; ch < cfg.numChannels; ++ch) {
-            chanQueues.push_back(std::make_unique<EventQueue>());
-            auto seq = std::make_unique<PersistSequencer>();
-            seq->enableStamped(ch);
-            chanSequencers.push_back(std::move(seq));
-            kernel->addDomain(chanQueues.back().get());
-        }
-        coordDomain = kernel->addDomain(&eventq);
-        chanEventLogs.resize(cfg.numChannels);
-        kernel->setBarrierHook([this](Tick t) { onBarrier(t); });
-    }
-
     MemCtlConfig mc = cfg.memctl;
     mc.design = cfg.design;
     mc.numChannels = cfg.numChannels;
@@ -101,52 +82,19 @@ System::build(const ResumeState *resume)
     mc.counterCacheBytes = cfg.memctl.counterCacheBytes / cfg.numChannels;
     for (unsigned ch = 0; ch < cfg.numChannels; ++ch) {
         mc.channelId = ch;
-        // Partitioned: the controller lives on its channel's queue and
-        // stamps sequence numbers from its own simulated clock, making
-        // global persist order a pure function of simulated time.
-        EventQueue &ctl_eq = partitioned() ? *chanQueues[ch] : eventq;
-        PersistSequencer *seq =
-            partitioned() ? chanSequencers[ch].get() : &sequencer;
         memCtls.push_back(std::make_unique<MemController>(
-            ctl_eq, nvmDev, mc, &registry, seq));
-        if (partitioned()) {
-            // Record semantic events locally (single-writer log);
-            // onBarrier() merges and replays them deterministically.
-            memCtls.back()->setEventHook([this, ch](CtlEvent ev) {
-                chanEventLogs[ch].push_back(
-                    ChanEvent{chanQueues[ch]->curTick(), ev});
-            });
-        }
+            eventq, nvmDev, mc, &registry, &sequencer));
     }
 
-    MemBackend *backend;
-    if (partitioned()) {
-        for (unsigned ch = 0; ch < cfg.numChannels; ++ch) {
-            chanPorts.push_back(std::make_unique<ChannelPort>(
-                *kernel, coordDomain, ch, *memCtls[ch],
-                cfg.channelHopLatency));
-        }
-        backend = chanPorts.front().get();
-        if (cfg.numChannels > 1) {
-            std::vector<MemBackend *> chans;
-            chans.reserve(chanPorts.size());
-            for (auto &port : chanPorts)
-                chans.push_back(port.get());
-            router = std::make_unique<ChannelRouter>(std::move(chans),
-                                                     nvmDev.channelMap());
-            backend = router.get();
-        }
-    } else {
-        backend = memCtls.front().get();
-        if (cfg.numChannels > 1) {
-            std::vector<MemBackend *> chans;
-            chans.reserve(memCtls.size());
-            for (auto &ctl : memCtls)
-                chans.push_back(ctl.get());
-            router = std::make_unique<ChannelRouter>(std::move(chans),
-                                                     nvmDev.channelMap());
-            backend = router.get();
-        }
+    MemBackend *backend = memCtls.front().get();
+    if (cfg.numChannels > 1) {
+        std::vector<MemBackend *> chans;
+        chans.reserve(memCtls.size());
+        for (auto &ctl : memCtls)
+            chans.push_back(ctl.get());
+        router = std::make_unique<ChannelRouter>(std::move(chans),
+                                                 nvmDev.channelMap());
+        backend = router.get();
     }
 
     ClockDomain cpu_clock(static_cast<Tick>(1000.0 / cfg.cpuGHz));
@@ -198,10 +146,7 @@ System::build(const ResumeState *resume)
             if (finishedCores == cfg.numCores) {
                 if (injector)
                     injector->disarm();
-                // Partitioned: no stop — the kernel runs on to
-                // natural quiescence, which is the settle phase.
-                if (!partitioned())
-                    eventq.requestStop();
+                eventq.requestStop();
             }
         });
     }
@@ -325,14 +270,7 @@ System::runInternal()
 {
     for (auto &core : cores)
         core->start();
-
-    if (partitioned()) {
-        // The kernel runs to global quiescence (or a crash stop at a
-        // barrier) — the settle phase is built in.
-        kernel->run();
-    } else {
-        eventq.run();
-    }
+    eventq.run();
 
     RunResult result;
     result.crashed = lastResult.crashed;
@@ -345,8 +283,7 @@ System::runInternal()
         result.endTick = latest;
         // Let outstanding queue drains settle for accurate traffic
         // accounting.
-        if (!partitioned())
-            eventq.run();
+        eventq.run();
     }
     for (auto &wl : workloads)
         result.txnsIssued += wl->txnsIssued();
@@ -357,73 +294,8 @@ System::runInternal()
 void
 System::setCtlEventHook(std::function<void(CtlEvent)> hook)
 {
-    if (partitioned()) {
-        // The per-channel recorders are installed at build time; the
-        // barrier replay feeds this observer.
-        userCtlHook = std::move(hook);
-        return;
-    }
     for (auto &ctl : memCtls)
         ctl->setEventHook(hook);
-}
-
-Tick
-System::captureTick() const
-{
-    return partitioned() ? kernel->barrierTick() : eventq.curTick();
-}
-
-void
-System::onBarrier(Tick barrier_tick)
-{
-    (void)barrier_tick;
-    // Replay the window's semantic events into the observer in
-    // (tick, channel, log index) order. Within-tick cross-channel
-    // order has no simulated happens-before — the channel id is the
-    // deterministic tie-break, fixed at any host thread count.
-    if (userCtlHook) {
-        struct Tagged
-        {
-            Tick tick;
-            unsigned ch;
-            std::size_t idx;
-        };
-        std::vector<Tagged> merged;
-        for (unsigned c = 0; c < chanEventLogs.size(); ++c) {
-            for (std::size_t i = 0; i < chanEventLogs[c].size(); ++i)
-                merged.push_back(Tagged{chanEventLogs[c][i].tick, c, i});
-        }
-        std::sort(merged.begin(), merged.end(),
-                  [](const Tagged &a, const Tagged &b) {
-                      if (a.tick != b.tick)
-                          return a.tick < b.tick;
-                      if (a.ch != b.ch)
-                          return a.ch < b.ch;
-                      return a.idx < b.idx;
-                  });
-        for (const Tagged &t : merged)
-            userCtlHook(chanEventLogs[t.ch][t.idx].ev);
-    }
-    for (auto &log : chanEventLogs)
-        log.clear();
-
-    // Process the power failures recorded this window — tick triggers
-    // that fired on the coordinator queue plus semantic triggers the
-    // replay above just delivered. Every channel is quiescent here, so
-    // teardown/capture sees a settled, deterministic state. A Replay
-    // teardown stops the kernel; later fires of the same window (fork
-    // plans only arm capture, so this only guards the single-spec
-    // replay case) are dropped with it.
-    if (!pendingFires.empty()) {
-        std::vector<std::size_t> fires;
-        fires.swap(pendingFires);
-        for (std::size_t i : fires) {
-            if (lastResult.crashed)
-                break;
-            if (fireAction)
-                fireAction(i);
-        }
-    }
 }
 
 RunResult
@@ -481,28 +353,29 @@ System::captureChannels(PersistImage &img, unsigned drop) const
     }
 }
 
+CrashSnapshot
+System::snapshotNow() const
+{
+    CrashSnapshot snap;
+    snap.valid = true;
+    snap.tick = eventq.curTick();
+    for (const auto &ctl : memCtls) {
+        snap.dataQueue += ctl->dataQueueOccupancy();
+        snap.ctrQueue += ctl->ctrQueueOccupancy();
+        snap.landing += ctl->landingDepth();
+        snap.pipeline += ctl->pipelineDepth();
+        snap.inflight += ctl->inflightDepth();
+        snap.outstandingReads += ctl->outstandingReadCount();
+    }
+    return snap;
+}
+
 void
 System::doCrash()
 {
     lastResult.crashed = true;
-    lastResult.endTick = captureTick();
-
-    snapshot.valid = true;
-    snapshot.tick = captureTick();
-    snapshot.dataQueue = 0;
-    snapshot.ctrQueue = 0;
-    snapshot.landing = 0;
-    snapshot.pipeline = 0;
-    snapshot.inflight = 0;
-    snapshot.outstandingReads = 0;
-    for (const auto &ctl : memCtls) {
-        snapshot.dataQueue += ctl->dataQueueOccupancy();
-        snapshot.ctrQueue += ctl->ctrQueueOccupancy();
-        snapshot.landing += ctl->landingDepth();
-        snapshot.pipeline += ctl->pipelineDepth();
-        snapshot.inflight += ctl->inflightDepth();
-        snapshot.outstandingReads += ctl->outstandingReadCount();
-    }
+    lastResult.endTick = eventq.curTick();
+    snapshot = snapshotNow();
 
     for (auto &core : cores)
         core->halt();
@@ -520,10 +393,7 @@ System::doCrash()
     } else {
         crashChannels();
     }
-    if (partitioned())
-        kernel->requestStop();
-    else
-        eventq.requestStop();
+    eventq.requestStop();
 }
 
 RunResult
@@ -536,20 +406,9 @@ RunResult
 System::runWithCrash(const CrashSpec &spec)
 {
     activeSpec = spec;
-    if (partitioned()) {
-        // Fires are recorded when triggered and processed at the next
-        // window barrier, where every channel is quiescent — Replay
-        // teardown and Fork capture both happen at barriers, so they
-        // see identical state (keeping Replay ≡ Fork).
-        fireAction = [this](std::size_t) { doCrash(); };
-        injector = std::make_unique<CrashInjector>(
-            eventq, std::vector<CrashSpec>{spec},
-            [this](std::size_t i) { pendingFires.push_back(i); });
-        injector->setImmediateFire(true);
-    } else {
-        injector = std::make_unique<CrashInjector>(
-            eventq, spec, [this]() { doCrash(); });
-    }
+    injector = std::make_unique<CrashInjector>(
+        eventq, std::vector<CrashSpec>{spec},
+        [this](std::size_t) { doCrash(); });
     if (ctlEventFor(spec.kind)) {
         setCtlEventHook(
             [this](CtlEvent ev) { injector->onCtlEvent(ev); });
@@ -562,22 +421,7 @@ PersistFork
 System::captureFork(const CrashSpec &spec) const
 {
     PersistFork fork;
-    fork.snapshot.valid = true;
-    fork.snapshot.tick = captureTick();
-    fork.snapshot.dataQueue = 0;
-    fork.snapshot.ctrQueue = 0;
-    fork.snapshot.landing = 0;
-    fork.snapshot.pipeline = 0;
-    fork.snapshot.inflight = 0;
-    fork.snapshot.outstandingReads = 0;
-    for (const auto &ctl : memCtls) {
-        fork.snapshot.dataQueue += ctl->dataQueueOccupancy();
-        fork.snapshot.ctrQueue += ctl->ctrQueueOccupancy();
-        fork.snapshot.landing += ctl->landingDepth();
-        fork.snapshot.pipeline += ctl->pipelineDepth();
-        fork.snapshot.inflight += ctl->inflightDepth();
-        fork.snapshot.outstandingReads += ctl->outstandingReadCount();
-    }
+    fork.snapshot = snapshotNow();
 
     // Persisted state as a crash here would leave it: the device's
     // image, then the global ADR drain of every channel's ready queue
@@ -612,28 +456,13 @@ System::runWithForkCapture(const std::vector<CrashSpec> &specs,
     for (const CrashSpec &spec : specs)
         semantic = semantic || ctlEventFor(spec.kind).has_value();
 
-    if (partitioned()) {
-        // Capture at the barrier, where every channel is quiescent —
-        // the same instant a Replay teardown of the same spec would
-        // capture at, so fork and replay fingerprints stay identical.
-        fireAction = [this, specs, sink](std::size_t i) {
+    injector = std::make_unique<CrashInjector>(
+        eventq, specs,
+        [this, specs, sink = std::move(sink)](std::size_t i) {
             PersistFork fork = captureFork(specs[i]);
             fork.planIndex = i;
             sink(i, std::move(fork));
-        };
-        injector = std::make_unique<CrashInjector>(
-            eventq, specs,
-            [this](std::size_t i) { pendingFires.push_back(i); });
-        injector->setImmediateFire(true);
-    } else {
-        injector = std::make_unique<CrashInjector>(
-            eventq, specs,
-            [this, specs, sink = std::move(sink)](std::size_t i) {
-                PersistFork fork = captureFork(specs[i]);
-                fork.planIndex = i;
-                sink(i, std::move(fork));
-            });
-    }
+        });
     if (semantic) {
         setCtlEventHook(
             [this](CtlEvent ev) { injector->onCtlEvent(ev); });

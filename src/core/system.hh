@@ -26,14 +26,12 @@
 #include "core/persist_fork.hh"
 #include "core/recovery.hh"
 #include "cpu/core.hh"
-#include "mem/channel_port.hh"
 #include "mem/channel_router.hh"
 #include "mem/core_mem_path.hh"
 #include "memctl/mem_controller.hh"
 #include "memctl/persist_sequencer.hh"
 #include "nvm/nvm_device.hh"
 #include "sim/eventq.hh"
-#include "sim/parallel_kernel.hh"
 #include "stats/stats.hh"
 
 namespace cnvm
@@ -104,7 +102,7 @@ class System
      * live plaintext view is rebuilt from the fast-forwarded shadows
      * with quarantined lines reading as zeros, and every channel's
      * controller rebuilds its counter state from the persisted store
-     * exactly as crash() does. Works under any numChannels/simJobs
+     * exactly as crash() does. Works under any numChannels
      * configuration. cfg.wl.txnTarget must exceed every core's
      * committed count, or the resumed run has nothing left to do.
      */
@@ -203,14 +201,10 @@ class System
 
     /**
      * Installs a semantic-event observer on *every* channel (events
-     * from all channels funnel into one hook). Under the classic
-     * kernel the single-threaded event loop keeps their order
-     * deterministic; under the partitioned kernel each channel logs
-     * its events locally and the merged log is replayed into the hook
-     * at every window barrier in (tick, channel, index) order — the
-     * same deterministic order at any --sim-jobs. The sweep's probe
-     * census and the crash injector go through here — hooking only
-     * channel 0 would blind them to the other channels' activity.
+     * from all channels funnel into one hook, in event-loop order).
+     * The sweep's probe census and the crash injector go through
+     * here — hooking only channel 0 would blind them to the other
+     * channels' activity.
      */
     void setCtlEventHook(std::function<void(CtlEvent)> hook);
 
@@ -238,10 +232,6 @@ class System
     const SystemConfig &config() const { return cfg; }
     EventQueue &eventQueue() { return eventq; }
 
-    /** The partitioned kernel, or null under the classic single-queue
-     *  kernel. Benches read its barrier/message counters. */
-    ParallelKernel *parallelKernel() { return kernel.get(); }
-
     /** One-line description of the configured design point. */
     std::string describe() const;
 
@@ -251,53 +241,14 @@ class System
     stats::StatRegistry registry;
     NvmDevice nvmDev;
 
-    /** Shared persist-order source across every channel's queues
-     *  (classic kernel only; partitioned channels own stamped
-     *  sequencers instead). */
+    /** Shared persist-order source across every channel's queues. */
     PersistSequencer sequencer;
-
-    // --- partitioned kernel (cfg.simJobs > 0) ---
-
-    /** Per-channel event queues; the coordinator queue is eventq. */
-    std::vector<std::unique_ptr<EventQueue>> chanQueues;
-
-    /** Per-channel tick-stamped sequencers. */
-    std::vector<std::unique_ptr<PersistSequencer>> chanSequencers;
-
-    /** Coordinator-side proxies carrying the cross-domain traffic. */
-    std::vector<std::unique_ptr<ChannelPort>> chanPorts;
-
-    std::unique_ptr<ParallelKernel> kernel;
-    std::size_t coordDomain = 0;
-
-    /** One channel's semantic event, logged at its local tick. */
-    struct ChanEvent
-    {
-        Tick tick;
-        CtlEvent ev;
-    };
-
-    /** Per-channel single-writer event logs, merged at barriers. */
-    std::vector<std::vector<ChanEvent>> chanEventLogs;
-
-    /** The observer the merged barrier replay feeds. */
-    std::function<void(CtlEvent)> userCtlHook;
-
-    /** Spec indices whose power failure fired this window; processed
-     *  at the barrier, in record order. */
-    std::vector<std::size_t> pendingFires;
-
-    /** What a fired spec does at the barrier (teardown or capture). */
-    std::function<void(std::size_t)> fireAction;
-
-    // --- end partitioned kernel ---
 
     /** One controller per channel; index == channel id. */
     std::vector<std::unique_ptr<MemController>> memCtls;
 
     /** Address-interleaved fan-out (only built when numChannels > 1;
-     *  a single channel wires the paths straight to the controller
-     *  or its port). */
+     *  a single channel wires the paths straight to the controller). */
     std::unique_ptr<ChannelRouter> router;
 
     std::vector<std::unique_ptr<Workload>> workloads;
@@ -313,19 +264,12 @@ class System
     CrashSpec activeSpec;
 
     void build(const ResumeState *resume);
+
+    /** Controller occupancy across every channel, right now. */
+    CrashSnapshot snapshotNow() const;
+
     void doCrash();
     RunResult runInternal();
-
-    bool partitioned() const { return kernel != nullptr; }
-
-    /** Window-barrier hook of the partitioned kernel: replays the
-     *  merged semantic-event log and processes pending crash/fork
-     *  fires while every channel is quiescent. */
-    void onBarrier(Tick barrier_tick);
-
-    /** The tick crash/fork state is captured at: the barrier tick
-     *  under the partitioned kernel, the current tick otherwise. */
-    Tick captureTick() const;
 
     /** Ready (ADR-eligible) entries across every channel. */
     unsigned totalReadyEntries() const;

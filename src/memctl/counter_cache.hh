@@ -64,7 +64,7 @@ class CounterCache
      */
     CounterCache(std::uint64_t size_bytes, unsigned assoc,
                  stats::StatRegistry *registry,
-                 const std::string &stat_prefix = "ctrcache.",
+                 const std::string &stat_prefix = "ctrcache.ch0.",
                  unsigned index_shift = 0);
 
     /** Looks up a counter line; on hit refreshes LRU. */

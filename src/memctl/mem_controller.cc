@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <mutex>
 
 #include "common/logging.hh"
 #include "integrity/integrity_tree.hh"
@@ -16,9 +15,8 @@ namespace
 
 /**
  * Stat-name prefix for a channel. Every channel — including channel 0 —
- * uses the canonical "memctl.chN." form, so bench/tool parsers handle
- * all channels uniformly; the constructor registers the legacy flat
- * "memctl." names as lookup aliases for channel 0.
+ * uses the "memctl.chN." form, so bench/tool parsers handle all
+ * channels uniformly.
  */
 std::string
 ctlStatPrefix(const MemCtlConfig &cfg)
@@ -120,12 +118,6 @@ MemController::MemController(EventQueue &eq, NvmDevice &nvm,
         registry->registerStat(treeCoalesces);
         registry->registerStat(treeNodeWrites);
         registry->registerStat(treeFlushes);
-        // Channel 0 historically dumped flat "memctl." / "ctrcache."
-        // names; keep them resolvable (find/lookup only, not dumped).
-        if (cfg.channelId == 0) {
-            registry->aliasPrefix("memctl.ch0.", "memctl.");
-            registry->aliasPrefix("ctrcache.ch0.", "ctrcache.");
-        }
     }
 }
 
@@ -343,11 +335,7 @@ MemController::verifyIndexes() const
 CounterLine
 MemController::memoryViewCounters(Addr ctr_addr) const
 {
-    CounterLine values;
-    {
-        std::lock_guard<std::mutex> lock(nvm.imageMutex());
-        values = nvm.persistedCounters(ctr_addr);
-    }
+    CounterLine values = nvm.persistedCounters(ctr_addr);
     // Pending counter-queue entries and not-yet-queued evictions are
     // newer than the image; counters only grow, so merging by max
     // yields the youngest value per slot (and makes the merge order
@@ -758,7 +746,7 @@ MemController::landDataWrite(const WriteReq &req, std::uint64_t counter,
     } else {
         dataQ.push_back(DataEntry{});
         entry = &dataQ.back();
-        entry->seq = sequencer->acquire(eventq.curTick());
+        entry->seq = sequencer->acquire();
         entry->addr = req.addr;
         entry->cipher = cipher;
         entry->counter = counter;
@@ -843,7 +831,7 @@ MemController::enqueueCtrValues(Addr ctr_addr, const CounterLine &values,
     }
 
     CtrEntry entry;
-    entry.seq = sequencer->acquire(eventq.curTick());
+    entry.seq = sequencer->acquire();
     entry.addr = ctr_addr;
     entry.values = values;
     entry.ready = true;
@@ -901,10 +889,7 @@ MemController::handleCcEviction(const CounterEviction &ev)
     switch (cfg.design) {
       case DesignPoint::Ideal:
         // Counter persistence is free in the ideal design.
-        {
-            std::lock_guard<std::mutex> lock(nvm.imageMutex());
-            nvm.drainCounters(ev.addr, ev.values);
-        }
+        nvm.drainCounters(ev.addr, ev.values);
         noteCounterPersist(ev.addr);
         return;
       case DesignPoint::ColocatedCC:
@@ -1016,10 +1001,7 @@ MemController::tryCtrWriteback(Addr data_line_addr,
       case DesignPoint::Ideal: {
         Addr ctr_addr = counterLineAddr(data_line_addr);
         if (CounterCacheLine *line = counterCache->peek(ctr_addr)) {
-            {
-                std::lock_guard<std::mutex> lock(nvm.imageMutex());
-                nvm.drainCounters(ctr_addr, line->values);
-            }
+            nvm.drainCounters(ctr_addr, line->values);
             noteCounterPersist(ctr_addr);
             line->dirty = false;
         }
@@ -1215,10 +1197,7 @@ MemController::issueOneWrite()
 void
 MemController::persistDataEntry(const DataEntry &entry)
 {
-    {
-        std::lock_guard<std::mutex> lock(nvm.imageMutex());
-        persistDataEntryTo(nvm.persistedState(), entry);
-    }
+    persistDataEntryTo(nvm.persistedState(), entry);
     // The co-located and ideal designs persist the covering counter
     // word inside the data drain itself; mirror that into the tree.
     switch (cfg.design) {
@@ -1353,6 +1332,9 @@ MemController::captureCrashStateWithCut(PersistImage &img,
             --ctr_keep;
         }
     }
+    // A cut never keeps more than the ready entries, so exactly its
+    // keeps drained (crashWithCut() counts the rest as dropped).
+    cnvm_assert(data_keep == 0 && ctr_keep == 0);
 
     // The ADR budget's last act: flush the integrity tree, root last.
     // The controller's volatile mirror is (by the noteCounterPersist
@@ -1397,10 +1379,7 @@ MemController::completeCtrDrain(std::uint64_t seq)
 {
     CtrIter it = locateCtrEntry(seq);
     if (it != ctrQ.end()) {
-        {
-            std::lock_guard<std::mutex> lock(nvm.imageMutex());
-            nvm.drainCounters(it->addr, it->values);
-        }
+        nvm.drainCounters(it->addr, it->values);
         noteCounterPersist(it->addr);
         unindexCtrEntry(it);
         ctrQ.erase(it);
@@ -1477,39 +1456,13 @@ void
 MemController::crashWithCut(const AdrCut &cut)
 {
     // ADR: drain exactly the kept ready entries (section 5.2.2, steps
-    // 4-5). An injected energy-exhaustion fault loses the tail of the
-    // global drain order; this channel's lost entries count as dropped.
-    unsigned data_keep = cut.dataKeep;
-    unsigned ctr_keep = cut.ctrKeep;
-    for (const DataEntry &entry : dataQ) {
-        if (entry.ready && data_keep > 0) {
-            // Raw persistence, not persistDataEntry(): the lazy tree
-            // hooks stay out of the dying drain — the full tree flush
-            // below covers everything, exactly as in
-            // captureCrashState().
-            persistDataEntryTo(nvm.persistedState(), entry);
-            --data_keep;
-        } else {
-            ++crashDroppedData;
-        }
-    }
-    for (const CtrEntry &entry : ctrQ) {
-        if (entry.ready && entry.pendingPartners == 0 && ctr_keep > 0) {
-            nvm.drainCounters(entry.addr, entry.values);
-            --ctr_keep;
-        } else {
-            ++crashDroppedCtr;
-        }
-    }
-
-    // The ADR budget's last act: flush the integrity tree, root last
-    // (see captureCrashState for why this is a rebuild from the
-    // post-drain store, and why it precedes any injected fault). The
-    // multi-channel coordinator clears flushTree and rebuilds globally
-    // once all channels have drained.
-    if (cut.flushTree && cfg.integrityTree)
-        rebuildTree(nvm.persistedState(), cfg.counterRegionBase, 0,
-                    ~Addr(0));
+    // 4-5) and flush the tree — the overlay fork capture applies to a
+    // copy, applied here to the device's own image. An injected
+    // energy-exhaustion fault loses the tail of the global drain
+    // order; every queued entry outside the cut counts as dropped.
+    captureCrashStateWithCut(nvm.persistedState(), cut);
+    crashDroppedData += dataQ.size() - cut.dataKeep;
+    crashDroppedCtr += ctrQ.size() - cut.ctrKeep;
 
     // In the ideal design every counter is persisted alongside its data
     // at drain time, so nothing in the counter cache can be lost; no

@@ -92,9 +92,7 @@ struct MemCtlConfig
     /**
      * Multi-channel identity: how many channels shard the address
      * space, and which shard this controller owns. Every channel
-     * registers under the canonical "memctl.chN.*" / "ctrcache.chN.*"
-     * names; channel 0 additionally registers the legacy flat names
-     * ("memctl.*", "ctrcache.*") as lookup aliases.
+     * registers its stats under "memctl.chN.*" / "ctrcache.chN.*".
      */
     unsigned numChannels = 1;
     unsigned channelId = 0;
@@ -254,10 +252,12 @@ class MemController : public MemBackend
     AdrCut cutFor(unsigned adr_drop_tail) const;
 
     /**
-     * Multi-channel crash: drains the keep-prefixes of @p cut (as
+     * Multi-channel crash: applies captureCrashStateWithCut() to the
+     * device's own image — draining the keep-prefixes of @p cut (as
      * computed globally by computeDrainKeeps over every channel's
-     * ready entries) and tears down the volatile state of this
-     * channel. With cut.flushTree cleared, the caller owns the global
+     * ready entries) — counts every queued entry outside the cut as
+     * dropped, and tears down the volatile state of this channel.
+     * With cut.flushTree cleared, the caller owns the global
      * integrity-tree rebuild over the merged image.
      */
     void crashWithCut(const AdrCut &cut);

@@ -13,24 +13,9 @@
  * while the undo entries are dropped, because its sequence number is
  * strictly larger.
  *
- * The classic kernel runs single-threaded (one event queue), so one
- * shared sequencer handing out next++ needs no synchronization;
- * determinism comes from the event order, which is already
- * deterministic.
- *
- * The partitioned kernel (--sim-jobs) runs each channel's event queue
- * on its own host thread, so a shared counter would make persist order
- * a race. There each channel owns a *stamped* sequencer instead: the
- * sequence number packs (simulated tick, channel id, per-tick index),
- * making global persist order a pure function of simulated time — the
- * same total order at any host-thread count. Program-ordered persists
- * on different channels are separated by fences (and thus by at least
- * one tick of simulated latency), so the tick field alone orders them;
- * the channel field only breaks ties between *concurrent* persists,
- * which have no program-order relation to preserve. Per-channel stamps
- * stay strictly ascending (the queues consume entries in issue order
- * at monotone ticks), so computeDrainKeeps() and the per-seq indexes
- * work unchanged on either stamp flavor.
+ * The simulation runs on one event queue, so one shared sequencer
+ * handing out next++ needs no synchronization; determinism comes from
+ * the event order, which is already deterministic.
  */
 
 #ifndef CNVM_MEMCTL_PERSIST_SEQUENCER_HH
@@ -41,80 +26,24 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "common/types.hh"
 
 namespace cnvm
 {
 
-/**
- * Monotonic sequence source for queue entries. Legacy mode (default):
- * a shared counter, one instance for all channels. Stamped mode: one
- * instance per channel, stamps encoding (tick, channel, per-tick
- * index) so that numeric order across channels equals simulated-time
- * order.
- */
+/** Monotonic sequence source for queue entries, one instance shared
+ *  by every channel. */
 class PersistSequencer
 {
   public:
-    /** Bits for the per-tick index (low) and the channel id (middle);
-     *  the simulated tick occupies the remaining high 42 bits. */
-    static constexpr unsigned localBits = 16;
-    static constexpr unsigned channelBits = 6;
+    std::uint64_t acquire() { return next++; }
 
-    /**
-     * Switches this instance to tick-stamped mode for @p channel_id.
-     * Must be called before the first acquire().
-     */
-    void
-    enableStamped(unsigned channel_id)
-    {
-        cnvm_assert(channel_id < (1u << channelBits));
-        stamped = true;
-        channel = channel_id;
-    }
-
-    std::uint64_t
-    acquire(Tick now)
-    {
-        if (!stamped)
-            return next++;
-        if (now != stampTick) {
-            cnvm_assert(now > stampTick || stampLocal == 0);
-            stampTick = now;
-            stampLocal = 0;
-        }
-        cnvm_assert(now < (Tick(1) << (64 - channelBits - localBits)));
-        cnvm_assert(stampLocal < (1u << localBits));
-        return (now << (channelBits + localBits))
-               | (std::uint64_t(channel) << localBits)
-               | std::uint64_t(stampLocal++);
-    }
-
-    std::uint64_t
-    acquire()
-    {
-        cnvm_assert(!stamped);
-        return next++;
-    }
-
-    /** The next sequence number that acquire() would hand out
-     *  (legacy mode only). */
+    /** The next sequence number that acquire() would hand out. */
     std::uint64_t peek() const { return next; }
 
-    void
-    reset()
-    {
-        next = 1;
-        stampTick = 0;
-        stampLocal = 0;
-    }
+    void reset() { next = 1; }
 
   private:
     std::uint64_t next = 1;
-    bool stamped = false;
-    unsigned channel = 0;
-    Tick stampTick = 0;
-    std::uint32_t stampLocal = 0;
 };
 
 /**

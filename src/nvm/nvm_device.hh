@@ -26,7 +26,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <vector>
 
 #include "common/line_table.hh"
@@ -164,19 +163,6 @@ class NvmDevice
         livePlain.clear();
     }
 
-    /**
-     * Guards the persisted image under the partitioned kernel, where
-     * per-channel controller threads drain into the shared device
-     * concurrently. Lines interleave across channels at block
-     * granularity, so one image page (and its presence mask) holds
-     * lines of several channels, and a drain to an untouched page
-     * inserts into the shared page directory — controllers take this
-     * lock around every runtime persisted-image access. The classic
-     * single-queue kernel takes it too (uncontended) rather than
-     * branch per access.
-     */
-    std::mutex &imageMutex() const { return imgMutex; }
-
     /** True if the bank serving @p addr can start a new access now. */
     bool
     bankFree(Addr addr, Tick now) const
@@ -229,10 +215,7 @@ class NvmDevice
     /** Next tick each channel's data bus is free. */
     std::vector<Tick> busFreeAt;
 
-    /** Whether each channel's last bus transfer was a write (tWTR).
-     *  One byte per channel, not vector<bool>: per-channel worker
-     *  threads write their own element, and bit-packing would turn
-     *  those disjoint writes into a data race. */
+    /** Whether each channel's last bus transfer was a write (tWTR). */
     std::vector<std::uint8_t> lastWasWrite;
 
     LineTable<LineData> livePlain;
@@ -246,9 +229,6 @@ class NvmDevice
     stats::Scalar writesIssued;
 
     std::function<void(Addr, unsigned)> writeTraceHook;
-
-    /** See imageMutex(). */
-    mutable std::mutex imgMutex;
 
     unsigned bankOf(Addr addr) const;
 };

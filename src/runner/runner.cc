@@ -181,105 +181,6 @@ WorkPool::drainBatch(Batch &b)
     }
 }
 
-PinnedCrew::PinnedCrew(unsigned jobs)
-    : njobs(jobs == 0 ? 1 : jobs)
-{
-    workers.reserve(njobs - 1);
-    for (unsigned i = 1; i < njobs; ++i)
-        workers.emplace_back([this, i]() { workerLoop(i); });
-}
-
-PinnedCrew::~PinnedCrew()
-{
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        stopping = true;
-    }
-    wake.notify_all();
-    for (std::thread &w : workers)
-        w.join();
-}
-
-void
-PinnedCrew::runShare(unsigned self, std::size_t ndomains,
-                     const std::function<void(std::size_t)> &task)
-{
-    for (std::size_t d = self; d < ndomains; d += njobs) {
-        try {
-            task(d);
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(mtx);
-            errors.emplace_back(d, std::current_exception());
-        }
-    }
-}
-
-void
-PinnedCrew::workerLoop(unsigned self)
-{
-    std::uint64_t seen = 0;
-    for (;;) {
-        std::size_t n;
-        const std::function<void(std::size_t)> *task;
-        {
-            std::unique_lock<std::mutex> lock(mtx);
-            wake.wait(lock,
-                      [&]() { return stopping || generation != seen; });
-            if (stopping)
-                return;
-            seen = generation;
-            n = roundDomains;
-            task = roundTask;
-        }
-        runShare(self, n, *task);
-        {
-            std::lock_guard<std::mutex> lock(mtx);
-            if (--remaining == 0)
-                done.notify_all();
-        }
-    }
-}
-
-void
-PinnedCrew::runRound(std::size_t ndomains,
-                     const std::function<void(std::size_t)> &task)
-{
-    if (njobs == 1 || ndomains <= 1) {
-        // Serial reference: domain order on this thread; the first
-        // throw is necessarily the lowest failed domain.
-        for (std::size_t d = 0; d < ndomains; ++d)
-            task(d);
-        return;
-    }
-
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        roundDomains = ndomains;
-        roundTask = &task;
-        remaining = njobs - 1;
-        ++generation;
-    }
-    wake.notify_all();
-
-    // The caller is pinned worker 0.
-    runShare(0, ndomains, task);
-
-    std::vector<std::pair<std::size_t, std::exception_ptr>> errs;
-    {
-        std::unique_lock<std::mutex> lock(mtx);
-        done.wait(lock, [&]() { return remaining == 0; });
-        roundTask = nullptr;
-        errs.swap(errors);
-    }
-
-    if (!errs.empty()) {
-        auto lowest = std::min_element(
-            errs.begin(), errs.end(),
-            [](const auto &a, const auto &c) { return a.first < c.first; });
-        std::rethrow_exception(lowest->second);
-    }
-}
-
 void
 WorkPool::forEachIndex(std::size_t n,
                        const std::function<void(std::size_t)> &task)

@@ -143,65 +143,6 @@ class WorkPool
     bool runOneSubmitted();
 };
 
-/**
- * Long-lived crew of *pinned* workers for round-based execution.
- *
- * The partitioned simulation kernel runs the same set of per-channel
- * event queues once per synchronization window — thousands of short
- * rounds over the same domains. Unlike WorkPool's indexed batches,
- * the domain→thread assignment here is static: domain d always runs
- * on worker d % jobs() (the caller is worker 0), so a domain's event
- * queue is only ever touched by one host thread across all rounds and
- * never migrates. That makes the queues' unsynchronized internals
- * safe without locks, and keeps whatever cache locality the domains
- * have.
- *
- * jobs() == 1 runs every domain inline on the calling thread in
- * domain order: the serial reference. A worker exception is captured
- * and rethrown on the caller after the round settles (lowest domain
- * wins), matching WorkPool semantics.
- */
-class PinnedCrew
-{
-  public:
-    /** @param jobs concurrency (including the caller); must be >= 1. */
-    explicit PinnedCrew(unsigned jobs);
-    ~PinnedCrew();
-
-    PinnedCrew(const PinnedCrew &) = delete;
-    PinnedCrew &operator=(const PinnedCrew &) = delete;
-
-    unsigned jobs() const { return njobs; }
-
-    /**
-     * Runs task(d) for every domain d in [0, ndomains), blocking until
-     * all domains finish. Domain d runs on worker d % jobs().
-     */
-    void runRound(std::size_t ndomains,
-                  const std::function<void(std::size_t)> &task);
-
-  private:
-    unsigned njobs;
-    std::vector<std::thread> workers;
-
-    std::mutex mtx;
-    std::condition_variable wake; //!< workers: a round arrived / stop
-    std::condition_variable done; //!< owner: all workers finished
-    std::uint64_t generation = 0; //!< bumped when a round is posted
-    unsigned remaining = 0;       //!< workers still in the round
-    std::size_t roundDomains = 0;
-    const std::function<void(std::size_t)> *roundTask = nullptr;
-    bool stopping = false;
-    std::vector<std::pair<std::size_t, std::exception_ptr>> errors;
-
-    void workerLoop(unsigned self);
-
-    /** Runs this worker's share of the round (d = self, self+jobs, ...),
-     *  capturing any exception into errors. */
-    void runShare(unsigned self, std::size_t ndomains,
-                  const std::function<void(std::size_t)> &task);
-};
-
 } // namespace cnvm
 
 #endif // CNVM_RUNNER_RUNNER_HH

@@ -159,13 +159,6 @@ EventQueue::step()
 }
 
 Tick
-EventQueue::nextEventTick()
-{
-    purgeStale();
-    return heap.empty() ? maxTick : heap.front().when;
-}
-
-Tick
 EventQueue::run(Tick limit)
 {
     stopRequested = false;

@@ -161,13 +161,6 @@ class EventQueue
     /** Asks a running run() loop to return after the current event. */
     void requestStop() { stopRequested = true; }
 
-    /**
-     * Tick of the earliest pending event, or maxTick when the queue is
-     * empty. The partitioned kernel uses this to pick the next
-     * synchronization window without popping anything.
-     */
-    Tick nextEventTick();
-
     /** Total number of events processed since construction. */
     std::uint64_t processedCount() const { return processed; }
 

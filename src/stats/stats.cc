@@ -81,37 +81,6 @@ StatRegistry::registerStat(Stat &stat)
     order.push_back(&stat);
 }
 
-void
-StatRegistry::registerAlias(const std::string &alias,
-                            const std::string &target)
-{
-    auto tgt = byName.find(target);
-    if (tgt == byName.end())
-        cnvm_panic("alias '%s' targets unknown stat '%s'", alias.c_str(),
-                   target.c_str());
-    auto [it, inserted] = byName.emplace(alias, tgt->second);
-    if (!inserted)
-        cnvm_panic("duplicate stat name '%s'", alias.c_str());
-}
-
-void
-StatRegistry::aliasPrefix(const std::string &canonical_prefix,
-                          const std::string &alias_prefix)
-{
-    // Collect first: inserting aliases while walking byName would
-    // revisit them.
-    std::vector<const Stat *> matches;
-    for (const Stat *stat : order) {
-        if (stat->name().rfind(canonical_prefix, 0) == 0)
-            matches.push_back(stat);
-    }
-    for (const Stat *stat : matches) {
-        registerAlias(
-            alias_prefix + stat->name().substr(canonical_prefix.size()),
-            stat->name());
-    }
-}
-
 const Stat *
 StatRegistry::find(const std::string &name) const
 {

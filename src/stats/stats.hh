@@ -9,7 +9,6 @@
 #ifndef CNVM_STATS_STATS_HH
 #define CNVM_STATS_STATS_HH
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -62,14 +61,6 @@ class Stat
  * once it passes 2^53 — while fractional adds keep their historical
  * behavior. value() (and hence dump()) still reports the combined
  * double, so the text format is unchanged.
- *
- * The integer half is a relaxed atomic: the partitioned kernel
- * (--sim-jobs) increments shared-device counters (e.g. the NVM byte
- * totals) from per-channel worker threads. Integer addition commutes,
- * so the final counts are independent of host interleaving — reads
- * happen either single-threaded or at barriers where workers are
- * quiescent. Fractional adds stay non-atomic; they only occur on
- * coordinator-owned stats.
  */
 class Scalar : public Stat
 {
@@ -79,7 +70,7 @@ class Scalar : public Stat
     Scalar &
     operator++()
     {
-        whole.fetch_add(1, std::memory_order_relaxed);
+        ++whole;
         return *this;
     }
 
@@ -91,8 +82,7 @@ class Scalar : public Stat
         // take without overflowing on its own.
         double ip;
         if (v >= 0 && std::modf(v, &ip) == 0.0 && ip < 18446744073709551616.0)
-            whole.fetch_add(static_cast<std::uint64_t>(ip),
-                            std::memory_order_relaxed);
+            whole += static_cast<std::uint64_t>(ip);
         else
             frac += v;
         return *this;
@@ -101,7 +91,7 @@ class Scalar : public Stat
     void
     set(double v)
     {
-        whole.store(0, std::memory_order_relaxed);
+        whole = 0;
         frac = 0;
         *this += v;
     }
@@ -109,8 +99,7 @@ class Scalar : public Stat
     double
     value() const override
     {
-        return static_cast<double>(whole.load(std::memory_order_relaxed))
-               + frac;
+        return static_cast<double>(whole) + frac;
     }
 
     /**
@@ -121,18 +110,18 @@ class Scalar : public Stat
     std::uint64_t
     exactCount() const
     {
-        return whole.load(std::memory_order_relaxed);
+        return whole;
     }
 
     void
     reset() override
     {
-        whole.store(0, std::memory_order_relaxed);
+        whole = 0;
         frac = 0;
     }
 
   private:
-    std::atomic<std::uint64_t> whole{0};
+    std::uint64_t whole = 0;
     double frac = 0;
 };
 
@@ -201,24 +190,6 @@ class StatRegistry
   public:
     /** Adds a stat; the name must be unique within the registry. */
     void registerStat(Stat &stat);
-
-    /**
-     * Registers @p alias as an alternate lookup name for an
-     * already-registered stat named @p target. Aliases resolve through
-     * find()/lookup() but never appear in dump() or all() — dumps show
-     * canonical names only.
-     */
-    void registerAlias(const std::string &alias, const std::string &target);
-
-    /**
-     * Registers a legacy-prefix alias for every stat whose canonical
-     * name starts with @p canonical_prefix: the prefix is rewritten to
-     * @p alias_prefix. Used to keep the historical flat channel-0 stat
-     * names (e.g. "memctl.data_inserts") resolvable now that dumps use
-     * the uniform "memctl.ch0." form.
-     */
-    void aliasPrefix(const std::string &canonical_prefix,
-                     const std::string &alias_prefix);
 
     /** Finds a stat by exact name; returns nullptr if absent. */
     const Stat *find(const std::string &name) const;

@@ -104,11 +104,11 @@ TEST(CounterCache, StatsRegistered)
 {
     stats::StatRegistry reg;
     CounterCache cc(64 * 1024, 16, &reg);
-    EXPECT_NE(reg.find("ctrcache.read_hits"), nullptr);
-    EXPECT_NE(reg.find("ctrcache.read_misses"), nullptr);
-    EXPECT_NE(reg.find("ctrcache.write_hits"), nullptr);
-    EXPECT_NE(reg.find("ctrcache.write_misses"), nullptr);
-    EXPECT_NE(reg.find("ctrcache.dirty_evictions"), nullptr);
+    EXPECT_NE(reg.find("ctrcache.ch0.read_hits"), nullptr);
+    EXPECT_NE(reg.find("ctrcache.ch0.read_misses"), nullptr);
+    EXPECT_NE(reg.find("ctrcache.ch0.write_hits"), nullptr);
+    EXPECT_NE(reg.find("ctrcache.ch0.write_misses"), nullptr);
+    EXPECT_NE(reg.find("ctrcache.ch0.dirty_evictions"), nullptr);
 }
 
 } // anonymous namespace

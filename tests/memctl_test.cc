@@ -384,6 +384,44 @@ TEST_F(MemCtlTest, CrashDrainsAcceptedButUnissuedEntries)
     EXPECT_EQ(recoverLine(0x40000), lineOf(0x66));
 }
 
+TEST_F(MemCtlTest, CrashCountsEntriesOutsideTheAdrCutAsDropped)
+{
+    // Six counter-atomic writes on six counter lines sit accepted in
+    // both queues; two more are still in the encryption pipeline. An
+    // energy budget 8 entries short keeps the 4 oldest data entries
+    // and no counter entry. Pipeline writes never reached a queue, so
+    // only queue entries outside the cut count as dropped.
+    build(DesignPoint::SCA);
+    for (unsigned i = 0; i < 6; ++i) {
+        WriteReq req;
+        req.addr = 0x40000 + i * 0x1000;
+        req.data = lineOf(static_cast<std::uint8_t>(i + 1));
+        req.counterAtomic = true;
+        ASSERT_TRUE(ctl->tryWrite(req));
+    }
+    eq.run(ctl->config().encLatency + ctl->config().pairLatency);
+    for (unsigned i = 0; i < 2; ++i) {
+        WriteReq req;
+        req.addr = 0x80000 + i * 0x1000;
+        req.data = lineOf(0x70);
+        ASSERT_TRUE(ctl->tryWrite(req));
+    }
+    ASSERT_EQ(ctl->dataQueueOccupancy(), 6u);
+    ASSERT_EQ(ctl->ctrQueueOccupancy(), 6u);
+    ASSERT_EQ(ctl->pipelineDepth(), 2u);
+
+    ctl->crash(8);
+    EXPECT_EQ(ctl->crashDroppedData.value(), 2.0);
+    EXPECT_EQ(ctl->crashDroppedCtr.value(), 6.0);
+    // The kept data landed without its dropped counter.
+    EXPECT_NE(nvm->persistedLine(0x40000 + 3 * 0x1000), nullptr);
+    EXPECT_EQ(nvm->persistedCounters(ctl->counterLineAddr(0x40000))
+                  [ctl->counterSlot(0x40000)],
+              0u);
+    EXPECT_EQ(nvm->persistedLine(0x40000 + 4 * 0x1000), nullptr);
+    EXPECT_EQ(nvm->persistedLine(0x80000), nullptr);
+}
+
 TEST_F(MemCtlTest, InitLineInstallsDecryptableState)
 {
     for (DesignPoint d : {DesignPoint::NoEncryption, DesignPoint::SCA,

@@ -152,11 +152,10 @@ TEST(Resume, ContinuesFromCommittedPoint)
     EXPECT_EQ(fin[0].recoveredDigest, ctrl[0].recoveredDigest);
 }
 
-TEST(Resume, WorksAcrossChannelAndSimJobsConfigs)
+TEST(Resume, WorksAcrossChannelConfigs)
 {
     SystemConfig cfg = smallConfig(DesignPoint::ColocatedCC);
     cfg.numChannels = 2;
-    cfg.simJobs = 2;
     SoakChainResult chain = runSoakChain(cfg, smallSoak(3));
     ASSERT_TRUE(chain.ok) << chain.failure;
     EXPECT_EQ(chain.totalResets(), 0u);

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "core/system.hh"
 
 namespace cnvm
@@ -205,10 +207,30 @@ TEST(System, StatsRegistryPopulated)
     sys.run();
     auto &reg = sys.statsRegistry();
     EXPECT_NE(reg.find("nvm.bytes_written"), nullptr);
-    EXPECT_NE(reg.find("memctl.data_inserts"), nullptr);
+    EXPECT_NE(reg.find("memctl.ch0.data_inserts"), nullptr);
     EXPECT_NE(reg.find("core0.loads"), nullptr);
     EXPECT_GT(reg.lookup("core0.loads"), 0.0);
     EXPECT_GT(reg.lookup("core0.fences"), 0.0);
+}
+
+TEST(System, ChannelZeroStatsUseTheChannelPrefix)
+{
+    // Channel 0 registers under `memctl.ch0.` / `ctrcache.ch0.` like
+    // every other channel; the flat unsuffixed names do not exist.
+    System sys(smallConfig(DesignPoint::SCA));
+    sys.run();
+    auto &reg = sys.statsRegistry();
+    ASSERT_NE(reg.find("memctl.ch0.data_inserts"), nullptr);
+    EXPECT_GT(reg.lookup("memctl.ch0.data_inserts"), 0.0);
+    EXPECT_NE(reg.find("ctrcache.ch0.read_hits"), nullptr);
+    EXPECT_EQ(reg.find("memctl.data_inserts"), nullptr);
+    EXPECT_EQ(reg.find("ctrcache.read_hits"), nullptr);
+
+    std::ostringstream os;
+    reg.dump(os);
+    EXPECT_NE(os.str().find("\nmemctl.ch0.data_inserts "),
+              std::string::npos);
+    EXPECT_EQ(os.str().find("\nmemctl.data_inserts"), std::string::npos);
 }
 
 TEST(System, DescribeMentionsDesignAndWorkload)

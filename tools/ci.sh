@@ -6,9 +6,13 @@
 # multi-channel (--channels 4) — parallel-recovery and
 # crash-during-recovery sweeps, crash-chain soak smokes in both gate
 # directions, CLI usage-contract smokes, a
-# ThreadSanitizer pass over the parallel sweep and recovery paths
-# (replay-dosed pre-scan and the 4-channel fork capture included), and
-# a Release bench smoke.
+# ThreadSanitizer pass over every host-parallel path (parallel sweeps,
+# recovery pre-scan, replay-dosed pre-scan, the 4-channel fork capture
+# and parallel soak chains), and a Release bench smoke. Host
+# parallelism is run-level only: each simulation runs on one thread,
+# every sweep point, soak chain and pool task owns its System, and fork
+# classification reads only the fork's image copy and the trunk's
+# immutable controller config — the TSan steps are what prove it.
 #
 #   tools/ci.sh [build-dir] [release-build-dir] [tsan-build-dir]
 #
@@ -190,17 +194,6 @@ cmake --build "$tsan" -j "$(nproc)" --target integrity_tree_test
 # races here.
 "$tsan/tools/cnvm_crash_sweep" --points 8 --channels 4 --jobs 4 \
     --mode fork --faults --integrity-tree --design SCA --design Unsafe
-# Partitioned-kernel simulation under TSan: channel event queues run
-# on pinned crew threads between window barriers, draining into the
-# shared NVM device (atomic stats, image mutex) while the coordinator
-# owns the front-end. A plain multi-channel run first, then a dosed
-# sweep whose every point is itself a partitioned multi-threaded
-# simulation nested under the pooled Execute phase.
-cmake --build "$tsan" -j "$(nproc)" --target cnvm_sim_cli
-"$tsan/tools/cnvm_sim" --design SCA --txns 25 --footprint-mb 1 \
-    --channels 4 --sim-jobs 4 --crash-at-frac 0.5 --verify --quiet
-"$tsan/tools/cnvm_crash_sweep" --points 8 --channels 4 --sim-jobs 2 \
-    --jobs 2 --faults --integrity-tree --design SCA --design Unsafe
 # Crash-chain soak under TSan: parallel chains run whole
 # crash → recover → resume lifecycles on worker threads, each chain
 # repeatedly tearing down a System and re-seeding the next incarnation

@@ -74,10 +74,6 @@ options:
   --repeat N       repetitions per timed kernel, fastest kept (default 3)
   --jobs N         worker threads for the untimed checks and the fault
                    matrix (default: hardware concurrency)
-  --sim-jobs N     host threads of the partitioned simulation kernel in
-                   the sim_jobs_scaling section (max 64; default 2; the
-                   serial side is always the partitioned-serial
-                   reference at 1)
   --help           this text
 )");
     std::exit(code);
@@ -207,75 +203,6 @@ benchEventqDeschedule(unsigned iters)
     r.nsPerOp = r.hostMs * 1e6 / static_cast<double>(r.ops);
     if (processed != r.ops / 2)
         std::fprintf(stderr, "deschedule kernel miscounted!\n");
-    return r;
-}
-
-/**
- * Single-queue baseline of the quantum ping-pong: one self-propagating
- * event chain stepping `quantum` ticks per hop on one queue. Each op is
- * one hop, so ns/op is the single-kernel cost of advancing a quantum.
- */
-KernelResult
-benchEventqQuantumSingle(std::uint64_t hops)
-{
-    constexpr Tick quantum = 1000;
-    EventQueue eq;
-    std::uint64_t done = 0;
-    std::function<void()> hop = [&]() {
-        if (++done < hops)
-            scheduleAt(eq, eq.curTick() + quantum, hop);
-    };
-    auto start = Clock::now();
-    scheduleAt(eq, quantum / 2, hop);
-    eq.run();
-    KernelResult r;
-    r.name = "micro_eventq.quantum_hop_single";
-    r.hostMs = msSince(start);
-    r.ops = hops;
-    r.nsPerOp = r.hostMs * 1e6 / static_cast<double>(r.ops);
-    if (done != hops)
-        std::fprintf(stderr, "quantum-hop baseline lost hops!\n");
-    return r;
-}
-
-/**
- * Partitioned twin of the quantum ping-pong: the chain hops between
- * four domains of a ParallelKernel, so every hop crosses a mailbox and
- * every quantum ends in a window barrier (one event, one message per
- * window — the worst case for synchronization overhead). ns/op minus
- * the single-queue baseline is the mailbox + barrier cost per quantum.
- * Runs at jobs=1 deliberately: this measures the protocol, not host
- * parallelism.
- */
-KernelResult
-benchEventqQuantumBarrier(std::uint64_t hops)
-{
-    constexpr Tick quantum = 1000;
-    constexpr std::size_t ndomains = 4;
-    ParallelKernel pk(quantum, 1);
-    std::vector<std::unique_ptr<EventQueue>> queues;
-    for (std::size_t d = 0; d < ndomains; ++d) {
-        queues.push_back(std::make_unique<EventQueue>());
-        pk.addDomain(queues.back().get());
-    }
-    std::uint64_t done = 0;
-    std::function<void(std::size_t)> hop = [&](std::size_t d) {
-        if (++done >= hops)
-            return;
-        std::size_t to = (d + 1) % ndomains;
-        pk.post(d, to, pk.domain(d).curTick() + quantum,
-                Event::DefaultPriority, [&hop, to]() { hop(to); });
-    };
-    auto start = Clock::now();
-    scheduleAt(pk.domain(0), quantum / 2, [&hop]() { hop(0); });
-    pk.run();
-    KernelResult r;
-    r.name = "micro_eventq.quantum_hop_barrier";
-    r.hostMs = msSince(start);
-    r.ops = hops;
-    r.nsPerOp = r.hostMs * 1e6 / static_cast<double>(r.ops);
-    if (done != hops || pk.messageCount() + 1 != hops)
-        std::fprintf(stderr, "quantum-barrier kernel lost hops!\n");
     return r;
 }
 
@@ -547,72 +474,6 @@ runEquivalenceChecks(bool quick, WorkPool &pool)
         });
     }
 
-    // The partitioned-kernel gate: for a multi-channel system, the
-    // full stats dump — every counter on every channel — must be
-    // byte-identical at --sim-jobs 1/2/4. This is the tentpole
-    // invariant: simulated behavior is a pure function of simulated
-    // time, never of the host thread count.
-    for (DesignPoint d : {DesignPoint::SCA, DesignPoint::FCA}) {
-        probes.push_back([d, quick]() {
-            CheckResult c;
-            c.name = std::string("sim_jobs_identity.") + designName(d);
-            const unsigned jobs_of[3] = {1, 2, 4};
-            std::string dumps[3];
-            for (int pass = 0; pass < 3; ++pass) {
-                SystemConfig cfg = figConfig(quick ? 15 : 40);
-                cfg.design = d;
-                cfg.numCores = 2;
-                cfg.numChannels = 4;
-                cfg.simJobs = jobs_of[pass];
-                System sys(cfg);
-                RunResult result = sys.run();
-                std::ostringstream os;
-                sys.statsRegistry().dump(os);
-                os << "endTick=" << result.endTick
-                   << " txns=" << result.txnsIssued << "\n";
-                dumps[pass] = os.str();
-            }
-            c.ok = dumps[0] == dumps[1] && dumps[0] == dumps[2];
-            if (!c.ok)
-                std::fprintf(stderr,
-                             "CHECK FAILED: %s — stats dumps differ "
-                             "across --sim-jobs 1/2/4\n", c.name.c_str());
-            return c;
-        });
-    }
-
-    // And the partitioned sweep gate: crash-sweep fingerprints under
-    // the partitioned kernel must match across job counts and across
-    // the Replay/Fork Execute modes — crash capture at a window
-    // barrier commutes with both.
-    for (DesignPoint d : {DesignPoint::SCA, DesignPoint::Unsafe}) {
-        probes.push_back([d, quick]() {
-            CheckResult c;
-            c.name = std::string("sim_jobs_sweep_identity.")
-                + designName(d);
-            SystemConfig cfg = figConfig(quick ? 15 : 40);
-            cfg.design = d;
-            cfg.numChannels = 4;
-            SweepOptions opt;
-            opt.points = quick ? 6 : 12;
-            cfg.simJobs = 1;
-            std::string fp1 = runSweep(cfg, opt).fingerprint();
-            cfg.simJobs = 4;
-            std::string fp4 = runSweep(cfg, opt).fingerprint();
-            opt.mode = SweepMode::Fork;
-            std::string fpF = runSweep(cfg, opt).fingerprint();
-            c.ok = !fp1.empty() && fp1 == fp4 && fp1 == fpF;
-            if (!c.ok)
-                std::fprintf(stderr,
-                             "CHECK FAILED: %s — partitioned sweep "
-                             "fingerprints differ\n  sim-jobs=1: %s\n"
-                             "  sim-jobs=4: %s\n  fork:       %s\n",
-                             c.name.c_str(), fp1.c_str(), fp4.c_str(),
-                             fpF.c_str());
-            return c;
-        });
-    }
-
     for (DesignPoint d : {DesignPoint::SCA, DesignPoint::Unsafe}) {
         probes.push_back([d, quick]() {
             CheckResult c;
@@ -689,71 +550,6 @@ benchSweepScaling(bool quick, unsigned jobs)
 
     r.speedup = r.parallelMs > 0 ? r.serialMs / r.parallelMs : 0;
     r.identical = fp1 == fpN;
-    return r;
-}
-
-// ----------------------------------------------------------------------
-// Sim-jobs scaling: partitioned-kernel wall clock, serial vs threaded
-// ----------------------------------------------------------------------
-
-struct SimJobsScalingResult
-{
-    unsigned cores = 0;
-    unsigned channels = 0;
-    unsigned jobs = 0;            //!< the parallel side's --sim-jobs
-    unsigned hostConcurrency = 0;
-    std::uint64_t barriers = 0;   //!< window barriers of the run
-    std::uint64_t messages = 0;   //!< cross-domain mailbox messages
-    double serialMs = 0;          //!< partitioned-serial (sim-jobs 1)
-    double parallelMs = 0;        //!< sim-jobs = jobs
-    double speedup = 0;
-    bool identical = false;       //!< full stats dumps byte-identical
-};
-
-/**
- * Times the same memory-bound multi-channel run under the partitioned
- * kernel at sim-jobs 1 (the partitioned-serial reference) and at
- * sim-jobs N, and requires the full stats dumps to be byte-identical.
- * The identity is the gate; the wall-clock ratio is informational: on
- * a host with a single hardware thread (host_concurrency 1) the
- * threaded run only adds synchronization cost and the ratio is
- * expected at or below 1.0.
- */
-SimJobsScalingResult
-benchSimJobsScaling(bool quick, unsigned jobs)
-{
-    SimJobsScalingResult r;
-    r.cores = 4;
-    r.channels = 4;
-    r.jobs = jobs;
-    r.hostConcurrency = WorkPool::hardwareJobs();
-
-    SystemConfig cfg = figConfig(quick ? 30 : 120);
-    cfg.numCores = r.cores;
-    cfg.numChannels = r.channels;
-    cfg.wl.computePerTxn = 0; // memory-bound: channel work dominates
-
-    auto dumpOf = [&](unsigned sim_jobs, double &ms) {
-        SystemConfig c = cfg;
-        c.simJobs = sim_jobs;
-        auto t0 = Clock::now();
-        System sys(c);
-        RunResult result = sys.run();
-        ms = msSince(t0);
-        if (const ParallelKernel *pk = sys.parallelKernel()) {
-            r.barriers = pk->barrierCount();
-            r.messages = pk->messageCount();
-        }
-        std::ostringstream os;
-        sys.statsRegistry().dump(os);
-        os << "endTick=" << result.endTick
-           << " txns=" << result.txnsIssued << "\n";
-        return os.str();
-    };
-    std::string serial_dump = dumpOf(1, r.serialMs);
-    std::string parallel_dump = dumpOf(jobs, r.parallelMs);
-    r.speedup = r.parallelMs > 0 ? r.serialMs / r.parallelMs : 0;
-    r.identical = serial_dump == parallel_dump;
     return r;
 }
 
@@ -1556,7 +1352,6 @@ emitJson(std::ostream &os, const std::vector<KernelResult> &kernels,
          const SweepForkSpeedupResult &fork_speedup,
          const ChannelScalingResult &chscaling,
          const ChannelScalingResult &chscaling16,
-         const SimJobsScalingResult &sjscaling,
          const FaultMatrixResult &faults,
          const TreeMatrixResult &tree,
          const std::vector<TreeOverheadRow> &tree_overhead,
@@ -1785,20 +1580,6 @@ emitJson(std::ostream &os, const std::vector<KernelResult> &kernels,
                   chscaling16.scalesUp ? "true" : "false",
                   chscaling16.hostMs);
     os << buf;
-    std::snprintf(buf, sizeof(buf),
-                  "  \"sim_jobs_scaling\": {\"cores\": %u, "
-                  "\"channels\": %u, \"jobs\": %u, "
-                  "\"host_concurrency\": %u,\n"
-                  "    \"serial_ms\": %.2f, \"parallel_ms\": %.2f, "
-                  "\"speedup\": %.2f, \"barriers\": %llu, "
-                  "\"messages\": %llu, \"stats_identical\": %s},\n",
-                  sjscaling.cores, sjscaling.channels, sjscaling.jobs,
-                  sjscaling.hostConcurrency, sjscaling.serialMs,
-                  sjscaling.parallelMs, sjscaling.speedup,
-                  static_cast<unsigned long long>(sjscaling.barriers),
-                  static_cast<unsigned long long>(sjscaling.messages),
-                  sjscaling.identical ? "true" : "false");
-    os << buf;
     os << "  \"checks\": {";
     for (std::size_t i = 0; i < checks.size(); ++i) {
         os << "\"" << checks[i].name << "\": "
@@ -1847,7 +1628,6 @@ main(int argc, char **argv)
     bool quick = false;
     unsigned repeat = 3;
     unsigned jobs = 0; // 0 = hardware concurrency
-    unsigned sim_jobs = 2; // partitioned-kernel threads, scaling section
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -1865,9 +1645,6 @@ main(int argc, char **argv)
                                             usage);
         } else if (arg == "--jobs") {
             jobs = toolargs::parsePositive("--jobs", need_value(), usage);
-        } else if (arg == "--sim-jobs") {
-            sim_jobs = toolargs::parseBounded("--sim-jobs", need_value(),
-                                              64, usage);
         } else if (arg == "--help" || arg == "-h") {
             usage(0);
         } else {
@@ -1906,10 +1683,6 @@ main(int argc, char **argv)
         return benchEventqReschedule(quick ? 100000 : 2000000); }));
     kernels.push_back(bestKernel(repeat, [&]() {
         return benchEventqDeschedule(quick ? 200 : 2000); }));
-    kernels.push_back(bestKernel(repeat, [&]() {
-        return benchEventqQuantumSingle(quick ? 20000 : 100000); }));
-    kernels.push_back(bestKernel(repeat, [&]() {
-        return benchEventqQuantumBarrier(quick ? 20000 : 100000); }));
     kernels.push_back(bestKernel(repeat, [&]() {
         return benchMemctlWriteReadBurst(quick ? 100 : 1000); }));
 
@@ -1964,19 +1737,6 @@ main(int argc, char **argv)
                 chscaling16.cores, chscaling16.txnPerSec1,
                 chscaling16.txnPerSecN, chscaling16.channels,
                 chscaling16.speedup);
-
-    SimJobsScalingResult sjscaling = benchSimJobsScaling(quick, sim_jobs);
-    checks_ok = checks_ok && sjscaling.identical;
-    std::printf("sim-jobs scaling: %u cores, %u channels, "
-                "serial %.1f ms, sim-jobs=%u %.1f ms (%.2fx, host "
-                "concurrency %u, %llu barriers, %llu messages, "
-                "stats %s)\n",
-                sjscaling.cores, sjscaling.channels, sjscaling.serialMs,
-                sjscaling.jobs, sjscaling.parallelMs, sjscaling.speedup,
-                sjscaling.hostConcurrency,
-                static_cast<unsigned long long>(sjscaling.barriers),
-                static_cast<unsigned long long>(sjscaling.messages),
-                sjscaling.identical ? "identical" : "DIFFER");
 
     RecoveryScalingResult rscaling = benchRecoveryScaling(quick, 4);
     checks_ok = checks_ok && rscaling.allIdentical();
@@ -2093,7 +1853,7 @@ main(int argc, char **argv)
     if (out_path.empty()) {
         emitJson(std::cout, kernels, systems, quick, baseline_json,
                  checks, checks_ok, scaling, fork_speedup, chscaling,
-                 chscaling16, sjscaling, fault_matrix, tree_matrix,
+                 chscaling16, fault_matrix, tree_matrix,
                  tree_overhead, rscaling, recrash, soak_matrix,
                  soak_scaling);
     } else {
@@ -2104,7 +1864,7 @@ main(int argc, char **argv)
         }
         emitJson(out, kernels, systems, quick, baseline_json, checks,
                  checks_ok, scaling, fork_speedup, chscaling,
-                 chscaling16, sjscaling, fault_matrix, tree_matrix,
+                 chscaling16, fault_matrix, tree_matrix,
                  tree_overhead, rscaling, recrash, soak_matrix,
                  soak_scaling);
         std::printf("wrote %s\n", out_path.c_str());

@@ -111,11 +111,6 @@ options:
   --cores N         number of cores (default 1)
   --channels N      memory channels sharding the address space
                     (power of two; default 1)
-  --sim-jobs N      partition the simulation kernel per channel and run
-                    it on N host threads inside every swept simulation
-                    (1 = the partitioned-serial reference; max 64;
-                    default: the classic single-queue kernel;
-                    partitioned fingerprints are identical at any N)
   --txns N          transactions per core (default 40)
   --footprint-kb N  per-core region size (default 256)
   --cc-kb N         total counter cache KB, split evenly across the
@@ -220,9 +215,6 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--channels") {
             opt.cfg.numChannels = toolargs::parsePowerOfTwo(
                 "--channels", need_value(i), usage);
-        } else if (arg == "--sim-jobs") {
-            opt.cfg.simJobs = toolargs::parseBounded(
-                "--sim-jobs", need_value(i), 64, usage);
         } else if (arg == "--txns") {
             opt.cfg.wl.txnTarget =
                 static_cast<unsigned>(std::atoi(need_value(i)));

@@ -63,12 +63,6 @@ options:
   --cores N            number of cores (default 1)
   --channels N         memory channels sharding the address space
                        (power of two; default 1)
-  --sim-jobs N         partition the simulation kernel — one event
-                       queue per channel plus a coordinator — and run
-                       the channel queues on N host threads (1 = the
-                       partitioned-serial reference; max 64; default:
-                       the classic single-queue kernel; partitioned
-                       results are byte-identical at any N)
   --txns N             transactions per core (default 300)
   --batch N            mutations per transaction (default 1)
   --footprint-mb N     per-core region size (default 6)
@@ -191,9 +185,6 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--channels") {
             opt.cfg.numChannels = toolargs::parsePowerOfTwo(
                 "--channels", need_value(i), usage);
-        } else if (arg == "--sim-jobs") {
-            opt.cfg.simJobs = toolargs::parseBounded(
-                "--sim-jobs", need_value(i), 64, usage);
         } else if (arg == "--txns") {
             opt.cfg.wl.txnTarget =
                 static_cast<unsigned>(std::atoi(need_value(i)));

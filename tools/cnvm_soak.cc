@@ -15,7 +15,7 @@
  *
  * Every chain is a pure function of (config, options): same crash
  * points, same doses, same per-cycle classifications, byte-identical
- * fingerprint at any --jobs / --recovery-jobs / --sim-jobs value.
+ * fingerprint at any --jobs / --recovery-jobs value.
  *
  * Exit status: 0 when every design behaved as designed, 1 otherwise,
  * 2 on usage errors. "As designed" splits on the protection/dose
@@ -95,8 +95,6 @@ options:
   --cores N         number of cores (default 1)
   --channels N      memory channels sharding the address space
                     (power of two; default 1)
-  --sim-jobs N      partition the simulation kernel per channel and run
-                    it on N host threads inside every cycle (max 64)
   --footprint-kb N  per-core region size (default 256)
   --cc-kb N         total counter cache KB (default 16)
   --seed N          chain planning seed (default 1)
@@ -187,9 +185,6 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--channels") {
             opt.cfg.numChannels = toolargs::parsePowerOfTwo(
                 "--channels", need_value(i), usage);
-        } else if (arg == "--sim-jobs") {
-            opt.cfg.simJobs = toolargs::parseBounded(
-                "--sim-jobs", need_value(i), 64, usage);
         } else if (arg == "--footprint-kb") {
             opt.cfg.wl.regionBytes =
                 std::strtoull(need_value(i), nullptr, 10) << 10;

@@ -96,8 +96,8 @@ parsePowerOfTwo(const char *flag, const char *text, UsageFn &&usage)
 }
 
 /** @p text as a positive integer in [1, @p max_value]; for knobs like
- *  --sim-jobs where an absurd value is a typo (or a fork bomb), not a
- *  request — 0 and over-bound are usage errors. */
+ *  --cycles where an absurd value is a typo, not a request — 0 and
+ *  over-bound are usage errors. */
 template <typename UsageFn>
 unsigned
 parseBounded(const char *flag, const char *text, unsigned max_value,
