@@ -113,11 +113,10 @@ BENCHMARK(BM_DependentWriteBurst)
     ->Arg(static_cast<int>(DesignPoint::FCA));
 
 /**
- * Queue-pressure kernel: bursts deep enough to fill the data write
- * queue with reads interleaved against the occupied queue — the state
- * where every per-entry lookup (forwarding, combining, pair blocking,
- * completion) is hottest. Arg(1) uses the indexed lookups, Arg(0) the
- * reference linear scans, so the two rows show the index win directly.
+ * Queue-pressure kernel: bursts deep enough to fill enlarged write
+ * queues (256 data, 64 counter entries) with reads interleaved against
+ * the occupied queue — the state where every per-entry linear scan
+ * (forwarding, combining, pair blocking, completion) is longest.
  */
 void
 BM_WriteReadBurstQueuePressure(benchmark::State &state)
@@ -133,7 +132,6 @@ BM_WriteReadBurstQueuePressure(benchmark::State &state)
     cfg.design = DesignPoint::SCA;
     cfg.dataWqEntries = 256;
     cfg.ctrWqEntries = 64;
-    cfg.useQueueIndex = state.range(0) != 0;
     MemController ctl(eq, nvm, cfg, nullptr);
 
     std::uint64_t it = 0;
@@ -160,9 +158,8 @@ BM_WriteReadBurstQueuePressure(benchmark::State &state)
     benchmark::DoNotOptimize(readsDone);
     state.SetItemsProcessed(state.iterations()
                             * (writesPerBurst + readsPerBurst));
-    state.SetLabel(cfg.useQueueIndex ? "indexed" : "reference");
 }
-BENCHMARK(BM_WriteReadBurstQueuePressure)->Arg(1)->Arg(0);
+BENCHMARK(BM_WriteReadBurstQueuePressure);
 
 } // anonymous namespace
 

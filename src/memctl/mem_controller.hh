@@ -9,7 +9,7 @@
  * selects the policy at each decision site.
  *
  * Key invariant (crash safety): a counter value may become eligible for
- * persistence (visible in the counter cache, or resident in a ready
+ * persistence (visible in the counter cache, or resident in a
  * counter-queue entry) only once the matching ciphertext is itself
  * ADR-protected, or in the same atomic ready-pairing action. The unsafe
  * direction — counter persisted ahead of its data — is exactly the
@@ -22,7 +22,6 @@
 #include <array>
 #include <deque>
 #include <functional>
-#include <list>
 #include <memory>
 #include <set>
 #include <unordered_map>
@@ -129,15 +128,6 @@ struct MemCtlConfig
     bool writeCombining = true;
 
     /**
-     * Selects the O(1)/O(log n) indexed lookups over the write queues
-     * (address and sequence maps) instead of the reference linear
-     * scans. Both paths are maintained and must be observably
-     * identical; the reference path exists for the bench harness to
-     * prove it (and as the arbiter when the debug cross-check fires).
-     */
-    bool useQueueIndex = true;
-
-    /**
      * Per-line integrity metadata: a truncated MAC over (address,
      * counter, ciphertext) persisted in the line's ECC spare bits
      * atomically with its write burst, so it adds no bus traffic and
@@ -213,10 +203,11 @@ class MemController : public MemBackend
     // ------------------------------------------------------------------
 
     /**
-     * Models a power failure: the ADR logic drains exactly the
-     * ready-marked queue entries into the NVM image, then all volatile
-     * controller state (counter cache, queues, pipeline) is lost
-     * (paper section 5.2.2, "Steps During a System Failure").
+     * Models a power failure: the ADR logic drains the queued entries
+     * (every one is ready: pairing inserts both halves in one step)
+     * into the NVM image, then all volatile controller state (counter
+     * cache, queues, pipeline) is lost (paper section 5.2.2, "Steps
+     * During a System Failure").
      *
      * @param adr_drop_tail entries the dying energy budget fails to
      *        drain, taken off the *tail* of the drain order (data
@@ -227,27 +218,10 @@ class MemController : public MemBackend
     void crash(unsigned adr_drop_tail = 0);
 
     /**
-     * The fork-capture half of crash(): applies the ADR drain of the
-     * ready-marked queue entries to @p img — a *copy* of the device's
-     * persisted state — instead of to the device itself, and tears
-     * nothing down. After this overlay, @p img holds exactly what
-     * recovery would find had the power failed at this instant, while
-     * the live controller keeps running untouched. Deliberately
-     * side-effect free: no stats counters (crashDroppedData/Ctr stay
-     * put) and no queue or cache mutation, so a trunk run with any
-     * number of captures is byte-identical to an unarmed run.
-     *
-     * @param adr_drop_tail as for crash(): ready entries lost off the
-     *        drain tail.
-     */
-    void captureCrashState(PersistImage &img,
-                           unsigned adr_drop_tail = 0) const;
-
-    /**
      * The single-channel ADR cut for @p adr_drop_tail dropped entries:
-     * all ready data entries first, then fully-paired ready counter
-     * entries, losing the tail. crash()/captureCrashState() are
-     * exactly crashWithCut(cutFor(n)) / captureCrashStateWithCut().
+     * all data entries first, then the counter entries, losing the
+     * tail. crash() is exactly crashWithCut(cutFor(n)); a fork capture
+     * of the same instant is captureCrashStateWithCut(img, cutFor(n)).
      */
     AdrCut cutFor(unsigned adr_drop_tail) const;
 
@@ -255,15 +229,24 @@ class MemController : public MemBackend
      * Multi-channel crash: applies captureCrashStateWithCut() to the
      * device's own image — draining the keep-prefixes of @p cut (as
      * computed globally by computeDrainKeeps over every channel's
-     * ready entries) — counts every queued entry outside the cut as
+     * queued entries) — counts every queued entry outside the cut as
      * dropped, and tears down the volatile state of this channel.
      * With cut.flushTree cleared, the caller owns the global
      * integrity-tree rebuild over the merged image.
      */
     void crashWithCut(const AdrCut &cut);
 
-    /** Fork-capture twin of crashWithCut(): overlay only, no
-     *  teardown, no stats movement. */
+    /**
+     * The fork-capture twin of crashWithCut(): applies the ADR drain
+     * of @p cut to @p img — a *copy* of the device's persisted state —
+     * instead of to the device itself, and tears nothing down. After
+     * this overlay, @p img holds exactly what recovery would find had
+     * the power failed at this instant, while the live controller
+     * keeps running untouched. Deliberately side-effect free: no stats
+     * counters (crashDroppedData/Ctr stay put) and no queue or cache
+     * mutation, so a trunk run with any number of captures is
+     * byte-identical to an unarmed run.
+     */
     void captureCrashStateWithCut(PersistImage &img,
                                   const AdrCut &cut) const;
 
@@ -280,19 +263,17 @@ class MemController : public MemBackend
      */
     void reseedFromPersistedImage();
 
-    /** Sequence numbers of ready data entries, in queue (age) order —
+    /** Sequence numbers of the data entries, in queue (age) order —
      *  one channel's input to computeDrainKeeps(). */
     std::vector<std::uint64_t> readyDataSeqs() const;
 
-    /** Sequence numbers of ready, fully paired counter entries, in
-     *  queue order. */
+    /** Sequence numbers of the counter entries, in queue order. */
     std::vector<std::uint64_t> readyCtrSeqs() const;
 
     /**
-     * Ready-marked entries the ADR drain would persist right now
-     * (ready data entries plus fully-paired ready counter entries) —
-     * the population the fault model draws its energy-exhaustion drop
-     * from.
+     * Entries the ADR drain would persist right now (every queued data
+     * and counter entry) — the population the fault model draws its
+     * energy-exhaustion drop from.
      */
     unsigned readyEntryCount() const;
 
@@ -382,11 +363,7 @@ class MemController : public MemBackend
         Addr addr;
         LineData cipher;
         std::uint64_t counter;
-        bool counterAtomic;
-        bool ready;
-        bool issued;
-        unsigned coreId;
-        unsigned busBytes;
+        bool issued = false;
     };
 
     struct CtrEntry
@@ -394,13 +371,10 @@ class MemController : public MemBackend
         std::uint64_t seq;
         Addr addr;              //!< counter-line address
         CounterLine values;
-        bool ready;
-        bool issued;
-        /** Counter-atomic partners not yet queued (ready when zero). */
-        unsigned pendingPartners;
         /** Which of the eight counters this write actually updates;
          *  the device is charged 8 B per touched counter. */
-        std::uint8_t dirtyMask = 0xff;
+        std::uint8_t dirtyMask;
+        bool issued = false;
     };
 
     EventQueue &eventq;
@@ -409,31 +383,24 @@ class MemController : public MemBackend
     crypto::CtrEngine ctrEngine;
     std::unique_ptr<CounterCache> counterCache;
 
-    std::list<DataEntry> dataQ;
-    std::list<CtrEntry> ctrQ;
+    /**
+     * The two write queues, each one array in age (insertion) order,
+     * reserved to its capacity so an insert never reallocates. Every
+     * lookup is a linear scan, and a drained entry is erased in place:
+     * age order decides which bank-free entry drains next, which match
+     * wins when combining is off, and the ADR drain order the
+     * co-located designs' counter read-modify-write depends on.
+     * Pairing inserts a data entry and its counter values in one step,
+     * so every queued entry is ADR-ready and no per-entry bit is kept.
+     */
+    std::vector<DataEntry> dataQ;
+    std::vector<CtrEntry> ctrQ;
 
     /** Private fallback sequencer (single-channel construction). */
     PersistSequencer ownSequencer;
 
     /** Where queue entries draw their global persist order from. */
     PersistSequencer *sequencer;
-
-    using DataIter = std::list<DataEntry>::iterator;
-    using CtrIter = std::list<CtrEntry>::iterator;
-
-    /**
-     * Queue indexes. Hot paths — read forwarding, write combining,
-     * pair blocking, drain completion — were linear scans over the
-     * queues; these maps make them O(1) in the queue depth. The
-     * per-address vectors hold iterators in insertion (age) order, so
-     * "first unissued entry for this address" keeps its meaning. The
-     * maps are maintained unconditionally; cfg.useQueueIndex only
-     * selects which lookup algorithm answers queries.
-     */
-    std::unordered_map<std::uint64_t, DataIter> dataBySeq;
-    std::unordered_map<std::uint64_t, CtrIter> ctrBySeq;
-    std::unordered_map<Addr, std::vector<DataIter>> dataByAddr;
-    std::unordered_map<Addr, std::vector<CtrIter>> ctrByAddr;
 
     /**
      * Line addresses of writes accepted by tryWrite() but not yet
@@ -459,6 +426,10 @@ class MemController : public MemBackend
     /** Writes scheduled on the device but whose burst has not ended. */
     unsigned inflightWrites = 0;
     unsigned maxInflightWrites;
+
+    /** Bus bytes of one data-entry drain: the line, plus its counter
+     *  on the co-located designs' 72-bit bus. */
+    const unsigned dataBusBytes;
 
     /** A wake-up for bank-busy drain candidates is already scheduled. */
     bool drainKickPending = false;
@@ -506,17 +477,9 @@ class MemController : public MemBackend
             eventHook(ev);
     }
 
-    // --- queue index maintenance ---
-    void indexDataEntry(DataIter it);
-    void unindexDataEntry(DataIter it);
-    void indexCtrEntry(CtrIter it);
-    void unindexCtrEntry(CtrIter it);
-    DataIter locateDataEntry(std::uint64_t seq);
-    CtrIter locateCtrEntry(std::uint64_t seq);
+    // --- queue lookups ---
     bool dataQueueHas(Addr addr) const;
     bool ctrQueueHasIssued(Addr ctr_addr) const;
-    /** Debug-build invariant: indexes mirror the queues exactly. */
-    void verifyIndexes() const;
 
     // --- write path helpers ---
     bool haveDataSlot() const;

@@ -6,7 +6,7 @@
  * from one shared PersistSequencer, so program persist order is a
  * single global total order even though the entries live in N
  * independent per-channel queues. The ADR drain contract ("the K
- * oldest ready entries survive a power failure") is then defined over
+ * oldest queued entries survive a power failure") is then defined over
  * that global order: computeDrainKeeps() turns a global drop count
  * into a per-channel keep *prefix* — a commit record enqueued on
  * channel 0 after its undo entries on channel 3 can never be kept
@@ -47,10 +47,11 @@ class PersistSequencer
 };
 
 /**
- * One channel's share of a global ADR cut: how many of its oldest
- * ready data entries and oldest ready (fully paired) counter entries
- * drain before power is lost. Keeps are always prefixes of the
- * per-channel ready lists in sequence order.
+ * One channel's share of a global ADR cut: how many of its oldest data
+ * entries and oldest counter entries drain before power is lost. Every
+ * queued entry is ADR-ready (pairing inserts a data entry and its
+ * counter values in one step), so keeps are always prefixes of the
+ * per-channel queues in sequence order.
  */
 struct AdrCut
 {
@@ -66,24 +67,24 @@ struct AdrCut
     bool flushTree = true;
 };
 
-/** The ready (ADR-eligible) entries of one channel, by sequence. */
+/** The queued (hence ADR-eligible) entries of one channel, by
+ *  sequence. */
 struct ChannelReady
 {
-    /** Sequence numbers of ready data entries, ascending. */
+    /** Sequence numbers of the data entries, ascending. */
     std::vector<std::uint64_t> dataSeqs;
 
-    /** Sequence numbers of ready, fully paired counter entries,
-     *  ascending. */
+    /** Sequence numbers of the counter entries, ascending. */
     std::vector<std::uint64_t> ctrSeqs;
 };
 
 /**
  * Computes the per-channel keep prefixes for a global ADR drain that
- * loses the @p drop youngest ready entries.
+ * loses the @p drop youngest queued entries.
  *
- * Matches the single-channel drain order exactly: all ready data
- * entries persist before any counter entry, each class in global
- * sequence order. The returned cuts have flushTree = false — the
+ * Matches the single-channel drain order exactly: all data entries
+ * persist before any counter entry, each class in global sequence
+ * order. The returned cuts have flushTree = false — the
  * caller owns the global tree rebuild.
  */
 inline std::vector<AdrCut>

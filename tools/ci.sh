@@ -204,11 +204,11 @@ cmake --build "$tsan" -j "$(nproc)" --target cnvm_soak
     --faults --replays --integrity-tree --design SCA --design Unsafe
 
 # Bench smoke in Release: cnvm_bench runs each kernel a few iterations
-# and, more importantly, exits non-zero if the indexed queue lookups
-# diverge from the reference linear scans, if the parallel sweep's
+# and, more importantly, exits non-zero if the parallel sweep's
 # fingerprint diverges from the serial loop's at any --jobs value, if
 # the fork-based Execute mode's fingerprint diverges from the replay
-# reference on any design, or if any kernel drops work. The fork-mode
+# reference on any design, if recovery diverges across
+# --recovery-jobs values, or if any kernel drops work. The fork-mode
 # sweep smoke exercises the single-pass Execute end to end in Release.
 cmake -B "$release" -S "$repo" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$release" -j "$(nproc)"

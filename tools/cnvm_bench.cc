@@ -325,14 +325,12 @@ struct CheckResult
 SystemConfig faultMatrixConfig(bool quick); // defined with the matrix
 
 /**
- * The indexed queue lookups (MemCtlConfig::useQueueIndex) must be
- * observably identical to the reference linear scans, the parallel
- * sweep Execute phase must be byte-identical to the serial loop, and
- * the fork-based Execute mode must be byte-identical to the replay
- * reference. Per design: a byte-identical stats dump over a fixed-seed
- * System run, a byte-identical crash-sweep fingerprint across the
- * index modes, a byte-identical fingerprint across --jobs values, and
- * a byte-identical fingerprint across --mode fork/replay.
+ * The fork-based Execute mode must be byte-identical to the replay
+ * reference, recovery must be byte-identical at any --recovery-jobs,
+ * and the parallel sweep Execute phase must be byte-identical to the
+ * serial loop. Per design: a byte-identical fingerprint across --mode
+ * fork/replay, across --recovery-jobs values, and across --jobs
+ * values.
  *
  * The checks themselves are independent per-design runs, so they fan
  * out over the pool; each closure writes only its own slot.
@@ -341,56 +339,6 @@ std::vector<CheckResult>
 runEquivalenceChecks(bool quick, WorkPool &pool)
 {
     std::vector<std::function<CheckResult()>> probes;
-
-    for (DesignPoint d : {DesignPoint::SCA, DesignPoint::FCA}) {
-        probes.push_back([d, quick]() {
-            CheckResult c;
-            c.name = std::string("stats_identity.") + designName(d);
-            std::string dumps[2];
-            for (int pass = 0; pass < 2; ++pass) {
-                SystemConfig cfg = figConfig(quick ? 20 : 60);
-                cfg.design = d;
-                cfg.memctl.useQueueIndex = pass == 0;
-                System sys(cfg);
-                RunResult result = sys.run();
-                std::ostringstream os;
-                sys.statsRegistry().dump(os);
-                os << "endTick=" << result.endTick
-                   << " txns=" << result.txnsIssued << "\n";
-                dumps[pass] = os.str();
-            }
-            c.ok = dumps[0] == dumps[1];
-            if (!c.ok)
-                std::fprintf(stderr,
-                             "CHECK FAILED: %s — indexed and reference "
-                             "stats dumps differ\n", c.name.c_str());
-            return c;
-        });
-    }
-
-    for (DesignPoint d : {DesignPoint::SCA, DesignPoint::Unsafe}) {
-        probes.push_back([d, quick]() {
-            CheckResult c;
-            c.name = std::string("sweep_fingerprint.") + designName(d);
-            unsigned points = quick ? 6 : 12;
-            std::string fps[2];
-            for (int pass = 0; pass < 2; ++pass) {
-                SystemConfig cfg = figConfig(quick ? 15 : 40);
-                cfg.design = d;
-                cfg.memctl.useQueueIndex = pass == 0;
-                fps[pass] = runSweep(cfg, points).fingerprint();
-            }
-            c.ok = fps[0] == fps[1];
-            if (!c.ok)
-                std::fprintf(stderr,
-                             "CHECK FAILED: %s — crash-sweep "
-                             "fingerprints differ\n  indexed:   %s\n"
-                             "  reference: %s\n",
-                             c.name.c_str(), fps[0].c_str(),
-                             fps[1].c_str());
-            return c;
-        });
-    }
 
     // The fork-mode gate: for every design whose crash behavior
     // differs, the fork-based Execute must reproduce the replay
