@@ -207,7 +207,6 @@ CoreMemPath::writebackToMem(Addr addr, const LineData &data, bool ca,
     req.addr = addr;
     req.data = data;
     req.counterAtomic = ca;
-    req.coreId = id;
     req.accepted = std::move(accepted);
 
     auto attempt = [this, req]() { return backend.tryWrite(req); };

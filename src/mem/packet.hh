@@ -34,9 +34,6 @@ struct WriteReq
      */
     bool counterAtomic = false;
 
-    /** Issuing core, for stats attribution. */
-    unsigned coreId = 0;
-
     /**
      * Invoked when the write has been accepted into the ADR-protected
      * persistence domain; for counter-atomic writes this additionally
