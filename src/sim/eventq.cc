@@ -18,15 +18,16 @@ Event::~Event()
 
 EventQueue::~EventQueue()
 {
-    // Orphan any still-scheduled events so their destructors do not
-    // touch a dead queue; self-owned (fire-and-forget) events have no
-    // other owner and are deleted here.
+    // Orphan every still-scheduled event so its destructor does not
+    // touch a dead queue — the pooled nodes' own included, which the
+    // pool deletes next.
     for (const HeapEntry &entry : heap) {
-        if (entry.ev == nullptr)
-            continue;
-        entry.ev->queue = nullptr;
-        if (entry.ev->_selfOwned)
-            delete entry.ev;
+        if (entry.ev != nullptr)
+            entry.ev->queue = nullptr;
+    }
+    for (const std::unique_ptr<OneShot> &node : oneShots) {
+        if (node->call != nullptr)
+            node->call(node->storage, false);
     }
 }
 

@@ -3,17 +3,23 @@
  * Discrete-event simulation kernel.
  *
  * An EventQueue orders Event objects by (tick, priority, insertion
- * sequence) and processes them in order. Events are owned by their
+ * sequence) and processes them in order. Member events are owned by their
  * creators (typically as member objects of model classes); the queue only
- * references them, mirroring gem5's design.
+ * references them, mirroring gem5's design. Fire-and-forget callbacks
+ * (sim/one_shot.hh) run in one-shot nodes the queue itself owns.
  */
 
 #ifndef CNVM_SIM_EVENTQ_HH
 #define CNVM_SIM_EVENTQ_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <new>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/types.hh"
@@ -65,15 +71,6 @@ class Event
 
     int priority() const { return _priority; }
 
-    /**
-     * Marks this event as owned by whichever queue holds it: if the
-     * queue is destroyed while the event is still pending, the queue
-     * deletes it. Used by fire-and-forget events (sim/one_shot.hh) so
-     * that a run cut short — e.g. by a simulated power failure — does
-     * not leak its in-flight callbacks.
-     */
-    void setSelfOwned() { _selfOwned = true; }
-
   private:
     friend class EventQueue;
 
@@ -81,7 +78,6 @@ class Event
     int _priority;
     Tick _when = 0;
     std::uint64_t _seq = 0;
-    bool _selfOwned = false;
     EventQueue *queue = nullptr;
 
     /** Slot in the owning queue's heap, maintained by the queue. */
@@ -119,11 +115,32 @@ class EventFunctionWrapper : public Event
  * tracks its slot, so no stale Event pointer is ever dereferenced (a
  * descheduled event may be destroyed immediately). A compaction pass
  * rebuilds the heap when disowned slots outnumber live ones.
+ *
+ * One-shot callbacks run in pooled nodes: each node holds its closure
+ * in an inline buffer, and a node that has run goes back on this
+ * queue's free list for the next one-shot. Once the pool has grown to
+ * the run's peak of pending one-shots, scheduling one allocates
+ * nothing.
  */
 class EventQueue
 {
   public:
+    /**
+     * Inline closure buffer of a one-shot node, in bytes. It fits the
+     * largest closure the models schedule: CoreMemPath::store's
+     * write-allocate continuation, which carries a whole line of store
+     * payload plus its completion callback. A larger closure is a
+     * compile error, never a heap fallback.
+     */
+    static constexpr std::size_t oneShotBytes = 144;
+
     EventQueue() = default;
+
+    /**
+     * Orphans every still-scheduled member event and destroys the
+     * closure of every pending one-shot, without running it, so a run
+     * cut short (e.g. by a simulated power failure) leaks nothing.
+     */
     ~EventQueue();
 
     EventQueue(const EventQueue &) = delete;
@@ -143,6 +160,14 @@ class EventQueue
 
     /** Deschedules (if needed) and schedules at the new tick. */
     void reschedule(Event &event, Tick when);
+
+    /**
+     * Schedules the closure @p fn to run once at absolute tick @p when,
+     * constructing it in place in a pooled one-shot node. Use through
+     * scheduleAt() / scheduleAfter() (sim/one_shot.hh).
+     */
+    template <typename F>
+    void scheduleOneShot(Tick when, F &&fn, int priority);
 
     /** Number of pending events. */
     std::size_t size() const { return heap.size() - stale; }
@@ -165,6 +190,8 @@ class EventQueue
     std::uint64_t processedCount() const { return processed; }
 
   private:
+    class OneShot;
+
     /**
      * One heap slot. The ordering key is copied out of the event at
      * schedule time so that a lazily-deleted slot (ev == nullptr)
@@ -210,6 +237,15 @@ class EventQueue
     /** Rebuilds the heap from its live slots only. */
     void compact();
 
+    /** Takes a node off the free list (growing the pool if it is
+     *  empty) and gives it @p priority. */
+    OneShot &acquireOneShot(int priority);
+
+    /** Runs and destroys (@p invoke) or only destroys the closure of
+     *  type @p F held in @p storage. */
+    template <typename F>
+    static void runOneShot(void *storage, bool invoke);
+
     Tick _curTick = 0;
     std::uint64_t nextSeq = 0;
     std::uint64_t processed = 0;
@@ -218,7 +254,83 @@ class EventQueue
 
     /** Number of disowned (lazily-deleted) slots still in the heap. */
     std::size_t stale = 0;
+
+    /** Every one-shot node this queue has made, pending or free. */
+    std::vector<std::unique_ptr<OneShot>> oneShots;
+
+    /** Head of the free list threaded through idle nodes. */
+    OneShot *freeOneShots = nullptr;
 };
+
+/**
+ * A pooled fire-and-forget event: runs the closure in its inline
+ * buffer, destroys it, and returns itself to its queue's free list.
+ */
+class EventQueue::OneShot final : public Event
+{
+  public:
+    explicit OneShot(EventQueue &owner) : Event("one-shot"), owner(owner) {}
+
+    void
+    process() override
+    {
+        call(storage, true);
+        call = nullptr;
+        nextFree = owner.freeOneShots;
+        owner.freeOneShots = this;
+    }
+
+  private:
+    friend class EventQueue;
+
+    EventQueue &owner;
+
+    /** Type-erased run/destroy of the held closure; null while the
+     *  node is free. */
+    void (*call)(void *storage, bool invoke) = nullptr;
+
+    OneShot *nextFree = nullptr;
+
+    alignas(std::max_align_t) unsigned char storage[oneShotBytes];
+};
+
+inline EventQueue::OneShot &
+EventQueue::acquireOneShot(int priority)
+{
+    if (freeOneShots == nullptr) {
+        oneShots.push_back(std::make_unique<OneShot>(*this));
+        freeOneShots = oneShots.back().get();
+    }
+    OneShot &node = *freeOneShots;
+    freeOneShots = node.nextFree;
+    node._priority = priority;
+    return node;
+}
+
+template <typename F>
+void
+EventQueue::runOneShot(void *storage, bool invoke)
+{
+    F &fn = *std::launder(static_cast<F *>(storage));
+    if (invoke)
+        fn();
+    fn.~F();
+}
+
+template <typename F>
+void
+EventQueue::scheduleOneShot(Tick when, F &&fn, int priority)
+{
+    using Fn = std::decay_t<F>;
+    static_assert(sizeof(Fn) <= oneShotBytes,
+                  "one-shot closure exceeds EventQueue::oneShotBytes");
+    static_assert(alignof(Fn) <= alignof(std::max_align_t),
+                  "one-shot closure is over-aligned");
+    OneShot &node = acquireOneShot(priority);
+    ::new (static_cast<void *>(node.storage)) Fn(std::forward<F>(fn));
+    node.call = &runOneShot<Fn>;
+    schedule(node, when);
+}
 
 } // namespace cnvm
 

@@ -6,7 +6,6 @@
 #ifndef CNVM_SIM_ONE_SHOT_HH
 #define CNVM_SIM_ONE_SHOT_HH
 
-#include <functional>
 #include <utility>
 
 #include "sim/eventq.hh"
@@ -15,45 +14,26 @@ namespace cnvm
 {
 
 /**
- * Schedules @p fn to run at absolute tick @p when; the underlying event
- * owns itself and is destroyed after running. Use for callback chains
- * where allocating a named member event per step would be noise.
+ * Schedules @p fn to run at absolute tick @p when. The closure is built
+ * in place in a one-shot node pooled by @p eq, so a callback chain
+ * allocates nothing per step; a closure larger than
+ * EventQueue::oneShotBytes does not compile.
  */
-inline void
-scheduleAt(EventQueue &eq, Tick when, std::function<void()> fn,
+template <typename F>
+void
+scheduleAt(EventQueue &eq, Tick when, F &&fn,
            int priority = Event::DefaultPriority)
 {
-    class SelfDeletingEvent : public Event
-    {
-      public:
-        SelfDeletingEvent(std::function<void()> fn, int priority)
-            : Event("one-shot", priority), fn(std::move(fn))
-        {
-            setSelfOwned();
-        }
-
-        void
-        process() override
-        {
-            auto f = std::move(fn);
-            delete this;
-            f();
-        }
-
-      private:
-        std::function<void()> fn;
-    };
-
-    auto *event = new SelfDeletingEvent(std::move(fn), priority);
-    eq.schedule(*event, when);
+    eq.scheduleOneShot(when, std::forward<F>(fn), priority);
 }
 
 /** Schedules @p fn @p delta ticks from now. */
-inline void
-scheduleAfter(EventQueue &eq, Tick delta, std::function<void()> fn,
+template <typename F>
+void
+scheduleAfter(EventQueue &eq, Tick delta, F &&fn,
               int priority = Event::DefaultPriority)
 {
-    scheduleAt(eq, eq.curTick() + delta, std::move(fn), priority);
+    eq.scheduleOneShot(eq.curTick() + delta, std::forward<F>(fn), priority);
 }
 
 } // namespace cnvm

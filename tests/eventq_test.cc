@@ -376,6 +376,46 @@ TEST(EventQueue, ScheduleAfterUsesCurrentTick)
     EXPECT_EQ(observed, 150u);
 }
 
+// --- one-shot pool ---------------------------------------------------------
+
+TEST(EventQueue, DestroyedQueueDestroysEachPendingCaptureOnce)
+{
+    auto token = std::make_shared<int>(0);
+    {
+        EventQueue eq;
+        for (int i = 0; i < 8; ++i)
+            scheduleAt(eq, 10 * (i + 1), [token]() { ++*token; });
+        EXPECT_EQ(token.use_count(), 9);
+        // Half run (their captures die with them); half stay pending.
+        eq.run(40);
+        EXPECT_EQ(*token, 4);
+        EXPECT_EQ(token.use_count(), 5);
+    }
+    EXPECT_EQ(*token, 4);
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueue, ReusedOneShotTakesItsNewPriority)
+{
+    EventQueue eq;
+    std::vector<std::string> log;
+    // Leaves exactly one node in the pool, last run at MaxPriority.
+    scheduleAt(eq, 10, [&]() { log.push_back("max"); }, Event::MaxPriority);
+    eq.run();
+
+    RecordingEvent first(log, "first"), last(log, "last");
+    RecordingEvent early(log, "early", Event::MinPriority);
+    eq.schedule(first, 20);
+    scheduleAt(eq, 20, [&]() { log.push_back("reused"); });
+    eq.schedule(last, 20);
+    eq.schedule(early, 20);
+    eq.run();
+    // (tick, priority, seq): a node still carrying MaxPriority would
+    // run after "last".
+    EXPECT_EQ(log, (std::vector<std::string>{"max", "early", "first",
+                                             "reused", "last"}));
+}
+
 TEST(ClockDomain, Conversions)
 {
     ClockDomain cpu(250); // 4 GHz
