@@ -46,20 +46,10 @@ Core::Core(EventQueue &eq, ClockDomain clock, CoreMemPath &mem,
     }
 }
 
-std::function<void()>
-Core::guarded(std::function<void()> fn)
-{
-    std::uint64_t captured = epoch;
-    return [this, captured, fn = std::move(fn)]() {
-        if (!halted && captured == epoch)
-            fn();
-    };
-}
-
 void
 Core::start()
 {
-    scheduleAt(eventq, curTick(), guarded([this]() { step(); }));
+    scheduleAt(eventq, curTick(), guarded<&Core::step>());
 }
 
 void
@@ -72,8 +62,7 @@ Core::halt()
 void
 Core::advance(Cycles cycles)
 {
-    scheduleAfter(eventq, cyclesToTicks(cycles),
-                  guarded([this]() { step(); }));
+    scheduleAfter(eventq, cyclesToTicks(cycles), guarded<&Core::step>());
 }
 
 void
@@ -128,26 +117,26 @@ Core::step()
     switch (op.type) {
       case OpType::Load:
         ++loads;
-        mem.load(op.addr, guarded([this]() { advance(1); }));
+        mem.load(op.addr, guarded<&Core::retireOne>());
         return;
 
       case OpType::Store:
         ++stores;
         mem.store(op.addr, op.size, op.bytes.data(), op.counterAtomic,
-                  guarded([this]() { advance(1); }));
+                  guarded<&Core::retireOne>());
         return;
 
       case OpType::Clwb:
         ++clwbs;
         ++outstandingPersists;
-        mem.clwb(op.addr, guarded([this]() { persistDone(); }));
+        mem.clwb(op.addr, guarded<&Core::persistDone>());
         advance(1);
         return;
 
       case OpType::CtrWb:
         ++ctrwbs;
         ++outstandingPersists;
-        mem.ctrwb(op.addr, guarded([this]() { persistDone(); }));
+        mem.ctrwb(op.addr, guarded<&Core::persistDone>());
         advance(1);
         return;
 

@@ -79,11 +79,33 @@ class Core : public Clocked
 
     void step();
     void advance(Cycles cycles);
+    void retireOne() { advance(1); }
     void persistDone();
     void maybeFinish();
 
-    /** Wraps a continuation so it is dropped after halt(). */
-    std::function<void()> guarded(std::function<void()> fn);
+    /**
+     * A continuation running (core->*Action)() unless the core halted
+     * after it was made. At 16 bytes and trivially copyable, it fits a
+     * std::function's inline storage, so handing one to the memory path
+     * allocates nothing.
+     */
+    template <void (Core::*Action)()>
+    struct Guarded
+    {
+        Core *core;
+        std::uint64_t epoch;
+
+        void
+        operator()() const
+        {
+            if (!core->halted && epoch == core->epoch)
+                (core->*Action)();
+        }
+    };
+
+    /** Wraps @p Action so it is dropped after halt(). */
+    template <void (Core::*Action)()>
+    Guarded<Action> guarded() { return {this, epoch}; }
 };
 
 } // namespace cnvm

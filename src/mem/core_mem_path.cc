@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "common/logging.hh"
-#include "sim/one_shot.hh"
 
 namespace cnvm
 {
@@ -50,10 +49,22 @@ CoreMemPath::CoreMemPath(EventQueue &eq, ClockDomain cpu_clock,
     }
 }
 
+template <typename F>
 void
-CoreMemPath::after(Cycles cycles, std::function<void()> fn)
+CoreMemPath::missToMemory(Addr addr, F &&done)
 {
-    scheduleAfter(eventq, cyclesToTicks(cycles), std::move(fn));
+    backend.issueRead(addr, id,
+        [this, addr, done = std::forward<F>(done)]() mutable {
+            fillBoth(addr, backend.functionalRead(addr));
+            done();
+        });
+}
+
+void
+CoreMemPath::finishLoad(Tick start, const std::function<void()> &done)
+{
+    loadTicks.sample(curTick() - start);
+    done();
 }
 
 void
@@ -61,39 +72,29 @@ CoreMemPath::load(Addr addr, std::function<void()> done)
 {
     addr = lineAlign(addr);
     Tick start = curTick();
-    done = [this, start, done = std::move(done)]() {
-        loadTicks.sample(curTick() - start);
-        done();
-    };
-    after(cfg.l1Cycles, [this, addr, done = std::move(done)]() mutable {
+    after(cfg.l1Cycles,
+          [this, addr, start, done = std::move(done)]() mutable {
         if (l1.access(addr) != nullptr) {
             ++l1Hits;
-            done();
+            finishLoad(start, done);
             return;
         }
         ++l1Misses;
-        after(cfg.l2Cycles, [this, addr, done = std::move(done)]() mutable {
+        after(cfg.l2Cycles,
+              [this, addr, start, done = std::move(done)]() mutable {
             CacheLine *line = l2.access(addr);
             if (line != nullptr) {
                 ++l2Hits;
                 fillL1(addr, line->data);
-                done();
+                finishLoad(start, done);
                 return;
             }
             ++l2Misses;
-            missToMemory(addr, std::move(done));
+            missToMemory(addr, [this, start, done = std::move(done)]() {
+                finishLoad(start, done);
+            });
         });
     });
-}
-
-void
-CoreMemPath::missToMemory(Addr addr, std::function<void()> done)
-{
-    backend.issueRead(addr, id,
-        [this, addr, done = std::move(done)]() mutable {
-            LineData data = backend.functionalRead(addr);
-            fillBoth(addr, data, std::move(done));
-        });
 }
 
 void
@@ -263,8 +264,7 @@ CoreMemPath::fillL1(Addr addr, const LineData &fill)
 }
 
 void
-CoreMemPath::fillBoth(Addr addr, const LineData &fill,
-                      std::function<void()> done)
+CoreMemPath::fillBoth(Addr addr, const LineData &fill)
 {
     if (l2.peek(addr) == nullptr) {
         auto victim = l2.allocate(addr, fill);
@@ -284,7 +284,6 @@ CoreMemPath::fillBoth(Addr addr, const LineData &fill,
         }
     }
     fillL1(addr, fill);
-    done();
 }
 
 void

@@ -21,6 +21,7 @@
 #include "mem/cache.hh"
 #include "mem/mem_backend.hh"
 #include "sim/clocked.hh"
+#include "sim/one_shot.hh"
 #include "stats/stats.hh"
 
 namespace cnvm
@@ -107,15 +108,21 @@ class CoreMemPath : public Clocked
     stats::Histogram loadTicks;
 
     /** Runs @p fn after @p cycles core cycles. */
-    void after(Cycles cycles, std::function<void()> fn);
+    template <typename F>
+    void
+    after(Cycles cycles, F &&fn)
+    {
+        scheduleAfter(eventq, cyclesToTicks(cycles), std::forward<F>(fn));
+    }
+
+    /** Samples a load's latency from @p start, then runs @p done. */
+    void finishLoad(Tick start, const std::function<void()> &done);
 
     /**
      * Brings @p addr into L2 and L1 (data from @p fill), handling the
-     * eviction chain, then runs @p done. Either level may already hold
-     * the line.
+     * eviction chain. Either level may already hold the line.
      */
-    void fillBoth(Addr addr, const LineData &fill,
-                  std::function<void()> done);
+    void fillBoth(Addr addr, const LineData &fill);
 
     /** Installs into L1 only, handling an L1 victim (merge into L2). */
     void fillL1(Addr addr, const LineData &fill);
@@ -134,7 +141,10 @@ class CoreMemPath : public Clocked
     /** Pushes one deferred attempt and arms the controller retry. */
     void pushStalled(std::function<bool()> attempt);
 
-    void missToMemory(Addr addr, std::function<void()> done);
+    /** Reads @p addr from memory into both levels, then runs
+     *  @p done. */
+    template <typename F>
+    void missToMemory(Addr addr, F &&done);
 };
 
 } // namespace cnvm
