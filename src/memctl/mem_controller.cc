@@ -542,7 +542,8 @@ MemController::landDataWrite(const WriteReq &req, std::uint64_t counter,
         ++dataCoalesces;
     } else {
         cnvm_assert(haveDataSlot());
-        dataQ.push_back({sequencer->acquire(), req.addr, cipher, counter});
+        dataQ.push_back({sequencer->acquire(), req.addr,
+                         nvm.bankOf(req.addr), cipher, counter});
         ++dataInserts;
     }
 
@@ -616,7 +617,8 @@ MemController::enqueueCtrValues(Addr ctr_addr, const CounterLine &values,
     }
 
     cnvm_assert(haveCtrSlot());
-    ctrQ.push_back({sequencer->acquire(), ctr_addr, values, dirty_mask});
+    ctrQ.push_back({sequencer->acquire(), ctr_addr, nvm.bankOf(ctr_addr),
+                    values, dirty_mask});
     ++ctrInserts;
 }
 
@@ -897,20 +899,22 @@ MemController::issueOneWrite()
     for (DataEntry &e : dataQ) {
         if (e.issued)
             continue;
-        if (nvm.bankFree(e.addr, now)) {
+        Tick free_at = nvm.bankFreeTick(e.bank);
+        if (free_at <= now) {
             data_pick = &e;
             break;
         }
-        earliest_busy = std::min(earliest_busy, nvm.bankFreeTick(e.addr));
+        earliest_busy = std::min(earliest_busy, free_at);
     }
     for (CtrEntry &e : ctrQ) {
         if (e.issued)
             continue;
-        if (nvm.bankFree(e.addr, now)) {
+        Tick free_at = nvm.bankFreeTick(e.bank);
+        if (free_at <= now) {
             ctr_pick = &e;
             break;
         }
-        earliest_busy = std::min(earliest_busy, nvm.bankFreeTick(e.addr));
+        earliest_busy = std::min(earliest_busy, free_at);
     }
     if (data_pick != nullptr && ctr_pick != nullptr) {
         double data_fill = static_cast<double>(dataQ.size())

@@ -361,6 +361,7 @@ class MemController : public MemBackend
     {
         std::uint64_t seq;
         Addr addr;
+        unsigned bank;          //!< nvm.bankOf(addr), taken at insert
         LineData cipher;
         std::uint64_t counter;
         bool issued = false;
@@ -370,6 +371,7 @@ class MemController : public MemBackend
     {
         std::uint64_t seq;
         Addr addr;              //!< counter-line address
+        unsigned bank;          //!< nvm.bankOf(addr), taken at insert
         CounterLine values;
         /** Which of the eight counters this write actually updates;
          *  the device is charged 8 B per touched counter. */

@@ -163,19 +163,13 @@ class NvmDevice
         livePlain.clear();
     }
 
-    /** True if the bank serving @p addr can start a new access now. */
-    bool
-    bankFree(Addr addr, Tick now) const
-    {
-        return bankFreeAt[bankOf(addr)] <= now;
-    }
+    /** Index of the bank serving @p addr, across all channels
+     *  (channel-major: channel * numBanks + bank). */
+    unsigned bankOf(Addr addr) const;
 
-    /** Tick at which the bank serving @p addr becomes free. */
-    Tick
-    bankFreeTick(Addr addr) const
-    {
-        return bankFreeAt[bankOf(addr)];
-    }
+    /** Tick at which bank @p bank (a bankOf() index) can start a new
+     *  access. */
+    Tick bankFreeTick(unsigned bank) const { return bankFreeAt[bank]; }
 
     const NvmTiming &timing() const { return params; }
     const ChannelMap &channelMap() const { return chanMap; }
@@ -229,8 +223,6 @@ class NvmDevice
     stats::Scalar writesIssued;
 
     std::function<void(Addr, unsigned)> writeTraceHook;
-
-    unsigned bankOf(Addr addr) const;
 };
 
 } // namespace cnvm

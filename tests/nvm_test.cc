@@ -181,11 +181,12 @@ TEST(NvmDevice, TrafficAccounting)
 TEST(NvmDevice, BankFreeQueries)
 {
     NvmDevice nvm(simpleTiming(), nullptr);
-    EXPECT_TRUE(nvm.bankFree(0x0, 0));
+    const unsigned bank = nvm.bankOf(0x0);
+    EXPECT_EQ(nvm.bankFreeTick(bank), 0u);
     Tick done = nvm.scheduleWrite(0x0, 0, lineBytes);
-    EXPECT_FALSE(nvm.bankFree(0x0, done));
-    EXPECT_TRUE(nvm.bankFree(0x0, done + nvm.timing().tWR));
-    EXPECT_EQ(nvm.bankFreeTick(0x0), done + nvm.timing().tWR);
+    EXPECT_GT(nvm.bankFreeTick(bank), done);
+    EXPECT_EQ(nvm.bankFreeTick(bank), done + nvm.timing().tWR);
+    EXPECT_EQ(nvm.bankFreeTick(nvm.bankOf(0x40)), 0u);
 }
 
 // --- functional views ----------------------------------------------------
