@@ -1,5 +1,7 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
+
 #include "common/intmath.hh"
 #include "common/logging.hh"
 
@@ -17,6 +19,8 @@ Cache::Cache(std::string name, std::uint64_t size_bytes, unsigned assoc)
         cnvm_fatal("cache '%s': set count %llu is not a power of two",
                    cacheName.c_str(),
                    static_cast<unsigned long long>(numSets));
+    tags.assign(numSets * ways, 0);
+    stamps.assign(numSets * ways, 0);
     lines.resize(numSets * ways);
 }
 
@@ -26,82 +30,84 @@ Cache::setIndex(Addr addr) const
     return (addr / lineBytes) & (numSets - 1);
 }
 
-CacheLine *
-Cache::setBase(std::uint64_t set)
+std::size_t
+Cache::find(Addr line_addr) const
 {
-    return &lines[set * ways];
+    const std::size_t base = setIndex(line_addr) * ways;
+    const Addr tag = line_addr | validBit;
+    for (unsigned w = 0; w < ways; ++w) {
+        if (tags[base + w] == tag)
+            return base + w;
+    }
+    return absent;
 }
 
 CacheLine *
 Cache::peek(Addr addr)
 {
-    addr = lineAlign(addr);
-    CacheLine *base = setBase(setIndex(addr));
-    for (unsigned w = 0; w < ways; ++w) {
-        if (base[w].valid && base[w].addr == addr)
-            return &base[w];
-    }
-    return nullptr;
+    std::size_t frame = find(lineAlign(addr));
+    return frame == absent ? nullptr : &lines[frame];
 }
 
 const CacheLine *
 Cache::peek(Addr addr) const
 {
-    return const_cast<Cache *>(this)->peek(addr);
+    std::size_t frame = find(lineAlign(addr));
+    return frame == absent ? nullptr : &lines[frame];
 }
 
 CacheLine *
 Cache::access(Addr addr)
 {
-    CacheLine *line = peek(addr);
-    if (line != nullptr)
-        line->lruStamp = nextStamp++;
-    return line;
+    std::size_t frame = find(lineAlign(addr));
+    if (frame == absent)
+        return nullptr;
+    stamps[frame] = nextStamp++;
+    return &lines[frame];
 }
 
 std::optional<Eviction>
 Cache::allocate(Addr addr, const LineData &fill)
 {
     addr = lineAlign(addr);
-    cnvm_assert(peek(addr) == nullptr);
+    cnvm_assert(find(addr) == absent);
 
-    CacheLine *base = setBase(setIndex(addr));
-    CacheLine *victim = nullptr;
-    for (unsigned w = 0; w < ways; ++w) {
-        CacheLine &cand = base[w];
-        if (!cand.valid) {
-            victim = &cand;
+    const std::size_t base = setIndex(addr) * ways;
+    std::size_t victim = absent;
+    for (std::size_t frame = base; frame < base + ways; ++frame) {
+        if (tags[frame] == 0) {
+            victim = frame;
             break;
         }
-        if (victim == nullptr || cand.lruStamp < victim->lruStamp)
-            victim = &cand;
+        if (victim == absent || stamps[frame] < stamps[victim])
+            victim = frame;
     }
 
+    CacheLine &line = lines[victim];
     std::optional<Eviction> evicted;
-    if (victim->valid) {
-        evicted = Eviction{victim->addr, victim->dirty,
-                           victim->counterAtomic, victim->data};
+    if (tags[victim] != 0) {
+        evicted = Eviction{tags[victim] & ~validBit, line.dirty,
+                           line.counterAtomic, line.data};
     }
 
-    victim->addr = addr;
-    victim->valid = true;
-    victim->dirty = false;
-    victim->counterAtomic = false;
-    victim->lruStamp = nextStamp++;
-    victim->data = fill;
+    tags[victim] = addr | validBit;
+    stamps[victim] = nextStamp++;
+    line.dirty = false;
+    line.counterAtomic = false;
+    line.data = fill;
     return evicted;
 }
 
 std::optional<Eviction>
 Cache::invalidate(Addr addr)
 {
-    CacheLine *line = peek(addr);
-    if (line == nullptr)
+    std::size_t frame = find(lineAlign(addr));
+    if (frame == absent)
         return std::nullopt;
-    Eviction out{line->addr, line->dirty, line->counterAtomic, line->data};
-    line->valid = false;
-    line->dirty = false;
-    line->counterAtomic = false;
+    const CacheLine &line = lines[frame];
+    Eviction out{tags[frame] & ~validBit, line.dirty, line.counterAtomic,
+                 line.data};
+    tags[frame] = 0;
     return out;
 }
 
@@ -109,19 +115,15 @@ std::uint64_t
 Cache::validCount() const
 {
     std::uint64_t n = 0;
-    for (const CacheLine &line : lines)
-        n += line.valid ? 1 : 0;
+    for (Addr tag : tags)
+        n += tag != 0 ? 1 : 0;
     return n;
 }
 
 void
 Cache::reset()
 {
-    for (CacheLine &line : lines) {
-        line.valid = false;
-        line.dirty = false;
-        line.counterAtomic = false;
-    }
+    std::fill(tags.begin(), tags.end(), Addr(0));
     nextStamp = 1;
 }
 

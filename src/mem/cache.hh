@@ -24,15 +24,15 @@
 namespace cnvm
 {
 
-/** One resident cache line. */
+/**
+ * The state of one resident cache line. Its address and LRU stamp live
+ * in the cache's per-frame tag and stamp arrays.
+ */
 struct CacheLine
 {
-    Addr addr = 0;          //!< line-aligned address (tag + index)
-    bool valid = false;
     bool dirty = false;
     /** Pending update must be written back counter-atomically. */
     bool counterAtomic = false;
-    std::uint64_t lruStamp = 0;
     LineData data{};
 };
 
@@ -89,14 +89,31 @@ class Cache
     void reset();
 
   private:
+    /** Tag bit marking a resident frame; line addresses leave bit 0
+     *  clear, and a free frame's tag is 0. */
+    static constexpr Addr validBit = 1;
+
+    /** find() result for a line that is not resident. */
+    static constexpr std::size_t absent = ~std::size_t(0);
+
     std::string cacheName;
     std::uint64_t numSets;
     unsigned ways;
     std::uint64_t nextStamp = 1;
-    std::vector<CacheLine> lines;   //!< numSets * ways, set-major
+
+    /**
+     * Per-frame arrays, numSets * ways each, set-major. A lookup scans
+     * only its set's row of tags (one 64 B row at 8 ways) and touches
+     * the line itself only on a hit.
+     */
+    std::vector<Addr> tags;             //!< line address | validBit
+    std::vector<std::uint64_t> stamps;  //!< LRU stamp
+    std::vector<CacheLine> lines;
 
     std::uint64_t setIndex(Addr addr) const;
-    CacheLine *setBase(std::uint64_t set);
+
+    /** Frame holding line-aligned @p line_addr, or absent. */
+    std::size_t find(Addr line_addr) const;
 };
 
 } // namespace cnvm
