@@ -10,15 +10,15 @@ CounterCache::CounterCache(std::uint64_t size_bytes, unsigned assoc,
                            stats::StatRegistry *registry,
                            const std::string &stat_prefix,
                            unsigned index_shift)
-    : ways(assoc),
-      indexShift(index_shift),
-      readHits(stat_prefix + "read_hits", "counter cache read hits"),
+    : readHits(stat_prefix + "read_hits", "counter cache read hits"),
       readMisses(stat_prefix + "read_misses", "counter cache read misses"),
       writeHits(stat_prefix + "write_hits", "counter cache write hits"),
       writeMisses(stat_prefix + "write_misses",
                   "counter cache write misses"),
       dirtyEvictions(stat_prefix + "dirty_evictions",
-                     "dirty counter lines displaced")
+                     "dirty counter lines displaced"),
+      ways(assoc),
+      indexShift(index_shift)
 {
     cnvm_assert(assoc > 0);
     cnvm_assert(size_bytes % (static_cast<std::uint64_t>(assoc) * lineBytes)

@@ -342,8 +342,9 @@ TEST(ForkSweep, CaptureDoesNotPerturbTrunk)
         trunk.statsRegistry().dump(trunk_stats);
 
         EXPECT_GT(captured, 0u);
-        if (with_faults)
+        if (with_faults) {
             EXPECT_GT(faulted, 0u) << "the dose never landed";
+        }
         EXPECT_FALSE(trunk_result.crashed);
         EXPECT_EQ(trunk_result.endTick, plain_result.endTick)
             << "faults=" << with_faults;

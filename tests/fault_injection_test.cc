@@ -297,10 +297,11 @@ TEST(FaultSweep, IntegrityOnNothingIsSilent)
         EXPECT_EQ(result.silentPoints(), 0u) << designName(d);
         EXPECT_GT(result.totalOf(&SweepPoint::faultedLines), 0u)
             << designName(d) << ": the dose never landed";
-        if (designCrashConsistent(d))
+        if (designCrashConsistent(d)) {
             EXPECT_EQ(result.inconsistentPoints(),
                       result.countOf(CrashClass::DetectedCorruption))
                 << designName(d);
+        }
         // Per-point accounting: every detection is either repaired or
         // quarantined, nothing vanishes.
         for (const SweepPoint &p : result.points) {

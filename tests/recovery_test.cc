@@ -183,10 +183,12 @@ TEST(RecoveryFailureNames, AreDistinctAndStable)
     };
     for (RecoveryFailure a : all) {
         EXPECT_STRNE(recoveryFailureName(a), "?");
-        for (RecoveryFailure b : all)
-            if (a != b)
+        for (RecoveryFailure b : all) {
+            if (a != b) {
                 EXPECT_STRNE(recoveryFailureName(a),
                              recoveryFailureName(b));
+            }
+        }
     }
 }
 

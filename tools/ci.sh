@@ -210,7 +210,10 @@ cmake --build "$tsan" -j "$(nproc)" --target cnvm_soak
 # reference on any design, if recovery diverges across
 # --recovery-jobs values, or if any kernel drops work. The fork-mode
 # sweep smoke exercises the single-pass Execute end to end in Release.
-cmake -B "$release" -S "$repo" -DCMAKE_BUILD_TYPE=Release
+# The Release build also compiles with -Werror, so the tree stays free
+# of compiler warnings.
+cmake -B "$release" -S "$repo" -DCMAKE_BUILD_TYPE=Release \
+    -DCMAKE_CXX_FLAGS="-Werror"
 cmake --build "$release" -j "$(nproc)"
 "$release/tools/cnvm_crash_sweep" --points 20 --jobs 4 --mode fork
 "$release/tools/cnvm_crash_sweep" --points 20 --channels 4 --jobs 4 \
