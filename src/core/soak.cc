@@ -113,7 +113,7 @@ SoakCycle::describe() const
     std::uint64_t total = 0;
     for (std::uint64_t c : committed)
         total += c;
-    std::string s = "c" + std::to_string(cycle) + ":"
+    std::string s = std::string("c") + std::to_string(cycle) + ":"
         + spec.describe() + (crashed ? "!" : ".")
         + " cls=" + crashClassName(worst)
         + " q" + u64str(quarantined)
@@ -214,8 +214,10 @@ std::string
 SoakChainResult::fingerprint() const
 {
     std::string fp = "soak[" + std::to_string(chainIndex) + "]";
-    for (const SoakCycle &c : cycles)
-        fp += ";" + c.describe();
+    for (const SoakCycle &c : cycles) {
+        fp += ';';
+        fp += c.describe();
+    }
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%016llx",
                   static_cast<unsigned long long>(finalDigest));
