@@ -235,6 +235,31 @@ TEST(MultiChannel, FingerprintIdenticalAcrossJobsAndModes)
     EXPECT_NE(per_channel[1], per_channel[2]);
 }
 
+TEST(MultiChannel, MoreChannelsRaiseSimulatedThroughput)
+{
+    // The point of sharding: a memory-bound, contended multi-core run
+    // has more banks and busses in flight on more channels, so its
+    // simulated throughput rises. This is simulated time, not host
+    // time, so it holds on any host.
+    SystemConfig cfg;
+    cfg.design = DesignPoint::SCA;
+    cfg.workload = WorkloadKind::ArraySwap;
+    cfg.wl.regionBytes = 2 << 20;
+    cfg.wl.txnTarget = 120;
+    cfg.wl.computePerTxn = 0;
+    cfg.wl.setupFill = 0.5;
+    auto txnRate = [&](unsigned cores, unsigned channels) {
+        SystemConfig c = cfg;
+        c.numCores = cores;
+        c.numChannels = channels;
+        System sys(c);
+        sys.run();
+        return sys.throughputTxnPerSec();
+    };
+    EXPECT_GT(txnRate(4, 4), txnRate(4, 1));
+    EXPECT_GT(txnRate(16, 8), txnRate(16, 1));
+}
+
 // ----------------------------------------------------------------------
 // Core-scaling bugfixes
 // ----------------------------------------------------------------------

@@ -242,24 +242,33 @@ TEST(FaultSweep, FingerprintIdenticalAcrossModesAndJobs)
 {
     // Satellite contract: the fault dose is a pure function of the
     // base seed and the plan index, so the same sweep fingerprints
-    // byte-identically in Replay and Fork mode at any job count.
-    SystemConfig cfg = smallConfig(DesignPoint::SCA);
-    cfg.memctl.integrityMac = true;
+    // byte-identically in Replay and Fork mode at any job count and
+    // any recovery job count, on every crash-handling design.
+    for (DesignPoint d : {DesignPoint::ColocatedCC, DesignPoint::FCA,
+                          DesignPoint::SCA, DesignPoint::Unsafe}) {
+        SystemConfig cfg = smallConfig(d);
+        cfg.memctl.integrityMac = true;
 
-    SweepOptions ref_opt;
-    ref_opt.points = 8;
-    ref_opt.faults = FaultSpec::allKinds(42);
-    std::string ref = runSweep(cfg, ref_opt).fingerprint();
-    ASSERT_FALSE(ref.empty());
-    EXPECT_NE(ref.find("+f("), std::string::npos);
+        SweepOptions ref_opt;
+        ref_opt.points = 8;
+        ref_opt.faults = FaultSpec::allKinds(42);
+        std::string ref = runSweep(cfg, ref_opt).fingerprint();
+        ASSERT_FALSE(ref.empty()) << designName(d);
+        EXPECT_NE(ref.find("+f("), std::string::npos) << designName(d);
 
-    for (SweepMode mode : {SweepMode::Replay, SweepMode::Fork}) {
-        for (unsigned jobs : {1u, 4u}) {
-            SweepOptions opt = ref_opt;
-            opt.mode = mode;
-            opt.jobs = jobs;
-            EXPECT_EQ(runSweep(cfg, opt).fingerprint(), ref)
-                << sweepModeName(mode) << " jobs=" << jobs;
+        for (SweepMode mode : {SweepMode::Replay, SweepMode::Fork}) {
+            for (unsigned jobs : {1u, 4u}) {
+                for (unsigned recovery_jobs : {1u, 2u, 8u}) {
+                    SweepOptions opt = ref_opt;
+                    opt.mode = mode;
+                    opt.jobs = jobs;
+                    opt.recoveryJobs = recovery_jobs;
+                    EXPECT_EQ(runSweep(cfg, opt).fingerprint(), ref)
+                        << designName(d) << " " << sweepModeName(mode)
+                        << " jobs=" << jobs
+                        << " recovery jobs=" << recovery_jobs;
+                }
+            }
         }
     }
 }

@@ -4,9 +4,10 @@
  * paths it hardens: tree-hash algebra, crash-flush/recompute root
  * agreement, the multi-match-aware counter-window repair, directed
  * replay detection (tree on) vs silent replay (MAC-only), the
- * quarantine-race pre-scan determinism contract, replay-dosed sweep
- * fingerprint identity across modes and job counts, and idempotent
- * crash-during-tree-reconstruction recovery.
+ * quarantine-race pre-scan determinism contract, the tree's simulated
+ * cost over MAC-only, replay-dosed sweep fingerprint identity across
+ * modes and job counts, and idempotent crash-during-tree-reconstruction
+ * recovery.
  */
 
 #include <gtest/gtest.h>
@@ -287,6 +288,37 @@ TEST(QuarantineRace, ParallelPreScanQuarantinesAcrossShardsLikeSerial)
     for (Addr a : victims) {
         EXPECT_TRUE(serial.isQuarantined(a)) << std::hex << a;
         EXPECT_TRUE(pooled.isQuarantined(a)) << std::hex << a;
+    }
+}
+
+// --- the tree's simulated cost ---------------------------------------------
+
+TEST(TreeOverhead, TreeCostsTicksAndBytesOverMacOnly)
+{
+    // Tree persistence costs simulated time and NVM writes over the
+    // MACs alone, and the lazy leaf updates coalesce. Orderings, not
+    // values: work that cuts the tree's cost moves the numbers without
+    // editing this test.
+    for (DesignPoint d : {DesignPoint::FCA, DesignPoint::SCA}) {
+        SystemConfig cfg;
+        cfg.design = d;
+        cfg.workload = WorkloadKind::ArraySwap;
+        cfg.wl.regionBytes = 2 << 20;
+        cfg.wl.txnTarget = 100;
+        cfg.wl.setupFill = 0.5;
+        cfg.memctl.integrityMac = true;
+        System mac_only(cfg);
+        Tick mac_ticks = mac_only.run().endTick;
+
+        cfg.memctl.integrityTree = true;
+        System tree(cfg);
+        Tick tree_ticks = tree.run().endTick;
+
+        EXPECT_GT(tree_ticks, mac_ticks) << designName(d);
+        EXPECT_GT(tree.nvmBytesWritten(), mac_only.nvmBytesWritten())
+            << designName(d);
+        EXPECT_GT(tree.controller().treeCoalesces.value(), 0)
+            << designName(d);
     }
 }
 

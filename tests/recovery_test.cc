@@ -619,28 +619,35 @@ TEST(RecoveryCrash, SweepDeterministicAcrossJobs)
 {
     // The whole family — capture, reference, interruption points — is
     // a pure function of (config, seeds): byte-identical fingerprints
-    // serial and parallel, at any recovery-jobs value.
-    SystemConfig cfg;
-    cfg.design = DesignPoint::SCA;
-    cfg.workload = WorkloadKind::ArraySwap;
-    cfg.wl.regionBytes = 256 << 10;
-    cfg.wl.txnTarget = 20;
-    cfg.wl.computePerTxn = 100;
-    cfg.wl.recordDigests = true;
-    cfg.memctl.integrityMac = true;
+    // serial and parallel, at any recovery-jobs value, on every
+    // crash-handling design.
+    for (DesignPoint d : {DesignPoint::ColocatedCC, DesignPoint::FCA,
+                          DesignPoint::SCA, DesignPoint::Unsafe}) {
+        SystemConfig cfg;
+        cfg.design = d;
+        cfg.workload = WorkloadKind::ArraySwap;
+        cfg.wl.regionBytes = 256 << 10;
+        cfg.wl.txnTarget = 20;
+        cfg.wl.computePerTxn = 100;
+        cfg.wl.recordDigests = true;
+        cfg.memctl.integrityMac = true;
 
-    RecoveryCrashOptions serial;
-    serial.points = 6;
-    serial.images = 4;
-    serial.faults = FaultSpec::allKinds(1);
-    RecoveryCrashOptions parallel = serial;
-    parallel.jobs = 4;
-    parallel.recoveryJobs = 4;
+        RecoveryCrashOptions serial;
+        serial.points = 6;
+        serial.images = 4;
+        serial.faults = FaultSpec::allKinds(1);
+        std::string fp1 = runRecoveryCrashSweep(cfg, serial).fingerprint();
+        EXPECT_FALSE(fp1.empty()) << designName(d);
 
-    std::string fp1 = runRecoveryCrashSweep(cfg, serial).fingerprint();
-    std::string fpN = runRecoveryCrashSweep(cfg, parallel).fingerprint();
-    EXPECT_FALSE(fp1.empty());
-    EXPECT_EQ(fp1, fpN);
+        for (unsigned recovery_jobs : {2u, 8u}) {
+            RecoveryCrashOptions parallel = serial;
+            parallel.jobs = 4;
+            parallel.recoveryJobs = recovery_jobs;
+            EXPECT_EQ(runRecoveryCrashSweep(cfg, parallel).fingerprint(),
+                      fp1)
+                << designName(d) << " recovery jobs=" << recovery_jobs;
+        }
+    }
 }
 
 TEST(Recovery, UnsafeDesignEventuallyFails)
