@@ -1,19 +1,28 @@
 /**
  * @file
- * Micro-benchmark for the crash-point sweep's Execute phase: host time
- * per crash point in Replay mode (one dedicated crashed simulation per
- * point) versus Fork mode (one trunk run, K captured persistent-state
- * forks classified off-trunk), at growing K on the queue workload.
+ * Micro-benchmarks for the host-parallel crash paths.
  *
+ * The crash-point sweep's Execute phase: host time per crash point in
+ * Replay mode (one dedicated crashed simulation per point) versus Fork
+ * mode (one trunk run, K captured persistent-state forks classified
+ * off-trunk), at growing K on the queue workload, at 1 and 4 jobs.
  * Replay's per-point cost is a full simulation to the crash tick, so
  * ns/point stays roughly flat in K. Fork amortizes the one trunk run
  * over all K points, leaving only a recovery per point — its ns/point
- * falls as K grows, which is the whole argument for the mode.
+ * falls as K grows, which is the whole argument for the mode. At
+ * 1 job Replay and Fork differ only in work done; 4 jobs adds the
+ * pool's fan-out.
+ *
+ * Two host-scaling rows ride along: fault-dosed soak chains fanned
+ * over 1 and 4 jobs, and crash recovery of growing MAC-armed regions
+ * with the integrity pre-scan sharded over 1 and 4 recovery jobs.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "core/crash_sweep.hh"
+#include "core/soak.hh"
+#include "core/system.hh"
 
 using namespace cnvm;
 
@@ -42,9 +51,7 @@ runSweepBench(benchmark::State &state, SweepMode mode)
     SweepOptions opt;
     opt.points = static_cast<unsigned>(state.range(0));
     opt.mode = mode;
-    // jobs = 1 isolates the algorithmic cost: no thread scheduling in
-    // the measurement, and Replay vs Fork differ only in work done.
-    opt.jobs = 1;
+    opt.jobs = static_cast<unsigned>(state.range(1));
 
     std::uint64_t points = 0;
     for (auto _ : state) {
@@ -61,16 +68,64 @@ BM_SweepReplay(benchmark::State &state)
 {
     runSweepBench(state, SweepMode::Replay);
 }
-BENCHMARK(BM_SweepReplay)->Arg(8)->Arg(32)->Arg(128)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SweepReplay)->ArgsProduct({{8, 32, 128}, {1, 4}})
+    ->ArgNames({"points", "jobs"})->Unit(benchmark::kMillisecond);
 
 void
 BM_SweepFork(benchmark::State &state)
 {
     runSweepBench(state, SweepMode::Fork);
 }
-BENCHMARK(BM_SweepFork)->Arg(8)->Arg(32)->Arg(128)
+BENCHMARK(BM_SweepFork)->ArgsProduct({{8, 32, 128}, {1, 4}})
+    ->ArgNames({"points", "jobs"})->Unit(benchmark::kMillisecond);
+
+/** 4 fault-dosed SCA chains of 8 cycles, fanned over range(0) jobs. */
+void
+BM_SoakChains(benchmark::State &state)
+{
+    SystemConfig cfg = sweepConfig();
+    cfg.workload = WorkloadKind::ArraySwap;
+    cfg.wl.txnTarget = 40;
+    cfg.memctl.integrityMac = true;
+    SoakOptions opt;
+    opt.chains = 4;
+    opt.cycles = 8;
+    opt.faults = FaultSpec::allKinds(1);
+    opt.jobs = static_cast<unsigned>(state.range(0));
+
+    for (auto _ : state) {
+        SoakResult result = runSoak(cfg, opt);
+        benchmark::DoNotOptimize(result);
+    }
+}
+BENCHMARK(BM_SoakChains)->ArgName("jobs")->Arg(1)->Arg(4)
     ->Unit(benchmark::kMillisecond);
+
+/** Recovery of an SCA region of range(0) KB with MACs, crashed
+ *  mid-run, with the pre-scan sharded over range(1) recovery jobs. */
+void
+BM_RecoverAll(benchmark::State &state)
+{
+    SystemConfig cfg;
+    cfg.design = DesignPoint::SCA;
+    cfg.workload = WorkloadKind::ArraySwap;
+    cfg.wl.regionBytes = static_cast<std::uint64_t>(state.range(0)) << 10;
+    cfg.wl.txnTarget = 40;
+    cfg.wl.computePerTxn = 100;
+    cfg.wl.setupFill = 0.5;
+    cfg.memctl.integrityMac = true;
+    Tick total = System(cfg).run().endTick;
+    System sys(cfg);
+    sys.runWithCrashAt(total / 2);
+    const unsigned recovery_jobs = static_cast<unsigned>(state.range(1));
+
+    for (auto _ : state) {
+        std::vector<RecoveryReport> reports = sys.recoverAll(recovery_jobs);
+        benchmark::DoNotOptimize(reports);
+    }
+}
+BENCHMARK(BM_RecoverAll)->ArgsProduct({{512, 2048, 8192}, {1, 4}})
+    ->ArgNames({"kb", "recovery_jobs"})->Unit(benchmark::kMillisecond);
 
 } // anonymous namespace
 
