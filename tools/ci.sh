@@ -8,7 +8,8 @@
 # directions, CLI usage-contract smokes, a
 # ThreadSanitizer pass over every host-parallel path (parallel sweeps,
 # recovery pre-scan, replay-dosed pre-scan, the 4-channel fork capture
-# and parallel soak chains), and a Release bench smoke. Host
+# and parallel soak chains), and a Release build with -Werror, its
+# sweep smokes and a short perfbench run of both workloads. Host
 # parallelism is run-level only: each simulation runs on one thread,
 # every sweep point, soak chain and pool task owns its System, and fork
 # classification reads only the fork's image copy and the trunk's
@@ -42,7 +43,7 @@ ctest --test-dir "$build" --output-on-failure -j "$(nproc)"
 
 # CLI usage contract: every tool prints usage and exits 0 on --help,
 # and prints usage to stderr and exits 2 on an unknown flag.
-for tool in cnvm_sim cnvm_crash_sweep cnvm_soak cnvm_bench; do
+for tool in cnvm_sim cnvm_crash_sweep cnvm_soak; do
     "$build/tools/$tool" --help > /dev/null
     if "$build/tools/$tool" --no-such-flag > /dev/null 2>&1; then
         echo "FAIL: $tool accepted an unknown flag" >&2
@@ -55,18 +56,17 @@ done
 
 # Sweep smoke with the pooled Execute phase: --jobs 4 regardless of
 # host width — the point is to exercise the parallel path, and the
-# fingerprint-identity checks in cnvm_bench and the test suite pin its
-# results to the serial reference.
+# fingerprint-identity tests pin its results to the serial reference.
 "$build/tools/cnvm_crash_sweep" --points 20 --jobs 4
 
 # Fault-injection smoke under ASan+UBSan, both gate directions: with
 # integrity MACs the sweep must stay free of silent corruption; without
 # them the same dose must demonstrate at least one silent point (both
 # are part of the tool's exit status).
-"$build/tools/cnvm_crash_sweep" --points 12 --jobs 4 --mode fork \
+"$build/tools/cnvm_crash_sweep" --points 12 --jobs 4 \
     --faults --integrity \
     --design ColocatedCC --design FCA --design SCA --design Unsafe
-"$build/tools/cnvm_crash_sweep" --points 12 --jobs 4 --mode fork \
+"$build/tools/cnvm_crash_sweep" --points 12 --jobs 4 \
     --faults \
     --design ColocatedCC --design FCA --design SCA --design Unsafe
 
@@ -77,10 +77,10 @@ done
 # rebuild persisted node maps at crash capture and during recovery —
 # exactly where an off-by-one leaf index or a stale root pointer would
 # hide.
-"$build/tools/cnvm_crash_sweep" --points 12 --jobs 4 --mode fork \
+"$build/tools/cnvm_crash_sweep" --points 12 --jobs 4 \
     --faults --replays --integrity-tree \
     --design ColocatedCC --design FCA --design SCA --design Unsafe
-"$build/tools/cnvm_crash_sweep" --points 12 --jobs 4 --mode fork \
+"$build/tools/cnvm_crash_sweep" --points 12 --jobs 4 \
     --faults --replays --integrity \
     --design ColocatedCC --design FCA --design SCA --design Unsafe
 
@@ -128,7 +128,7 @@ done
 # prefix walking off its queue tail or a tree rebuilt over a partial
 # drain would hide.
 "$build/tools/cnvm_crash_sweep" --points 12 --channels 4 --jobs 4 \
-    --mode fork --faults --replays --integrity-tree \
+    --faults --replays --integrity-tree \
     --design ColocatedCC --design FCA --design SCA --design Unsafe
 
 # Parallel recovery under ASan+UBSan: the sharded integrity pre-scan
@@ -137,44 +137,47 @@ done
 # attempts re-run to convergence). The write-back paths re-encrypt and
 # re-persist lines — exactly where a stale cache iterator or an
 # out-of-bounds MAC write would hide.
-"$build/tools/cnvm_crash_sweep" --points 10 --jobs 4 --mode fork \
+"$build/tools/cnvm_crash_sweep" --points 10 --jobs 4 \
     --recovery-jobs 4 --faults --integrity \
     --design SCA --design Unsafe
 "$build/tools/cnvm_crash_sweep" --points 8 --recovery-crashes 16 \
     --jobs 4 --recovery-jobs 2 --faults --integrity \
     --design ColocatedCC --design FCA --design SCA --design Unsafe
 
-# ThreadSanitizer over the concurrent paths: the runner unit tests and
-# a parallel multi-design sweep in both Execute modes. Fork mode is
-# the sharper TSan target: workers classify captured forks while the
-# trunk simulation is still mutating its own state on the owner
-# thread, so any capture that aliases live trunk state instead of
-# deep-copying it shows up as a race here. ASan/TSan cannot share a
-# build, so this is its own configuration; only the needed targets are
-# built.
+# ThreadSanitizer over the concurrent paths: the runner unit tests, the
+# pooled Replay-mode sweep (the reference the fork sweep is pinned to,
+# which only the tests run) and a parallel multi-design fork sweep.
+# Fork mode is the sharper TSan target: workers classify captured
+# forks while the trunk simulation is still mutating its own state on
+# the owner thread, so any capture that aliases live trunk state
+# instead of deep-copying it shows up as a race here. ASan/TSan cannot
+# share a build, so this is its own configuration; only the needed
+# targets are built.
 cmake -B "$tsan" -S "$repo" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-sanitize-recover=all"
 cmake --build "$tsan" -j "$(nproc)" \
-    --target cnvm_crash_sweep runner_test line_table_test recovery_test
+    --target cnvm_crash_sweep runner_test line_table_test recovery_test \
+    crash_sweep_test
 "$tsan/tests/runner_test"
 # The line tables behind the persisted image: pre-scan workers look up
 # lines in the shared image concurrently, so a const lookup that
 # mutated anything (a last-page cache, say) would race here.
 "$tsan/tests/line_table_test"
 "$tsan/tests/recovery_test" --gtest_filter='RecoveryParallel.*'
+"$tsan/tests/crash_sweep_test" --gtest_filter=\
+'CrashSweepEndToEnd.ParallelExecuteIsByteIdenticalToSerial:ForkSweep.*'
 "$tsan/tools/cnvm_crash_sweep" --points 8 --jobs 4
-"$tsan/tools/cnvm_crash_sweep" --points 8 --jobs 4 --mode fork
 # Fault capture happens on the trunk thread while workers classify
 # earlier (faulted) forks — the dose must stay on each fork's copy.
-"$tsan/tools/cnvm_crash_sweep" --points 8 --jobs 4 --mode fork \
+"$tsan/tools/cnvm_crash_sweep" --points 8 --jobs 4 \
     --faults --integrity --design SCA --design Unsafe
 # Parallel recovery under TSan: pre-scan shards verify lines on worker
 # threads against the shared immutable source/engine (any hidden
 # mutability in verifyLine races here), nested inside pooled point
 # classification; then the recovery-crash family, whose points run
 # concurrent interrupted recoveries against per-point image copies.
-"$tsan/tools/cnvm_crash_sweep" --points 8 --jobs 4 --mode fork \
+"$tsan/tools/cnvm_crash_sweep" --points 8 --jobs 4 \
     --recovery-jobs 4 --faults --integrity --design SCA
 "$tsan/tools/cnvm_crash_sweep" --points 6 --recovery-crashes 10 \
     --jobs 4 --recovery-jobs 4 --faults --integrity \
@@ -185,7 +188,7 @@ cmake --build "$tsan" -j "$(nproc)" \
 cmake --build "$tsan" -j "$(nproc)" --target integrity_tree_test
 "$tsan/tests/integrity_tree_test" \
     --gtest_filter='QuarantineRace.*:ReplaySweep.*'
-"$tsan/tools/cnvm_crash_sweep" --points 8 --jobs 4 --mode fork \
+"$tsan/tools/cnvm_crash_sweep" --points 8 --jobs 4 \
     --recovery-jobs 4 --faults --replays --integrity-tree \
     --design SCA --design Unsafe
 # Multi-channel sweep under TSan: fork capture drains four channels'
@@ -193,7 +196,7 @@ cmake --build "$tsan" -j "$(nproc)" --target integrity_tree_test
 # forks — any channel state aliased into a fork instead of deep-copied
 # races here.
 "$tsan/tools/cnvm_crash_sweep" --points 8 --channels 4 --jobs 4 \
-    --mode fork --faults --integrity-tree --design SCA --design Unsafe
+    --faults --integrity-tree --design SCA --design Unsafe
 # Crash-chain soak under TSan: parallel chains run whole
 # crash → recover → resume lifecycles on worker threads, each chain
 # repeatedly tearing down a System and re-seeding the next incarnation
@@ -203,19 +206,15 @@ cmake --build "$tsan" -j "$(nproc)" --target cnvm_soak
 "$tsan/tools/cnvm_soak" --cycles 6 --chains 4 --jobs 4 \
     --faults --replays --integrity-tree --design SCA --design Unsafe
 
-# Bench smoke in Release: cnvm_bench runs each kernel a few iterations
-# and, more importantly, exits non-zero if the parallel sweep's
-# fingerprint diverges from the serial loop's at any --jobs value, if
-# the fork-based Execute mode's fingerprint diverges from the replay
-# reference on any design, if recovery diverges across
-# --recovery-jobs values, or if any kernel drops work. The fork-mode
-# sweep smoke exercises the single-pass Execute end to end in Release.
-# The Release build also compiles with -Werror, so the tree stays free
-# of compiler warnings.
+# Release: the build compiles with -Werror, so the tree stays free of
+# compiler warnings; the sweep smokes run the fork Execute end to end
+# at full optimization; and a 1 s perfbench run of each benchmark
+# workload exits non-zero on any failed op.
 cmake -B "$release" -S "$repo" -DCMAKE_BUILD_TYPE=Release \
     -DCMAKE_CXX_FLAGS="-Werror"
 cmake --build "$release" -j "$(nproc)"
-"$release/tools/cnvm_crash_sweep" --points 20 --jobs 4 --mode fork
-"$release/tools/cnvm_crash_sweep" --points 20 --channels 4 --jobs 4 \
-    --mode fork
-"$release/tools/cnvm_bench" --quick --repeat 1 --jobs 4
+"$release/tools/cnvm_crash_sweep" --points 20 --jobs 4
+"$release/tools/cnvm_crash_sweep" --points 20 --channels 4 --jobs 4
+for workload in crash-recovery scale-16c8ch; do
+    python3 "$repo/perfbench/run.py" --workload "$workload" --seconds 1
+done

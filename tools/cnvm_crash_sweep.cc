@@ -12,11 +12,13 @@
  *   cnvm_crash_sweep --points 20            # matrix over every design
  *   cnvm_crash_sweep --points 50 --faults --integrity
  *
- * The sweep is deterministic for a fixed --seed: same points, same
- * classifications, same fingerprint. With --faults the same holds for
- * a fixed --fault-seed: every point receives the same media-fault dose
- * with a per-point RNG stream, identical across Execute modes and job
- * counts.
+ * The sweep runs each design once and classifies a persistent-state
+ * fork captured at every point (SweepMode::Fork; the replay reference
+ * it reproduces is pinned by the ForkSweep tests). It is deterministic
+ * for a fixed --seed: same points, same classifications, same
+ * fingerprint. With --faults the same holds for a fixed --fault-seed:
+ * every point receives the same media-fault dose with a per-point RNG
+ * stream, identical at any job count.
  *
  * Exit status: 0 when every design behaved as designed, 1 otherwise,
  * 2 on usage errors. "As designed" means:
@@ -35,40 +37,22 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
-#include <vector>
 
 #include "core/crash_sweep.hh"
 #include "core/recovery_crash.hh"
-#include "core/soak.hh"
 #include "runner/runner.hh"
 #include "tool_args.hh"
 
 using namespace cnvm;
+using toolargs::shortDesignName;
 
 namespace
 {
 
-struct Options
+struct Options : toolargs::CommonArgs
 {
-    SystemConfig cfg;
-    std::vector<DesignPoint> designs;
     unsigned points = 20;
-    unsigned jobs = 0; //!< 0 = hardware concurrency
-    unsigned recoveryJobs = 1;     //!< per-point recovery concurrency
-    unsigned recoveryCrashes = 0;  //!< >0: crash-during-recovery sweep
-    unsigned soakCycles = 0;       //!< >0: crash-chain soak instead
-    SweepMode mode = SweepMode::Replay;
-    bool semanticTriggers = true;
-    bool verbose = false;
-    bool printFingerprint = false;
-    bool faults = false;
-    bool replays = false;
-    bool integrity = false;
-    bool integrityTree = false;
-    bool faultSeedSet = false;
-    std::uint64_t faultSeed = 1;
 };
 
 [[noreturn]] void
@@ -80,14 +64,8 @@ usage(int code)
 options:
   --design NAME     sweep one design (default: all of them)
   --points K        crash points per design (default 20)
-  --jobs N          worker threads for the Execute phase (default:
-                    hardware concurrency; 1 = the serial reference
-                    loop; results are identical at any N)
-  --mode M          Execute strategy: replay (one crashed simulation
-                    per point, the reference; default) or fork (one
-                    trunk run, capture persistent-state forks and
-                    classify them off-trunk — same fingerprint, K
-                    recoveries instead of K simulations)
+  --jobs N          worker threads classifying crash points (default:
+                    hardware concurrency; results are identical at any N)
   --recovery-jobs N worker threads *inside* each point's recovery: the
                     integrity pre-scan shards over them (default 1 =
                     the serial reference; recovery output is
@@ -100,13 +78,6 @@ options:
                     invalidation), re-run it, and gate on idempotence —
                     every interrupted-then-completed recovery must
                     converge to the single-shot digest and report
-  --soak N          run the crash-chain soak instead: per design, one
-                    chain of N crash→recover→resume cycles (faults
-                    dosed per the flags below, recovered image resumed
-                    as the next cycle's state) plus a final
-                    resume-and-complete integrity examination, gated on
-                    the cumulative SoakOracle invariants (max 4096; see
-                    cnvm_soak for the full-featured harness)
   --workload NAME   array | queue | hash | btree | rbtree (default array)
   --cores N         number of cores (default 1)
   --channels N      memory channels sharding the address space
@@ -144,16 +115,6 @@ options:
     std::exit(code);
 }
 
-const char *
-shortDesignName(DesignPoint d)
-{
-    switch (d) {
-      case DesignPoint::Colocated: return "Colocated";
-      case DesignPoint::ColocatedCC: return "ColocatedCC";
-      default: return designName(d);
-    }
-}
-
 Options
 parseArgs(int argc, char **argv)
 {
@@ -165,97 +126,19 @@ parseArgs(int argc, char **argv)
     opt.cfg.wl.setupFill = 0.3;
     opt.cfg.memctl.counterCacheBytes = 16u << 10;
 
-    auto need_value = [&](int &i) -> const char * {
-        return toolargs::needValue(argc, argv, i, usage);
-    };
+    toolargs::parseArgs(
+        argc, argv, opt, toolargs::FlagSet::CrashRuns, usage,
+        [&](toolargs::ArgReader &a) {
+            if (a.is("--points"))
+                opt.points = a.positive();
+            else if (a.is("--txns"))
+                opt.cfg.wl.txnTarget = a.positive();
+            else
+                return false;
+            return true;
+        });
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h") {
-            usage(0);
-        } else if (arg == "--design") {
-            std::string name = need_value(i);
-            auto d = designFromName(name);
-            if (!d) {
-                std::fprintf(stderr, "unknown design '%s'\n", name.c_str());
-                usage(2);
-            }
-            opt.designs.push_back(*d);
-        } else if (arg == "--points") {
-            opt.points =
-                toolargs::parsePositive("--points", need_value(i), usage);
-        } else if (arg == "--jobs") {
-            opt.jobs =
-                toolargs::parsePositive("--jobs", need_value(i), usage);
-        } else if (arg == "--recovery-jobs") {
-            opt.recoveryJobs = toolargs::parsePositive("--recovery-jobs",
-                                                       need_value(i),
-                                                       usage);
-        } else if (arg == "--recovery-crashes") {
-            opt.recoveryCrashes = toolargs::parsePositive(
-                "--recovery-crashes", need_value(i), usage);
-        } else if (arg == "--soak") {
-            opt.soakCycles = toolargs::parseBounded(
-                "--soak", need_value(i), 4096, usage);
-        } else if (arg == "--mode") {
-            std::string name = need_value(i);
-            if (name == "replay") {
-                opt.mode = SweepMode::Replay;
-            } else if (name == "fork") {
-                opt.mode = SweepMode::Fork;
-            } else {
-                std::fprintf(stderr, "unknown mode '%s'\n", name.c_str());
-                usage(2);
-            }
-        } else if (arg == "--workload") {
-            opt.cfg.workload = workloadKindFromName(need_value(i));
-        } else if (arg == "--cores") {
-            opt.cfg.numCores =
-                static_cast<unsigned>(std::atoi(need_value(i)));
-        } else if (arg == "--channels") {
-            opt.cfg.numChannels = toolargs::parsePowerOfTwo(
-                "--channels", need_value(i), usage);
-        } else if (arg == "--txns") {
-            opt.cfg.wl.txnTarget =
-                static_cast<unsigned>(std::atoi(need_value(i)));
-        } else if (arg == "--footprint-kb") {
-            opt.cfg.wl.regionBytes =
-                std::strtoull(need_value(i), nullptr, 10) << 10;
-        } else if (arg == "--cc-kb") {
-            opt.cfg.memctl.counterCacheBytes =
-                std::strtoull(need_value(i), nullptr, 10) << 10;
-        } else if (arg == "--seed") {
-            opt.cfg.wl.seed =
-                toolargs::parseU64("--seed", need_value(i), usage);
-        } else if (arg == "--ticks-only") {
-            opt.semanticTriggers = false;
-        } else if (arg == "--faults") {
-            opt.faults = true;
-        } else if (arg == "--fault-seed") {
-            opt.faultSeed =
-                toolargs::parseU64("--fault-seed", need_value(i), usage);
-            opt.faultSeedSet = true;
-        } else if (arg == "--replays") {
-            opt.replays = true;
-        } else if (arg == "--integrity") {
-            opt.integrity = true;
-        } else if (arg == "--integrity-tree") {
-            opt.integrityTree = true;
-            opt.integrity = true;
-        } else if (arg == "--verbose") {
-            opt.verbose = true;
-        } else if (arg == "--fingerprint") {
-            opt.printFingerprint = true;
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-            usage(2);
-        }
-    }
-
-    toolargs::enforceFlagRules(
-        {{opt.faultSeedSet, opt.faults, "--fault-seed", "--faults"},
-         {opt.replays, opt.faults, "--replays", "--faults"}},
-        usage);
+    opt.cfg.wl.seed = opt.seed;
     if (opt.designs.empty()) {
         for (DesignPoint d : allDesignPoints())
             opt.designs.push_back(d);
@@ -279,18 +162,13 @@ sweepDesign(const Options &opt, DesignPoint design, WorkPool &pool,
 {
     SystemConfig cfg = opt.cfg;
     cfg.design = design;
-    cfg.memctl.integrityMac = opt.integrity;
-    cfg.memctl.integrityTree = opt.integrityTree;
 
     SweepOptions sweep_opt;
     sweep_opt.points = opt.points;
     sweep_opt.semanticTriggers = opt.semanticTriggers;
-    sweep_opt.mode = opt.mode;
+    sweep_opt.mode = SweepMode::Fork;
     sweep_opt.recoveryJobs = opt.recoveryJobs;
-    if (opt.faults)
-        sweep_opt.faults = opt.replays
-            ? FaultSpec::allKindsWithReplays(opt.faultSeed)
-            : FaultSpec::allKinds(opt.faultSeed);
+    sweep_opt.faults = opt.dose();
     SweepResult result = runSweep(cfg, sweep_opt, &pool);
 
     if (opt.verbose) {
@@ -344,7 +222,7 @@ sweepDesign(const Options &opt, DesignPoint design, WorkPool &pool,
                 result.replayDetectedPoints(),
                 result.silentReplayPoints());
 
-    if (opt.printFingerprint)
+    if (opt.fingerprint)
         std::printf("  fingerprint(%s): %s\n", shortDesignName(design),
                     result.fingerprint().c_str());
 
@@ -352,7 +230,7 @@ sweepDesign(const Options &opt, DesignPoint design, WorkPool &pool,
     totals.silentReplay += result.silentReplayPoints();
     totals.replaysCaught += result.totalOf(&SweepPoint::replaysDetected);
 
-    if (opt.faults && opt.integrity) {
+    if (opt.faults && opt.integrity()) {
         // The headline invariant: with integrity metadata armed, no
         // injected fault is ever silent — and with the tree on top,
         // no replay is either. Crash-consistent designs may fail
@@ -360,7 +238,7 @@ sweepDesign(const Options &opt, DesignPoint design, WorkPool &pool,
         // negative control must still demonstrate *some* failure.
         if (result.silentPoints() != 0)
             return false;
-        if (opt.integrityTree && result.silentReplayPoints() != 0)
+        if (opt.integrityTree() && result.silentReplayPoints() != 0)
             return false;
         // MAC-only replays are *expected* to slip: the stale triple
         // verifies. They count as accounted-for failures here and the
@@ -368,7 +246,7 @@ sweepDesign(const Options &opt, DesignPoint design, WorkPool &pool,
         unsigned accounted =
             result.countOf(CrashClass::DetectedCorruption)
             + result.replayDetectedPoints();
-        if (!opt.integrityTree)
+        if (!opt.integrityTree())
             accounted += result.silentReplayPoints();
         if (designCrashConsistent(design))
             return result.inconsistentPoints() == accounted;
@@ -388,81 +266,19 @@ sweepDesign(const Options &opt, DesignPoint design, WorkPool &pool,
     return result.mismatchPoints() >= 1;
 }
 
-/**
- * Crash-chain soak of one design (--soak): one chain of
- * crash→recover→resume cycles with the configured dose, gated on the
- * cumulative SoakOracle invariants. Positive rows must complete ok;
- * negative-control combinations (see soakChainExpectedOk) must fail —
- * loudly when undosed. cnvm_soak is the full-featured harness; this
- * mode keeps the soak reachable from the sweep tool's flag set.
- */
-bool
-soakDesign(const Options &opt, DesignPoint design)
-{
-    SystemConfig cfg = opt.cfg;
-    cfg.design = design;
-    cfg.memctl.integrityMac = opt.integrity;
-    cfg.memctl.integrityTree = opt.integrityTree;
-
-    SoakOptions soak;
-    soak.cycles = opt.soakCycles;
-    soak.recoveryJobs = opt.recoveryJobs;
-    soak.semanticTriggers = opt.semanticTriggers;
-    soak.seed = opt.cfg.wl.seed;
-    if (opt.faults)
-        soak.faults = opt.replays
-            ? FaultSpec::allKindsWithReplays(opt.faultSeed)
-            : FaultSpec::allKinds(opt.faultSeed);
-
-    SoakChainResult chain = runSoakChain(cfg, soak);
-
-    if (opt.verbose) {
-        for (const SoakCycle &c : chain.cycles)
-            std::printf("  %s\n", c.describe().c_str());
-        if (!chain.ok)
-            std::printf("  FAILED: %s\n", chain.failure.c_str());
-    }
-
-    std::printf("%-13s %7u %8u %8u %7u %7u %8llu  %s\n",
-                shortDesignName(design),
-                static_cast<unsigned>(chain.cycles.size()),
-                chain.crashedCycles(), chain.dosedCycles(),
-                chain.totalResets(), chain.silentCycles(),
-                static_cast<unsigned long long>(chain.finalQuarantined),
-                chain.ok ? "ok" : "failed");
-
-    if (opt.printFingerprint)
-        std::printf("  fingerprint(%s): %s\n", shortDesignName(design),
-                    chain.fingerprint().c_str());
-
-    bool expected_ok = soakChainExpectedOk(design, opt.integrity,
-                                           opt.integrityTree, opt.faults,
-                                           opt.replays);
-    if (expected_ok)
-        return chain.ok;
-    if (!opt.faults)
-        return !chain.ok && chain.silentCycles() == 0;
-    return !chain.ok;
-}
-
 /** Crash-during-recovery sweep of one design; true iff idempotent. */
 bool
 recrashDesign(const Options &opt, DesignPoint design, WorkPool &pool)
 {
     SystemConfig cfg = opt.cfg;
     cfg.design = design;
-    cfg.memctl.integrityMac = opt.integrity;
-    cfg.memctl.integrityTree = opt.integrityTree;
 
     RecoveryCrashOptions rc_opt;
     rc_opt.points = opt.recoveryCrashes;
     rc_opt.images = opt.points;
     rc_opt.recoveryJobs = opt.recoveryJobs;
     rc_opt.semanticTriggers = opt.semanticTriggers;
-    if (opt.faults)
-        rc_opt.faults = opt.replays
-            ? FaultSpec::allKindsWithReplays(opt.faultSeed)
-            : FaultSpec::allKinds(opt.faultSeed);
+    rc_opt.faults = opt.dose();
 
     RecoveryCrashResult result = runRecoveryCrashSweep(cfg, rc_opt,
                                                        &pool);
@@ -483,7 +299,7 @@ recrashDesign(const Options &opt, DesignPoint design, WorkPool &pool)
                 result.points.size(), result.firedPoints(),
                 result.divergentPoints());
 
-    if (opt.printFingerprint)
+    if (opt.fingerprint)
         std::printf("  fingerprint(%s): %s\n", shortDesignName(design),
                     result.fingerprint().c_str());
 
@@ -503,32 +319,6 @@ main(int argc, char **argv)
     // One pool, reused across every design's Execute phase.
     WorkPool pool(opt.jobs);
 
-    if (opt.soakCycles > 0) {
-        std::printf("crash-chain soak: %u cycle(s)/design + final exam, "
-                    "workload %s, %u core(s), seed %llu, "
-                    "%u recovery job(s)%s%s%s\n",
-                    opt.soakCycles, workloadKindName(opt.cfg.workload),
-                    opt.cfg.numCores,
-                    static_cast<unsigned long long>(opt.cfg.wl.seed),
-                    opt.recoveryJobs,
-                    opt.faults ? ", media faults" : "",
-                    opt.replays ? " + replays" : "",
-                    opt.integrityTree ? ", integrity tree"
-                        : opt.integrity ? ", integrity MACs" : "");
-        std::printf("%-13s %7s %8s %8s %7s %7s %8s\n", "design",
-                    "cycles", "crashed", "dosed", "resets", "silent",
-                    "final-q");
-        bool all_ok = true;
-        for (DesignPoint d : opt.designs) {
-            if (!soakDesign(opt, d)) {
-                all_ok = false;
-                std::printf("  ^^ %s did not behave as designed\n",
-                            shortDesignName(d));
-            }
-        }
-        return all_ok ? 0 : 1;
-    }
-
     if (opt.recoveryCrashes > 0) {
         std::printf("crash-during-recovery sweep: %u images/design, "
                     "%u interruption points/design, workload %s, "
@@ -540,8 +330,8 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(opt.cfg.wl.seed),
                     pool.jobs(), opt.recoveryJobs,
                     opt.faults ? ", media faults" : "",
-                    opt.integrityTree ? ", integrity tree"
-                        : opt.integrity ? ", integrity MACs" : "");
+                    opt.integrityTree() ? ", integrity tree"
+                        : opt.integrity() ? ", integrity MACs" : "");
         std::printf("%-13s %7s %8s %11s %10s %9s\n", "design", "images",
                     "captured", "points", "fired", "divergent");
         bool all_ok = true;
@@ -557,17 +347,16 @@ main(int argc, char **argv)
     }
 
     std::printf("crash-point sweep: %u points/design, workload %s, "
-                "%u core(s), %u txns, seed %llu, %u job(s), %s mode"
-                "%s%s%s%s\n",
+                "%u core(s), %u txns, seed %llu, %u job(s)%s%s%s%s\n",
                 opt.points, workloadKindName(opt.cfg.workload),
                 opt.cfg.numCores, opt.cfg.wl.txnTarget,
                 static_cast<unsigned long long>(opt.cfg.wl.seed),
-                pool.jobs(), sweepModeName(opt.mode),
+                pool.jobs(),
                 opt.semanticTriggers ? "" : ", ticks only",
                 opt.faults ? ", media faults" : "",
                 opt.replays ? " + replays" : "",
-                opt.integrityTree ? ", integrity tree"
-                    : opt.integrity ? ", integrity MACs" : "");
+                opt.integrityTree() ? ", integrity tree"
+                    : opt.integrity() ? ", integrity MACs" : "");
     std::printf("%-13s %7s %8s %11s %10s %9s %9s %9s %9s %7s %7s %7s\n",
                 "design", "points", "reached", "consistent", "torn-data",
                 "torn-ctr", "other", "inconsist", "detected", "silent",
@@ -585,7 +374,7 @@ main(int argc, char **argv)
     unsigned total_silent = totals.silent;
 
     if (opt.replays) {
-        if (opt.integrityTree) {
+        if (opt.integrityTree()) {
             // The replay dose must bite *and* be caught: across the
             // matrix, recovery caught at least one replayed line.
             // (A dose nothing detects would make the zero-silent gate
@@ -617,7 +406,7 @@ main(int argc, char **argv)
         }
     }
 
-    if (opt.faults && !opt.integrity) {
+    if (opt.faults && !opt.integrity()) {
         // Negative control: without integrity metadata, the injected
         // faults must produce at least one silent corruption somewhere
         // in the matrix — otherwise the fault model is toothless and

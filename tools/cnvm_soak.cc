@@ -38,8 +38,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
-#include <string>
-#include <vector>
 
 #include "core/soak.hh"
 #include "runner/runner.hh"
@@ -47,25 +45,15 @@
 #include "tool_args.hh"
 
 using namespace cnvm;
+using toolargs::shortDesignName;
 
 namespace
 {
 
-struct Options
+struct Options : toolargs::CommonArgs
 {
-    SystemConfig cfg;
-    std::vector<DesignPoint> designs;
     SoakOptions soak;
-    bool verbose = false;
-    bool printFingerprint = false;
     bool printStats = false;
-    bool faults = false;
-    bool replays = false;
-    bool integrity = false;
-    bool integrityTree = false;
-    bool faultSeedSet = false;
-    bool faultPeriodSet = false;
-    std::uint64_t faultSeed = 1;
 };
 
 [[noreturn]] void
@@ -123,16 +111,6 @@ options:
     std::exit(code);
 }
 
-const char *
-shortDesignName(DesignPoint d)
-{
-    switch (d) {
-      case DesignPoint::Colocated: return "Colocated";
-      case DesignPoint::ColocatedCC: return "ColocatedCC";
-      default: return designName(d);
-    }
-}
-
 Options
 parseArgs(int argc, char **argv)
 {
@@ -142,98 +120,37 @@ parseArgs(int argc, char **argv)
     opt.cfg.wl.recordDigests = true;
     opt.cfg.wl.setupFill = 0.3;
     opt.cfg.memctl.counterCacheBytes = 16u << 10;
+    opt.jobs = opt.soak.jobs;
 
-    auto need_value = [&](int &i) -> const char * {
-        return toolargs::needValue(argc, argv, i, usage);
-    };
-
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h") {
-            usage(0);
-        } else if (arg == "--design") {
-            std::string name = need_value(i);
-            auto d = designFromName(name);
-            if (!d) {
-                std::fprintf(stderr, "unknown design '%s'\n", name.c_str());
-                usage(2);
-            }
-            opt.designs.push_back(*d);
-        } else if (arg == "--cycles") {
-            opt.soak.cycles = toolargs::parseBounded(
-                "--cycles", need_value(i), 4096, usage);
-        } else if (arg == "--txns-per-cycle") {
-            opt.soak.txnsPerCycle = toolargs::parsePositive(
-                "--txns-per-cycle", need_value(i), usage);
-        } else if (arg == "--chains") {
-            opt.soak.chains = toolargs::parsePositive(
-                "--chains", need_value(i), usage);
-        } else if (arg == "--jobs") {
-            opt.soak.jobs =
-                toolargs::parsePositive("--jobs", need_value(i), usage);
-        } else if (arg == "--recovery-jobs") {
-            opt.soak.recoveryJobs = toolargs::parsePositive(
-                "--recovery-jobs", need_value(i), usage);
-        } else if (arg == "--recovery-crashes") {
-            opt.soak.recoveryCrashes = toolargs::parsePositive(
-                "--recovery-crashes", need_value(i), usage);
-        } else if (arg == "--workload") {
-            opt.cfg.workload = workloadKindFromName(need_value(i));
-        } else if (arg == "--cores") {
-            opt.cfg.numCores =
-                static_cast<unsigned>(std::atoi(need_value(i)));
-        } else if (arg == "--channels") {
-            opt.cfg.numChannels = toolargs::parsePowerOfTwo(
-                "--channels", need_value(i), usage);
-        } else if (arg == "--footprint-kb") {
-            opt.cfg.wl.regionBytes =
-                std::strtoull(need_value(i), nullptr, 10) << 10;
-        } else if (arg == "--cc-kb") {
-            opt.cfg.memctl.counterCacheBytes =
-                std::strtoull(need_value(i), nullptr, 10) << 10;
-        } else if (arg == "--seed") {
-            opt.soak.seed =
-                toolargs::parseU64("--seed", need_value(i), usage);
-        } else if (arg == "--ticks-only") {
-            opt.soak.semanticTriggers = false;
-        } else if (arg == "--faults") {
-            opt.faults = true;
-        } else if (arg == "--fault-period") {
-            opt.soak.faultPeriod = toolargs::parsePositive(
-                "--fault-period", need_value(i), usage);
-            opt.faultPeriodSet = true;
-        } else if (arg == "--fault-seed") {
-            opt.faultSeed =
-                toolargs::parseU64("--fault-seed", need_value(i), usage);
-            opt.faultSeedSet = true;
-        } else if (arg == "--replays") {
-            opt.replays = true;
-        } else if (arg == "--integrity") {
-            opt.integrity = true;
-        } else if (arg == "--integrity-tree") {
-            opt.integrityTree = true;
-            opt.integrity = true;
-        } else if (arg == "--stats") {
-            opt.printStats = true;
-        } else if (arg == "--verbose") {
-            opt.verbose = true;
-        } else if (arg == "--fingerprint") {
-            opt.printFingerprint = true;
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-            usage(2);
-        }
-    }
-
+    bool fault_period_set = false;
+    toolargs::parseArgs(
+        argc, argv, opt, toolargs::FlagSet::CrashRuns, usage,
+        [&](toolargs::ArgReader &a) {
+            if (a.is("--cycles"))
+                opt.soak.cycles = a.bounded(4096);
+            else if (a.is("--txns-per-cycle"))
+                opt.soak.txnsPerCycle = a.positive();
+            else if (a.is("--chains"))
+                opt.soak.chains = a.positive();
+            else if (a.is("--fault-period")) {
+                opt.soak.faultPeriod = a.positive();
+                fault_period_set = true;
+            } else if (a.is("--stats"))
+                opt.printStats = true;
+            else
+                return false;
+            return true;
+        });
     toolargs::enforceFlagRules(
-        {{opt.faultSeedSet, opt.faults, "--fault-seed", "--faults"},
-         {opt.faultPeriodSet, opt.faults, "--fault-period", "--faults"},
-         {opt.replays, opt.faults, "--replays", "--faults"}},
+        {{fault_period_set, opt.faults, "--fault-period", "--faults"}},
         usage);
-    if (opt.faults)
-        opt.soak.faults = opt.replays
-            ? FaultSpec::allKindsWithReplays(opt.faultSeed)
-            : FaultSpec::allKinds(opt.faultSeed);
+
+    opt.soak.seed = opt.seed;
+    opt.soak.jobs = opt.jobs;
+    opt.soak.recoveryJobs = opt.recoveryJobs;
+    opt.soak.recoveryCrashes = opt.recoveryCrashes;
+    opt.soak.semanticTriggers = opt.semanticTriggers;
+    opt.soak.faults = opt.dose();
     if (opt.designs.empty()) {
         for (DesignPoint d : allDesignPoints())
             opt.designs.push_back(d);
@@ -286,8 +203,6 @@ soakDesign(const Options &opt, DesignPoint design, WorkPool &pool,
 {
     SystemConfig cfg = opt.cfg;
     cfg.design = design;
-    cfg.memctl.integrityMac = opt.integrity;
-    cfg.memctl.integrityTree = opt.integrityTree;
 
     SoakResult result = runSoak(cfg, opt.soak, &pool);
 
@@ -323,8 +238,8 @@ soakDesign(const Options &opt, DesignPoint design, WorkPool &pool,
     totals.silentCycles += silent;
     totals.silentReplayCycles += silent_replay;
 
-    bool expected_ok = soakChainExpectedOk(design, opt.integrity,
-                                           opt.integrityTree, opt.faults,
+    bool expected_ok = soakChainExpectedOk(design, opt.integrity(),
+                                           opt.integrityTree(), opt.faults,
                                            opt.replays);
     std::printf("%-13s %7u %8u %8u %7u %7u %7u %8u %7u %8llu  %s\n",
                 shortDesignName(design),
@@ -338,7 +253,7 @@ soakDesign(const Options &opt, DesignPoint design, WorkPool &pool,
     if (!result.allOk() && (opt.verbose || expected_ok))
         std::printf("  ^^ %s\n", result.firstFailure().c_str());
 
-    if (opt.printFingerprint)
+    if (opt.fingerprint)
         std::printf("  fingerprint(%s):\n%s\n", shortDesignName(design),
                     result.fingerprint().c_str());
     if (opt.printStats && !result.chains.empty())
@@ -385,8 +300,8 @@ main(int argc, char **argv)
                 opt.replays ? " + replays" : "",
                 opt.soak.recoveryCrashes > 0 ? ", recovery-crash probe"
                                              : "",
-                opt.integrityTree ? ", integrity tree"
-                    : opt.integrity ? ", integrity MACs" : "");
+                opt.integrityTree() ? ", integrity tree"
+                    : opt.integrity() ? ", integrity MACs" : "");
     std::printf("%-13s %7s %8s %8s %7s %7s %7s %8s %7s %8s\n", "design",
                 "chains", "cycles", "crashed", "dosed", "resets",
                 "silent", "detected", "rp-det", "final-q");
@@ -401,7 +316,7 @@ main(int argc, char **argv)
         }
     }
 
-    if (opt.faults && !opt.integrity) {
+    if (opt.faults && !opt.integrity()) {
         // Negative control: without integrity metadata the dose must
         // demonstrate at least one silent cycle somewhere — otherwise
         // the zero-silent gate of the armed runs proves nothing.
@@ -417,7 +332,7 @@ main(int argc, char **argv)
                         totals.silentCycles + totals.silentReplayCycles);
         }
     }
-    if (opt.replays && opt.integrity && !opt.integrityTree) {
+    if (opt.replays && opt.integrity() && !opt.integrityTree()) {
         // Negative control: MAC-only, at least one replayed triple
         // must be consumed silently somewhere in the matrix.
         if (totals.silentReplayCycles == 0) {
