@@ -9,11 +9,9 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
-#include <vector>
+#include <functional>
 
 #include "sim/eventq.hh"
-#include "sim/one_shot.hh"
 
 using namespace cnvm;
 
@@ -62,54 +60,6 @@ BM_ScheduleProcessWideCapture(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * batch);
 }
 BENCHMARK(BM_ScheduleProcessWideCapture)->Arg(16)->Arg(256)->Arg(4096);
-
-void
-BM_MemberEventReschedule(benchmark::State &state)
-{
-    class Tickless : public Event
-    {
-      public:
-        void process() override {}
-    } event;
-
-    EventQueue eq;
-    Tick when = 1;
-    for (auto _ : state) {
-        eq.reschedule(event, when++);
-        eq.step();
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MemberEventReschedule);
-
-void
-BM_ScheduleDeschedule(benchmark::State &state)
-{
-    // Deschedule-heavy traffic: the lazy-deletion path of the heap
-    // (and formerly the std::set erase). Half the batch is cancelled
-    // before the run.
-    const int batch = static_cast<int>(state.range(0));
-    std::uint64_t processed = 0;
-    std::vector<std::unique_ptr<EventFunctionWrapper>> events;
-    for (int i = 0; i < batch; ++i) {
-        events.push_back(std::make_unique<EventFunctionWrapper>(
-            [&]() { ++processed; }, "bench-event"));
-    }
-    for (auto _ : state) {
-        EventQueue eq;
-        std::uint64_t rng = 0x9e3779b97f4a7c15ull;
-        for (int i = 0; i < batch; ++i) {
-            rng = rng * 6364136223846793005ull + 1442695040888963407ull;
-            eq.schedule(*events[i], (rng >> 33) % 100000);
-        }
-        for (int i = 0; i < batch; i += 2)
-            eq.deschedule(*events[i]);
-        eq.run();
-    }
-    benchmark::DoNotOptimize(processed);
-    state.SetItemsProcessed(state.iterations() * batch);
-}
-BENCHMARK(BM_ScheduleDeschedule)->Arg(256)->Arg(4096);
 
 void
 BM_SelfChainingEvent(benchmark::State &state)

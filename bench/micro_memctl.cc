@@ -8,7 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include "memctl/mem_controller.hh"
-#include "sim/one_shot.hh"
+#include "sim/eventq.hh"
 
 using namespace cnvm;
 

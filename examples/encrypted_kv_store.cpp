@@ -204,14 +204,13 @@ main()
 
     // Pull the power roughly mid-run.
     bool crashed = false;
-    EventFunctionWrapper crash([&]() {
+    scheduleAt(eq, nsToTicks(60000), [&]() {
         crashed = true;
         core.halt();
         path.dropAll();
         ctl.crash();
         eq.requestStop();
-    }, "power-failure");
-    eq.schedule(crash, nsToTicks(60000));
+    });
     eq.run();
 
     std::printf("power failed after %llu of %u puts\n",

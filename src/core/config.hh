@@ -14,6 +14,9 @@
 namespace cnvm
 {
 
+/** Core clock (Table 2: 4.0 GHz out-of-order; modelled in-order). */
+inline constexpr double cpuGHz = 4.0;
+
 struct SystemConfig
 {
     DesignPoint design = DesignPoint::SCA;
@@ -28,9 +31,6 @@ struct SystemConfig
      * shared PersistSequencer.
      */
     unsigned numChannels = 1;
-
-    /** Core clock (Table 2: 4.0 GHz out-of-order; modelled in-order). */
-    double cpuGHz = 4.0;
 
     /** Private L1/L2 per core (Table 2). */
     CachePathConfig cache;

@@ -51,28 +51,16 @@ CrashSpec::describe() const
     return os.str();
 }
 
-CrashInjector::CrashInjector(EventQueue &eq, std::vector<CrashSpec> specs,
+CrashInjector::CrashInjector(EventQueue &eq, std::vector<CrashSpec> specs_in,
                              FireFn fire_fn)
     : eventq(eq),
-      fire(std::move(fire_fn))
+      fire(std::move(fire_fn)),
+      specs(std::move(specs_in))
 {
-    armed.reserve(specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        Armed a;
-        a.spec = specs[i];
-        a.fireEvent = std::make_unique<EventFunctionWrapper>(
-            [this, i]() {
-                armed[i].didFire = true;
-                ++firedCount;
-                fire(i);
-            },
-            "power-failure", Event::MinPriority);
-        armed.push_back(std::move(a));
-
         auto watched = ctlEventFor(specs[i].kind);
         if (watched) {
             cnvm_assert(specs[i].count >= 1);
-            ++semanticSpecs;
             pendingByEvent[static_cast<std::size_t>(*watched)]
                 .emplace(specs[i].count, i);
         }
@@ -82,9 +70,9 @@ CrashInjector::CrashInjector(EventQueue &eq, std::vector<CrashSpec> specs,
 void
 CrashInjector::start()
 {
-    for (Armed &a : armed)
-        if (a.spec.kind == CrashTriggerKind::AtTick)
-            eventq.schedule(*a.fireEvent, a.spec.tick);
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        if (specs[i].kind == CrashTriggerKind::AtTick)
+            scheduleFailure(i, specs[i].tick);
 }
 
 void
@@ -92,36 +80,25 @@ CrashInjector::onCtlEvent(CtlEvent ev)
 {
     auto &pending = pendingByEvent[static_cast<std::size_t>(ev)];
     std::uint64_t nth = ++seen[static_cast<std::size_t>(ev)];
-    if (pending.empty())
+    if (pending.empty() || disarmed)
         return;
     // All specs armed on this event's Nth occurrence fire now; the
     // multimap keeps later ordinals pending.
     auto range = pending.equal_range(nth);
     for (auto it = range.first; it != range.second; ++it)
-        fireSoon(it->second);
+        scheduleFailure(it->second, eventq.curTick());
     pending.erase(range.first, range.second);
 }
 
 void
-CrashInjector::fireSoon(std::size_t i)
+CrashInjector::scheduleFailure(std::size_t i, Tick when)
 {
-    Armed &a = armed[i];
-    if (disarmed || a.didFire || a.fireEvent->scheduled())
-        return;
     // MinPriority: the failure observes the triggering controller state
     // before any other model event pending for this tick runs.
-    eventq.schedule(*a.fireEvent, eventq.curTick());
-}
-
-void
-CrashInjector::disarm()
-{
-    disarmed = true;
-    for (auto &pending : pendingByEvent)
-        pending.clear();
-    for (Armed &a : armed)
-        if (a.fireEvent->scheduled())
-            eventq.deschedule(*a.fireEvent);
+    scheduleAt(eventq, when, [this, i]() {
+        if (!disarmed)
+            fire(i);
+    }, EventQueue::MinPriority);
 }
 
 } // namespace cnvm

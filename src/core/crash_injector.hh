@@ -33,7 +33,6 @@
 #include <array>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -109,15 +108,24 @@ struct CrashSpec
  * supplied fire callback (with the index of the triggering spec) at
  * most once per spec. Specs are independent: each fires at its own
  * tick/ordinal regardless of how many others fired first.
+ *
+ * Each scheduled power failure is an event that captures the injector,
+ * so none may outlive it. The owning System keeps the injector until
+ * its next armed run, and by then no failure is pending: a crashed run
+ * fired its one spec, and a completed run's settle pass drained the
+ * queue. A System destroyed first destroys pending failures unrun.
  */
 class CrashInjector
 {
   public:
-    /** Per-spec fire callback: receives the index into specs(). */
+    /** Per-spec fire callback: receives the index into the specs. */
     using FireFn = std::function<void(std::size_t)>;
 
     CrashInjector(EventQueue &eq, std::vector<CrashSpec> specs,
                   FireFn fire);
+
+    CrashInjector(const CrashInjector &) = delete;
+    CrashInjector &operator=(const CrashInjector &) = delete;
 
     /** Schedules the tick triggers (no-op for semantic specs). */
     void start();
@@ -125,42 +133,19 @@ class CrashInjector
     /** Observer for MemController semantic events. */
     void onCtlEvent(CtlEvent ev);
 
-    /** Cancels every not-yet-fired spec (run completed first). */
-    void disarm();
-
-    /** True once any spec's power failure has been delivered. */
-    bool fired() const { return firedCount > 0; }
-
-    /** True once spec @p i has been delivered. */
-    bool fired(std::size_t i) const { return armed.at(i).didFire; }
-
-    /** Number of specs that have been delivered. */
-    std::size_t deliveredCount() const { return firedCount; }
-
-    /** True when any armed spec watches semantic controller events. */
-    bool wantsCtlEvents() const { return semanticSpecs > 0; }
-
-    std::size_t specCount() const { return armed.size(); }
-    const CrashSpec &spec(std::size_t i = 0) const
-    { return armed.at(i).spec; }
+    /**
+     * Cancels every not-yet-fired spec (run completed first). A power
+     * failure already scheduled still runs, as a no-op.
+     */
+    void disarm() { disarmed = true; }
 
   private:
-    /** One armed spec and its deferred-firing event. */
-    struct Armed
-    {
-        CrashSpec spec;
-        std::unique_ptr<EventFunctionWrapper> fireEvent;
-        bool didFire = false;
-    };
-
-    /** Schedules spec @p i's failure for the current tick. */
-    void fireSoon(std::size_t i);
+    /** Schedules spec @p i's power failure at tick @p when. */
+    void scheduleFailure(std::size_t i, Tick when);
 
     EventQueue &eventq;
     FireFn fire;
-    std::vector<Armed> armed;
-    std::size_t firedCount = 0;
-    std::size_t semanticSpecs = 0;
+    std::vector<CrashSpec> specs;
     bool disarmed = false;
 
     /** Occurrences of each CtlEvent observed so far. */

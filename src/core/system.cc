@@ -97,7 +97,7 @@ System::build(const ResumeState *resume)
         backend = router.get();
     }
 
-    ClockDomain cpu_clock(static_cast<Tick>(1000.0 / cfg.cpuGHz));
+    ClockDomain cpu_clock(static_cast<Tick>(1000.0 / cpuGHz));
 
     Addr prev_region_end = 0;
     for (unsigned i = 0; i < cfg.numCores; ++i) {

@@ -1,7 +1,7 @@
 #include "cpu/core.hh"
 
 #include "common/logging.hh"
-#include "sim/one_shot.hh"
+#include "sim/eventq.hh"
 
 namespace cnvm
 {

@@ -21,7 +21,7 @@
 #include "mem/cache.hh"
 #include "mem/mem_backend.hh"
 #include "sim/clocked.hh"
-#include "sim/one_shot.hh"
+#include "sim/eventq.hh"
 #include "stats/stats.hh"
 
 namespace cnvm

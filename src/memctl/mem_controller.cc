@@ -5,7 +5,7 @@
 
 #include "common/logging.hh"
 #include "integrity/integrity_tree.hh"
-#include "sim/one_shot.hh"
+#include "sim/eventq.hh"
 
 namespace cnvm
 {
@@ -96,7 +96,7 @@ MemController::MemController(EventQueue &eq, NvmDevice &nvm,
         while ((1u << index_shift) < cfg.numChannels)
             ++index_shift;
         counterCache = std::make_unique<CounterCache>(
-            cfg.counterCacheBytes, cfg.counterCacheAssoc, registry,
+            cfg.counterCacheBytes, counterCacheAssoc, registry,
             ccStatPrefix(cfg), index_shift);
     }
     dataQ.reserve(cfg.dataWqEntries);
@@ -508,7 +508,7 @@ MemController::scheduleDrainKick()
             return; // crash() already reset kickScheduled
         kickScheduled = false;
         kickDrain();
-    }, Event::MaxPriority);
+    }, EventQueue::MaxPriority);
 }
 
 bool
@@ -712,8 +712,7 @@ MemController::noteCounterPersist(Addr ctr_line_addr)
     else
         ++treeCoalesces;
     ++treeCtrPersists;
-    if (cfg.treeEpochDrains > 0
-        && treeCtrPersists % cfg.treeEpochDrains == 0)
+    if (treeCtrPersists % treeEpochDrains == 0)
         flushTreeEpoch();
 }
 
@@ -745,10 +744,9 @@ MemController::flushTreeEpoch()
     // One batched burst into the tree region above the counter store —
     // at this channel's own slot, so the flush occupies this channel's
     // bank group and bus, not channel 0's. The traffic (and the bank
-    // time it occupies) is the overhead the tree_overhead bench rows
-    // measure against MAC-only designs.
-    nvm.scheduleWrite(cfg.counterRegionBase * 2
-                          + Addr(cfg.channelId) * lineBytes,
+    // time it occupies) is the overhead over MAC-only designs that
+    // TreeOverhead.TreeCostsTicksAndBytesOverMacOnly checks.
+    nvm.scheduleWrite(nvm.channelMap().treeFlushAddr(cfg.channelId),
                       eventq.curTick(), static_cast<unsigned>(bytes));
     treeNodeWrites += static_cast<double>(nodes);
     ++treeFlushes;

@@ -86,7 +86,6 @@ struct MemCtlConfig
      * System splits it evenly per channel before construction.
      */
     std::uint64_t counterCacheBytes = 1ull << 20;
-    unsigned counterCacheAssoc = 16;
 
     /**
      * Multi-channel identity: how many channels shard the address
@@ -114,10 +113,6 @@ struct MemCtlConfig
 
     /** Base of the separate counter address space (above 8 GB data). */
     Addr counterRegionBase = Addr(1) << 33;
-
-    /** Write-queue occupancy (percent) beyond which writes drain even
-     *  while reads are outstanding. */
-    unsigned hiWatermarkPct = 75;
 
     /**
      * Address-match write combining in the write queues. On by
@@ -159,14 +154,6 @@ struct MemCtlConfig
      * the MAC still authenticates ciphertext).
      */
     bool integrityTree = false;
-
-    /**
-     * Lazy-update epoch: dirty tree nodes coalesce across this many
-     * counter-store persists before one batched write-back (Freij et
-     * al.). Larger epochs coalesce more and write less; the crash
-     * flush covers whatever is still dirty either way.
-     */
-    unsigned treeEpochDrains = 8;
 
     /** AES-128 key used by the encryption engine. */
     std::array<std::uint8_t, 16> key{
@@ -421,6 +408,17 @@ class MemController : public MemBackend
      */
     std::deque<std::function<bool()>> landingQ;
     static constexpr std::size_t landingCapacity = 256;
+
+    /** Counter-cache associativity (Table 2: 16-way). */
+    static constexpr unsigned counterCacheAssoc = 16;
+
+    /**
+     * Lazy-update epoch: dirty tree nodes coalesce across this many
+     * counter-store persists before one batched write-back (Freij et
+     * al.). Larger epochs coalesce more and write less; the crash
+     * flush covers whatever is still dirty either way.
+     */
+    static constexpr unsigned treeEpochDrains = 8;
 
     /** Writes inside the encryption pipeline (pre-landing). */
     unsigned pipelineWrites = 0;

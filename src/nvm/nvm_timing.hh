@@ -15,14 +15,13 @@ namespace cnvm
  * DDR3-interface PCM timing. All values in ticks (ps).
  *
  * Table 2: 8 GB PCM at 533 MHz, tRCD/tCL/tCWD/tFAW/tWTR/tWR =
- * 48/15/13/50/7.5/300 ns.
+ * 48/15/13/50/7.5/300 ns. tFAW is not modelled.
  */
 struct NvmTiming
 {
     Tick tRCD = nsToTicks(48);   //!< row activate to column command
     Tick tCL = nsToTicks(15);    //!< column command to first data beat
     Tick tCWD = nsToTicks(13);   //!< write command to first data beat
-    Tick tFAW = nsToTicks(50);   //!< four-activate window (approximated)
     Tick tWTR = nsToTicks(7.5);  //!< write-to-read bus turnaround
     Tick tWR = nsToTicks(300);   //!< PCM write recovery (cell programming)
     Tick tBurst = nsToTicks(7.5);//!< 8-beat burst of one line

@@ -6,7 +6,6 @@
 #ifndef CNVM_SIM_CLOCKED_HH
 #define CNVM_SIM_CLOCKED_HH
 
-#include "common/intmath.hh"
 #include "common/logging.hh"
 #include "common/types.hh"
 #include "sim/eventq.hh"
@@ -24,28 +23,18 @@ class ClockDomain
         cnvm_assert(period != 0);
     }
 
-    /** Constructs a domain from a frequency in MHz. */
-    static ClockDomain
-    fromMHz(double mhz)
-    {
-        return ClockDomain(static_cast<Tick>(1e6 / mhz));
-    }
-
     Tick periodTicks() const { return period; }
 
     /** Converts a cycle count into ticks. */
     Tick cyclesToTicks(Cycles cycles) const { return cycles * period; }
-
-    /** Converts a tick duration to whole cycles, rounding up. */
-    Cycles ticksToCycles(Tick ticks) const { return divCeil(ticks, period); }
 
   private:
     Tick period;
 };
 
 /**
- * Mixin for models that operate on clock edges: provides the next clock
- * edge at or after the current tick, plus cycle/tick conversion.
+ * Mixin for models that run on a clock: the current tick and
+ * cycle-to-tick conversion.
  */
 class Clocked
 {
@@ -57,20 +46,8 @@ class Clocked
     /** Current simulated time. */
     Tick curTick() const { return eventq.curTick(); }
 
-    /** The first clock edge at least @p cycles cycles in the future. */
-    Tick
-    clockEdge(Cycles cycles = 0) const
-    {
-        Tick period = clock.periodTicks();
-        Tick edge = roundUp(curTick(), 1) ; // curTick itself
-        Tick aligned = divCeil(edge, period) * period;
-        return aligned + cycles * period;
-    }
-
     Tick cyclesToTicks(Cycles cycles) const
     { return clock.cyclesToTicks(cycles); }
-
-    EventQueue &eventQueue() const { return eventq; }
 
   protected:
     EventQueue &eventq;

@@ -2,11 +2,10 @@
  * @file
  * Discrete-event simulation kernel.
  *
- * An EventQueue orders Event objects by (tick, priority, insertion
- * sequence) and processes them in order. Member events are owned by their
- * creators (typically as member objects of model classes); the queue only
- * references them, mirroring gem5's design. Fire-and-forget callbacks
- * (sim/one_shot.hh) run in one-shot nodes the queue itself owns.
+ * An EventQueue orders pending events by (tick, priority, insertion
+ * sequence) and runs them in order. Every event is a fire-and-forget
+ * closure, scheduled with scheduleAt() or scheduleAfter() and run in a
+ * node the queue itself owns.
  */
 
 #ifndef CNVM_SIM_EVENTQ_HH
@@ -14,10 +13,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
-#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -27,13 +24,20 @@
 namespace cnvm
 {
 
-class EventQueue;
-
 /**
- * Base class for all schedulable work. Derived classes implement
- * process(), which runs when simulated time reaches the scheduled tick.
+ * The event queue: a total order over pending events and the simulated
+ * clock. One queue drives one simulated system (no cross-queue sync).
+ *
+ * Internally a binary min-heap over (tick, priority, sequence): the
+ * dominant operations, schedule and pop-next, are O(log n) with no
+ * per-event allocation.
+ *
+ * Each event's closure lives in a pooled node's inline buffer, and a
+ * node that has run goes back on this queue's free list for the next
+ * event. Once the pool has grown to the run's peak of pending events,
+ * scheduling one allocates nothing.
  */
-class Event
+class EventQueue
 {
   public:
     /**
@@ -50,96 +54,21 @@ class Event
         MinPriority = 0,
     };
 
-    explicit Event(std::string name = "event",
-                   int priority = DefaultPriority);
-    virtual ~Event();
-
-    Event(const Event &) = delete;
-    Event &operator=(const Event &) = delete;
-
-    /** Invoked by the event queue when the event's tick arrives. */
-    virtual void process() = 0;
-
-    /** True while the event sits in an event queue. */
-    bool scheduled() const { return queue != nullptr; }
-
-    /** The tick this event is (or was last) scheduled for. */
-    Tick when() const { return _when; }
-
-    /** Human-readable name for diagnostics. */
-    const std::string &name() const { return _name; }
-
-    int priority() const { return _priority; }
-
-  private:
-    friend class EventQueue;
-
-    std::string _name;
-    int _priority;
-    Tick _when = 0;
-    std::uint64_t _seq = 0;
-    EventQueue *queue = nullptr;
-
-    /** Slot in the owning queue's heap, maintained by the queue. */
-    std::size_t _heapIndex = 0;
-};
-
-/**
- * Convenience event that runs a std::function; the idiomatic way for a
- * model to define its callbacks without one subclass per action.
- */
-class EventFunctionWrapper : public Event
-{
-  public:
-    EventFunctionWrapper(std::function<void()> callback,
-                         std::string name = "event",
-                         int priority = DefaultPriority)
-        : Event(std::move(name), priority), callback(std::move(callback))
-    {}
-
-    void process() override { callback(); }
-
-  private:
-    std::function<void()> callback;
-};
-
-/**
- * The event queue: a total order over pending events and the simulated
- * clock. One queue drives one simulated system (no cross-queue sync).
- *
- * Internally a binary min-heap over (tick, priority, sequence) — the
- * dominant operations, schedule and pop-next, are O(log n) with no
- * per-event allocation (unlike the former std::set, which paid one node
- * allocation per insert). Deschedule is O(1) lazy deletion: the heap
- * slot is disowned in place and discarded when it surfaces; each event
- * tracks its slot, so no stale Event pointer is ever dereferenced (a
- * descheduled event may be destroyed immediately). A compaction pass
- * rebuilds the heap when disowned slots outnumber live ones.
- *
- * One-shot callbacks run in pooled nodes: each node holds its closure
- * in an inline buffer, and a node that has run goes back on this
- * queue's free list for the next one-shot. Once the pool has grown to
- * the run's peak of pending one-shots, scheduling one allocates
- * nothing.
- */
-class EventQueue
-{
-  public:
     /**
-     * Inline closure buffer of a one-shot node, in bytes. It fits the
-     * largest closure the models schedule: CoreMemPath::store's
-     * write-allocate continuation, which carries a whole line of store
-     * payload plus its completion callback. A larger closure is a
-     * compile error, never a heap fallback.
+     * Inline closure buffer of a node, in bytes. It fits the largest
+     * closure the models schedule: CoreMemPath::store's write-allocate
+     * continuation, which carries a whole line of store payload plus
+     * its completion callback. A larger closure is a compile error,
+     * never a heap fallback.
      */
     static constexpr std::size_t oneShotBytes = 144;
 
     EventQueue() = default;
 
     /**
-     * Orphans every still-scheduled member event and destroys the
-     * closure of every pending one-shot, without running it, so a run
-     * cut short (e.g. by a simulated power failure) leaks nothing.
+     * Destroys the closure of every pending event, without running it,
+     * so a run cut short (e.g. by a simulated power failure) leaks
+     * nothing.
      */
     ~EventQueue();
 
@@ -150,29 +79,31 @@ class EventQueue
     Tick curTick() const { return _curTick; }
 
     /**
-     * Schedules @p event at absolute tick @p when (>= curTick()).
-     * The event must not already be scheduled.
-     */
-    void schedule(Event &event, Tick when);
-
-    /** Removes a scheduled event from the queue. */
-    void deschedule(Event &event);
-
-    /** Deschedules (if needed) and schedules at the new tick. */
-    void reschedule(Event &event, Tick when);
-
-    /**
-     * Schedules the closure @p fn to run once at absolute tick @p when,
-     * constructing it in place in a pooled one-shot node. Use through
-     * scheduleAt() / scheduleAfter() (sim/one_shot.hh).
+     * Schedules @p fn to run once at absolute tick @p when
+     * (>= curTick()). The closure is built in place in a node pooled by
+     * @p eq, so a callback chain allocates nothing per step.
      */
     template <typename F>
-    void scheduleOneShot(Tick when, F &&fn, int priority);
+    friend void
+    scheduleAt(EventQueue &eq, Tick when, F &&fn,
+               int priority = DefaultPriority)
+    {
+        eq.schedule(when, std::forward<F>(fn), priority);
+    }
+
+    /** Schedules @p fn @p delta ticks from now. */
+    template <typename F>
+    friend void
+    scheduleAfter(EventQueue &eq, Tick delta, F &&fn,
+                  int priority = DefaultPriority)
+    {
+        eq.schedule(eq.curTick() + delta, std::forward<F>(fn), priority);
+    }
 
     /** Number of pending events. */
-    std::size_t size() const { return heap.size() - stale; }
+    std::size_t size() const { return heap.size(); }
 
-    bool empty() const { return size() == 0; }
+    bool empty() const { return heap.empty(); }
 
     /** Processes a single event; returns false if the queue was empty. */
     bool step();
@@ -190,20 +121,24 @@ class EventQueue
     std::uint64_t processedCount() const { return processed; }
 
   private:
-    class OneShot;
+    /** A pooled event: a pending closure, or a free-list link. */
+    struct Node
+    {
+        /** Type-erased run/destroy of the held closure. */
+        void (*call)(void *storage, bool invoke) = nullptr;
 
-    /**
-     * One heap slot. The ordering key is copied out of the event at
-     * schedule time so that a lazily-deleted slot (ev == nullptr)
-     * keeps its position without touching the — possibly destroyed —
-     * event object.
-     */
+        Node *nextFree = nullptr;
+
+        alignas(std::max_align_t) unsigned char storage[oneShotBytes];
+    };
+
+    /** One heap slot: the ordering key and the node it orders. */
     struct HeapEntry
     {
         Tick when;
         int priority;
         std::uint64_t seq;
-        Event *ev;
+        Node *node;
     };
 
     static bool
@@ -216,35 +151,24 @@ class EventQueue
         return a.seq < b.seq;
     }
 
-    /** Writes @p e into slot @p i and updates the event's back-link. */
-    void
-    place(std::size_t i, const HeapEntry &e)
-    {
-        heap[i] = e;
-        if (e.ev != nullptr)
-            e.ev->_heapIndex = i;
-    }
+    /** Constructs @p fn in a pooled node and pushes it on the heap. */
+    template <typename F>
+    void schedule(Tick when, F &&fn, int priority);
+
+    /** Pushes @p node on the heap at (@p when, @p priority). */
+    void push(Tick when, int priority, Node &node);
 
     void siftUp(std::size_t i);
     void siftDown(std::size_t i);
 
-    /** Removes the root slot (heap must be non-empty). */
-    void popTop();
-
-    /** Discards lazily-deleted slots that have surfaced at the root. */
-    void purgeStale();
-
-    /** Rebuilds the heap from its live slots only. */
-    void compact();
-
-    /** Takes a node off the free list (growing the pool if it is
-     *  empty) and gives it @p priority. */
-    OneShot &acquireOneShot(int priority);
+    /** Takes a node off the free list, growing the pool if it is
+     *  empty. */
+    Node &acquireNode();
 
     /** Runs and destroys (@p invoke) or only destroys the closure of
      *  type @p F held in @p storage. */
     template <typename F>
-    static void runOneShot(void *storage, bool invoke);
+    static void runClosure(void *storage, bool invoke);
 
     Tick _curTick = 0;
     std::uint64_t nextSeq = 0;
@@ -252,64 +176,28 @@ class EventQueue
     bool stopRequested = false;
     std::vector<HeapEntry> heap;
 
-    /** Number of disowned (lazily-deleted) slots still in the heap. */
-    std::size_t stale = 0;
-
-    /** Every one-shot node this queue has made, pending or free. */
-    std::vector<std::unique_ptr<OneShot>> oneShots;
+    /** Every node this queue has made, pending or free. */
+    std::vector<std::unique_ptr<Node>> nodes;
 
     /** Head of the free list threaded through idle nodes. */
-    OneShot *freeOneShots = nullptr;
+    Node *freeNodes = nullptr;
 };
 
-/**
- * A pooled fire-and-forget event: runs the closure in its inline
- * buffer, destroys it, and returns itself to its queue's free list.
- */
-class EventQueue::OneShot final : public Event
+inline EventQueue::Node &
+EventQueue::acquireNode()
 {
-  public:
-    explicit OneShot(EventQueue &owner) : Event("one-shot"), owner(owner) {}
-
-    void
-    process() override
-    {
-        call(storage, true);
-        call = nullptr;
-        nextFree = owner.freeOneShots;
-        owner.freeOneShots = this;
+    if (freeNodes == nullptr) {
+        nodes.push_back(std::make_unique<Node>());
+        freeNodes = nodes.back().get();
     }
-
-  private:
-    friend class EventQueue;
-
-    EventQueue &owner;
-
-    /** Type-erased run/destroy of the held closure; null while the
-     *  node is free. */
-    void (*call)(void *storage, bool invoke) = nullptr;
-
-    OneShot *nextFree = nullptr;
-
-    alignas(std::max_align_t) unsigned char storage[oneShotBytes];
-};
-
-inline EventQueue::OneShot &
-EventQueue::acquireOneShot(int priority)
-{
-    if (freeOneShots == nullptr) {
-        oneShots.push_back(std::make_unique<OneShot>(*this));
-        freeOneShots = oneShots.back().get();
-    }
-    OneShot &node = *freeOneShots;
-    freeOneShots = node.nextFree;
-    node._priority = priority;
+    Node &node = *freeNodes;
+    freeNodes = node.nextFree;
     return node;
 }
 
 template <typename F>
 void
-EventQueue::runOneShot(void *storage, bool invoke)
+EventQueue::runClosure(void *storage, bool invoke)
 {
     F &fn = *std::launder(static_cast<F *>(storage));
     if (invoke)
@@ -319,17 +207,17 @@ EventQueue::runOneShot(void *storage, bool invoke)
 
 template <typename F>
 void
-EventQueue::scheduleOneShot(Tick when, F &&fn, int priority)
+EventQueue::schedule(Tick when, F &&fn, int priority)
 {
     using Fn = std::decay_t<F>;
     static_assert(sizeof(Fn) <= oneShotBytes,
-                  "one-shot closure exceeds EventQueue::oneShotBytes");
+                  "event closure exceeds EventQueue::oneShotBytes");
     static_assert(alignof(Fn) <= alignof(std::max_align_t),
-                  "one-shot closure is over-aligned");
-    OneShot &node = acquireOneShot(priority);
+                  "event closure is over-aligned");
+    Node &node = acquireNode();
     ::new (static_cast<void *>(node.storage)) Fn(std::forward<F>(fn));
-    node.call = &runOneShot<Fn>;
-    schedule(node, when);
+    node.call = &runClosure<Fn>;
+    push(when, priority, node);
 }
 
 } // namespace cnvm

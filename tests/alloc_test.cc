@@ -15,7 +15,7 @@
 #include <string>
 
 #include "core/system.hh"
-#include "sim/one_shot.hh"
+#include "sim/eventq.hh"
 
 namespace
 {

@@ -12,7 +12,7 @@
 #include <map>
 
 #include "mem/core_mem_path.hh"
-#include "sim/one_shot.hh"
+#include "sim/eventq.hh"
 
 namespace cnvm
 {

@@ -11,7 +11,7 @@
 #include <cstring>
 
 #include "cpu/core.hh"
-#include "sim/one_shot.hh"
+#include "sim/eventq.hh"
 
 namespace cnvm
 {

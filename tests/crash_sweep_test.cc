@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the crash-point sweep harness: the countdown trigger, the
- * injector's crash specs, the sweep planner, and a small end-to-end
- * sweep over every design point, classified by the crash oracle.
+ * Tests for the crash-point sweep harness: the injector's crash specs,
+ * the sweep planner, and a small end-to-end sweep over every design
+ * point, classified by the crash oracle.
  */
 
 #include <gtest/gtest.h>
@@ -10,56 +10,11 @@
 #include <sstream>
 
 #include "core/crash_sweep.hh"
-#include "sim/trigger.hh"
 
 namespace cnvm
 {
 namespace
 {
-
-// --- CountdownTrigger -----------------------------------------------------
-
-TEST(CountdownTrigger, FiresExactlyAtNth)
-{
-    CountdownTrigger t;
-    unsigned fired = 0;
-    t.arm(3, [&]() { ++fired; });
-    t.observe();
-    t.observe();
-    EXPECT_EQ(fired, 0u);
-    EXPECT_TRUE(t.armed());
-    t.observe();
-    EXPECT_EQ(fired, 1u);
-    EXPECT_TRUE(t.fired());
-    t.observe(); // further observations are ignored
-    EXPECT_EQ(fired, 1u);
-}
-
-TEST(CountdownTrigger, DisarmPreventsFiring)
-{
-    CountdownTrigger t;
-    bool fired = false;
-    t.arm(1, [&]() { fired = true; });
-    t.disarm();
-    t.observe();
-    EXPECT_FALSE(fired);
-    EXPECT_FALSE(t.fired());
-}
-
-TEST(CountdownTrigger, CallbackMayRearm)
-{
-    CountdownTrigger t;
-    unsigned fired = 0;
-    t.arm(1, [&]() {
-        if (++fired < 2)
-            t.arm(2, [&]() { ++fired; });
-    });
-    t.observe(); // fires #1, re-arms for two more
-    t.observe();
-    EXPECT_EQ(fired, 1u);
-    t.observe();
-    EXPECT_EQ(fired, 2u);
-}
 
 // --- CrashSpec ------------------------------------------------------------
 
@@ -325,6 +280,10 @@ TEST(ForkSweep, CaptureDoesNotPerturbTrunk)
     SweepProbe probe = probeRun(cfg);
     for (bool with_faults : {false, true}) {
         std::vector<CrashSpec> plan = planSweep(probe, 9);
+        // A point past the end of the run: disarmed when the cores
+        // finish, it runs as a no-op and must deliver no fork.
+        const std::size_t unreachable = plan.size();
+        plan.push_back(CrashSpec::atTick(probe.endTick * 2));
         if (with_faults) {
             FaultSpec dose = FaultSpec::allKinds(7);
             for (std::size_t i = 0; i < plan.size(); ++i)
@@ -332,16 +291,20 @@ TEST(ForkSweep, CaptureDoesNotPerturbTrunk)
         }
         unsigned captured = 0;
         std::uint64_t faulted = 0;
+        bool unreachable_delivered = false;
         System trunk(cfg);
         RunResult trunk_result = trunk.runWithForkCapture(
-            plan, [&](std::size_t, PersistFork fork) {
+            plan, [&](std::size_t i, PersistFork fork) {
                 ++captured;
                 faulted += fork.image.faultedLineCount();
+                unreachable_delivered =
+                    unreachable_delivered || i == unreachable;
             });
         std::ostringstream trunk_stats;
         trunk.statsRegistry().dump(trunk_stats);
 
         EXPECT_GT(captured, 0u);
+        EXPECT_FALSE(unreachable_delivered) << "faults=" << with_faults;
         if (with_faults) {
             EXPECT_GT(faulted, 0u) << "the dose never landed";
         }

@@ -11,7 +11,7 @@
 #include <cstring>
 
 #include "memctl/mem_controller.hh"
-#include "sim/one_shot.hh"
+#include "sim/eventq.hh"
 
 namespace cnvm
 {

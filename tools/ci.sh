@@ -9,7 +9,8 @@
 # ThreadSanitizer pass over every host-parallel path (parallel sweeps,
 # recovery pre-scan, replay-dosed pre-scan, the 4-channel fork capture
 # and parallel soak chains), and a Release build with -Werror, its
-# sweep smokes and a short perfbench run of both workloads. Host
+# sweep smokes, one brief run of each micro-benchmark and a short
+# perfbench run of both workloads. Host
 # parallelism is run-level only: each simulation runs on one thread,
 # every sweep point, soak chain and pool task owns its System, and fork
 # classification reads only the fork's image copy and the trunk's
@@ -208,13 +209,20 @@ cmake --build "$tsan" -j "$(nproc)" --target cnvm_soak
 
 # Release: the build compiles with -Werror, so the tree stays free of
 # compiler warnings; the sweep smokes run the fork Execute end to end
-# at full optimization; and a 1 s perfbench run of each benchmark
-# workload exits non-zero on any failed op.
+# at full optimization; each micro-benchmark runs once, briefly, so a
+# benchmark that no longer runs is caught (a smoke run, not a timing
+# gate; google-benchmark 1.7 takes --benchmark_min_time in seconds);
+# and a 1 s perfbench run of each benchmark workload exits non-zero on
+# any failed op.
 cmake -B "$release" -S "$repo" -DCMAKE_BUILD_TYPE=Release \
     -DCMAKE_CXX_FLAGS="-Werror"
 cmake --build "$release" -j "$(nproc)"
 "$release/tools/cnvm_crash_sweep" --points 20 --jobs 4
 "$release/tools/cnvm_crash_sweep" --points 20 --channels 4 --jobs 4
+for micro in micro_cache micro_crypto micro_eventq micro_memctl \
+        micro_sweep; do
+    "$release/bench/$micro" --benchmark_min_time=0.01 > /dev/null
+done
 for workload in crash-recovery scale-16c8ch; do
     python3 "$repo/perfbench/run.py" --workload "$workload" --seconds 1
 done
