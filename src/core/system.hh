@@ -265,6 +265,10 @@ class System
 
     void build(const ResumeState *resume);
 
+    /** Runs @p wl's setup into the live view and installs every line
+     *  it touched into the persisted image, as a first boot would. */
+    void installFresh(Workload &wl);
+
     /** Controller occupancy across every channel, right now. */
     CrashSnapshot snapshotNow() const;
 

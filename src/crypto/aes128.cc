@@ -64,72 +64,39 @@ xtime(std::uint8_t v)
 #ifdef CNVM_AES_NI_POSSIBLE
 
 /**
- * One full AES-128 encryption with the AESENC instructions. The state
- * bytes load in memory order, which is exactly the FIPS-197 column-
- * major state layout, so the result is bit-identical to the portable
- * path. Compiled with a target attribute so the translation unit
- * itself needs no -maes; the caller guards on cpuid.
+ * AES-128 over @p N independent blocks with the AESENC instructions,
+ * the blocks interleaved round by round so up to N aesenc run in the
+ * pipeline together (N = 1 is the plain single-block cipher). The
+ * state bytes load in memory order, which is exactly the FIPS-197
+ * column-major state layout, so the result is bit-identical to the
+ * portable path. Every block is loaded before any is stored, so @p in
+ * and @p out may alias. Compiled with a target attribute so the
+ * translation unit itself needs no -maes; the caller guards on cpuid.
  */
-__attribute__((target("aes,sse2"))) inline __m128i
-encryptStateNi(const std::uint8_t *rk, __m128i s)
-{
-    s = _mm_xor_si128(
-        s, _mm_loadu_si128(reinterpret_cast<const __m128i *>(rk)));
-    for (unsigned r = 1; r < Aes128::rounds; ++r) {
-        s = _mm_aesenc_si128(
-            s, _mm_loadu_si128(
-                   reinterpret_cast<const __m128i *>(rk + 16 * r)));
-    }
-    return _mm_aesenclast_si128(
-        s, _mm_loadu_si128(reinterpret_cast<const __m128i *>(
-               rk + 16 * Aes128::rounds)));
-}
-
+template <unsigned N>
 __attribute__((target("aes,sse2"))) void
-encryptBlockNi(const std::uint8_t *rk, const std::uint8_t in[16],
-               std::uint8_t out[16])
-{
-    __m128i s = _mm_loadu_si128(reinterpret_cast<const __m128i *>(in));
-    s = encryptStateNi(rk, s);
-    _mm_storeu_si128(reinterpret_cast<__m128i *>(out), s);
-}
-
-/** Four independent blocks interleaved to hide the aesenc latency. */
-__attribute__((target("aes,sse2"))) void
-encryptBlocks4Ni(const std::uint8_t *rk, const std::uint8_t in[64],
-                 std::uint8_t out[64])
+encryptBlocksNi(const std::uint8_t *rk, const std::uint8_t *in,
+                std::uint8_t *out)
 {
     const __m128i *src = reinterpret_cast<const __m128i *>(in);
-    __m128i s0 = _mm_loadu_si128(src + 0);
-    __m128i s1 = _mm_loadu_si128(src + 1);
-    __m128i s2 = _mm_loadu_si128(src + 2);
-    __m128i s3 = _mm_loadu_si128(src + 3);
+    const __m128i *keys = reinterpret_cast<const __m128i *>(rk);
+    __m128i s[N];
 
-    __m128i k = _mm_loadu_si128(reinterpret_cast<const __m128i *>(rk));
-    s0 = _mm_xor_si128(s0, k);
-    s1 = _mm_xor_si128(s1, k);
-    s2 = _mm_xor_si128(s2, k);
-    s3 = _mm_xor_si128(s3, k);
+    __m128i k = _mm_loadu_si128(keys);
+    for (unsigned b = 0; b < N; ++b)
+        s[b] = _mm_xor_si128(_mm_loadu_si128(src + b), k);
     for (unsigned r = 1; r < Aes128::rounds; ++r) {
-        k = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(rk + 16 * r));
-        s0 = _mm_aesenc_si128(s0, k);
-        s1 = _mm_aesenc_si128(s1, k);
-        s2 = _mm_aesenc_si128(s2, k);
-        s3 = _mm_aesenc_si128(s3, k);
+        k = _mm_loadu_si128(keys + r);
+        for (unsigned b = 0; b < N; ++b)
+            s[b] = _mm_aesenc_si128(s[b], k);
     }
-    k = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(rk + 16 * Aes128::rounds));
-    s0 = _mm_aesenclast_si128(s0, k);
-    s1 = _mm_aesenclast_si128(s1, k);
-    s2 = _mm_aesenclast_si128(s2, k);
-    s3 = _mm_aesenclast_si128(s3, k);
+    k = _mm_loadu_si128(keys + Aes128::rounds);
+    for (unsigned b = 0; b < N; ++b)
+        s[b] = _mm_aesenclast_si128(s[b], k);
 
     __m128i *dst = reinterpret_cast<__m128i *>(out);
-    _mm_storeu_si128(dst + 0, s0);
-    _mm_storeu_si128(dst + 1, s1);
-    _mm_storeu_si128(dst + 2, s2);
-    _mm_storeu_si128(dst + 3, s3);
+    for (unsigned b = 0; b < N; ++b)
+        _mm_storeu_si128(dst + b, s[b]);
 }
 
 /**
@@ -207,31 +174,39 @@ Aes128::expandKey(const std::uint8_t key[keyBytes])
     }
 }
 
+template <unsigned N>
+void
+Aes128::encryptBlocks(const std::uint8_t *in, std::uint8_t *out) const
+{
+#ifdef CNVM_AES_NI_POSSIBLE
+    if (haveAesNi()) {
+        encryptBlocksNi<N>(roundKeys.data(), in, out);
+        return;
+    }
+#endif
+    for (unsigned b = 0; b < N; ++b)
+        encryptBlockPortable(in + b * blockBytes, out + b * blockBytes);
+}
+
 void
 Aes128::encryptBlock(const std::uint8_t in[blockBytes],
                      std::uint8_t out[blockBytes]) const
 {
-#ifdef CNVM_AES_NI_POSSIBLE
-    if (haveAesNi()) {
-        encryptBlockNi(roundKeys.data(), in, out);
-        return;
-    }
-#endif
-    encryptBlockPortable(in, out);
+    encryptBlocks<1>(in, out);
 }
 
 void
 Aes128::encryptBlocks4(const std::uint8_t in[4 * blockBytes],
                        std::uint8_t out[4 * blockBytes]) const
 {
-#ifdef CNVM_AES_NI_POSSIBLE
-    if (haveAesNi()) {
-        encryptBlocks4Ni(roundKeys.data(), in, out);
-        return;
-    }
-#endif
-    for (unsigned b = 0; b < 4; ++b)
-        encryptBlockPortable(in + b * blockBytes, out + b * blockBytes);
+    encryptBlocks<4>(in, out);
+}
+
+void
+Aes128::encryptBlocks8(const std::uint8_t in[8 * blockBytes],
+                       std::uint8_t out[8 * blockBytes]) const
+{
+    encryptBlocks<8>(in, out);
 }
 
 void

@@ -52,6 +52,15 @@ class Aes128
                         std::uint8_t out[4 * blockBytes]) const;
 
     /**
+     * Encrypts eight independent 16-byte blocks; @p in and @p out may
+     * alias. The shape of one AES step of eight lines' MACs at once
+     * (CtrEngine::lineMacs): eight blocks in flight cover the aesenc
+     * latency that one or two chained blocks leave exposed.
+     */
+    void encryptBlocks8(const std::uint8_t in[8 * blockBytes],
+                        std::uint8_t out[8 * blockBytes]) const;
+
+    /**
      * The portable byte-oriented cipher, always available regardless of
      * backend selection. Exposed so tests can cross-check the
      * accelerated path against it.
@@ -67,6 +76,10 @@ class Aes128
     std::array<std::uint8_t, (rounds + 1) * blockBytes> roundKeys;
 
     void expandKey(const std::uint8_t key[keyBytes]);
+
+    /** @p N independent blocks through whichever backend is active. */
+    template <unsigned N>
+    void encryptBlocks(const std::uint8_t *in, std::uint8_t *out) const;
 };
 
 } // namespace cnvm::crypto

@@ -19,6 +19,7 @@
 #define CNVM_CRYPTO_CTR_ENGINE_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "common/types.hh"
@@ -66,14 +67,48 @@ class CtrEngine
      * the line's ECC spare bits, and one byte of spare capacity stays
      * reserved for the ECC code itself.
      *
-     * Construction: the ciphertext is compressed to 64 bits, then
-     * bound to the address and counter through two chained AES
-     * invocations under the engine key. Deterministic, keyed, and
-     * sensitive to every input bit — which is what the simulator
-     * needs; it does not claim production-MAC security margins.
+     * Construction: macFinish(macPrefix(addr, ciphertext), counter).
+     * The prefix folds the ciphertext to 64 bits and binds it to the
+     * address through one AES block; the counter step binds the
+     * counter through a second, chained AES block. Deterministic,
+     * keyed, and sensitive to every input bit — which is what the
+     * simulator needs; it does not claim production-MAC security
+     * margins.
      */
     std::uint64_t lineMac(Addr addr, std::uint64_t counter,
-                          const LineData &ciphertext) const;
+                          const LineData &ciphertext) const
+    { return macFinish(macPrefix(addr, ciphertext), counter); }
+
+    /** The counter-independent half of lineMac(): one AES block. */
+    using MacPrefix = std::array<std::uint8_t, Aes128::blockBytes>;
+
+    /**
+     * The prefix of lineMac(): the ciphertext folded to one word, then
+     * encrypted with the address. A counter search over one line (the
+     * recovery repair window) computes it once and pays one macFinish
+     * per trial counter.
+     */
+    MacPrefix macPrefix(Addr addr, const LineData &ciphertext) const;
+
+    /** The counter step of lineMac(): one AES block over the prefix
+     *  with @p counter folded in, truncated to the 56-bit tag. */
+    std::uint64_t macFinish(const MacPrefix &prefix,
+                            std::uint64_t counter) const;
+
+    /** Lines lineMacs() computes together. */
+    static constexpr unsigned macLanes = 8;
+
+    /**
+     * lineMac() of @p n lines: out[i] = lineMac(addrs[i], counters[i],
+     * *ciphers[i]), bit for bit. The lines run macLanes at a time with
+     * their ciphertext folds and both AES steps interleaved, so the
+     * multiply and aesenc latencies of one line overlap the others'
+     * instead of being paid in series. A short last batch fills its
+     * empty lanes with a copy of its first line and drops their tags.
+     */
+    void lineMacs(const Addr addrs[], const std::uint64_t counters[],
+                  const LineData *const ciphers[], std::uint64_t out[],
+                  std::size_t n) const;
 
   private:
     Aes128 cipher;

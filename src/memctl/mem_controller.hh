@@ -265,11 +265,23 @@ class MemController : public MemBackend
     unsigned readyEntryCount() const;
 
     /**
-     * Zero-time setup helper: installs a line into the persisted image
-     * (encrypted, with its counter persisted alongside), as a freshly
-     * initialized system would hold it. Not part of the timing model.
+     * Zero-time setup helper: installs @p n lines into the persisted
+     * image (encrypted, with their counters persisted alongside), as a
+     * freshly initialized system would hold them. Line i takes the
+     * next counter in order, exactly as n initLine() calls would; the
+     * MACs are computed CtrEngine::macLanes lines at a time. Not part
+     * of the timing model.
      */
-    void initLine(Addr line_addr, const LineData &plaintext);
+    void initLines(const Addr line_addrs[],
+                   const LineData *const plaintexts[], std::size_t n);
+
+    /** initLines() of one line. */
+    void
+    initLine(Addr line_addr, const LineData &plaintext)
+    {
+        const LineData *plain = &plaintext;
+        initLines(&line_addr, &plain, 1);
+    }
 
     /**
      * Zero-time setup helper: pre-warms the counter cache with the
