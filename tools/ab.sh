@@ -18,9 +18,11 @@
 # each side, alternating which side goes first in each pair. Arguments
 # after `--` go to run.py on both sides, e.g. `-- --seed 1009`.
 #
-# For every end-to-end metric BENCHMARK.json names, it prints each
-# side's median, quartiles, min and max, the change of the medians, and
-# how many pairs the head side won (ties count for neither). "gain"
+# For each side it prints the attempted and failed op totals, the
+# failed share and the median attempted ops per run. For every
+# end-to-end metric BENCHMARK.json names, it prints each side's median,
+# quartiles, min and max, the change of the medians, and how many pairs
+# the head side won (ties count for neither). "gain"
 # marks a metric where the head won at least 9 in 10 pairs and its
 # median beat the base's by more than the base's interquartile range.
 # Every run's JSON stays in the scratch directory.
@@ -163,13 +165,20 @@ failed = False
 for w in workloads:
     runs = {s: [load(w, s, i) for i in range(1, pairs + 1)]
             for s in ("base", "head")}
-    ops = {s: sum((r or {}).get("failed", 1) for r in runs[s])
-           for s in runs}
     if any(r is None or not r.get("correct") for s in runs
            for r in runs[s]):
         failed = True
-    print("%s: %d pairs, failed ops base %d head %d"
-          % (w, pairs, ops["base"], ops["head"]))
+    print("%s: %d pairs" % (w, pairs))
+    # A run's attempted ops count the passes that fit in its window, so
+    # a faster side attempts more (and keeps more pass records).
+    for s in ("base", "head"):
+        attempted = [(r or {}).get("attempted", 0) for r in runs[s]]
+        total = sum(attempted)
+        fails = sum((r or {}).get("failed", 1) for r in runs[s])
+        print("  %-4s ops attempted %d, failed %d, failed share %.4g, "
+              "median attempted per run %g"
+              % (s, total, fails, fails / total if total else 1.0,
+                 quantile(attempted, 0.5)))
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         vals = {s: [r["metrics"][name]["value"] if r else None
