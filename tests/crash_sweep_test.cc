@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 
+#include "common/hash.hh"
 #include "core/crash_sweep.hh"
 
 namespace cnvm
@@ -390,6 +392,93 @@ TEST(ForkSweep, PersistForkIsADeepCopy)
     EXPECT_EQ(after.mismatchedLines, before.mismatchedLines);
     EXPECT_EQ(after.committedTxns, before.committedTxns);
     EXPECT_EQ(after.snapshot.tick, before.snapshot.tick);
+}
+
+/**
+ * Everything recovery and the oracle read from a persisted image,
+ * folded into one digest: each data line's ciphertext, cipher counter,
+ * MAC, fault and replay marks and level-0 tree node; each counter
+ * line's values and level-1 node; the replayable set; and the root.
+ */
+std::uint64_t
+imageDigest(const PersistImage &img, Addr ctr_base)
+{
+    std::uint64_t h = fnvOffsetBasis;
+    auto fold = [&h](std::uint64_t v) { h = fnv1aU64(v, h); };
+    auto fold_optional = [&fold](const std::uint64_t *v) {
+        fold(v != nullptr);
+        if (v != nullptr)
+            fold(*v);
+    };
+    for (Addr a : img.dataLineAddrs()) {
+        fold(a);
+        const LineData *cipher = img.persistedLine(a);
+        h = fnv1a(cipher->data(), cipher->size(), h);
+        fold(img.persistedCipherCounter(a));
+        fold_optional(img.persistedMac(a));
+        fold(img.lineFaulted(a));
+        fold(img.lineReplayed(a));
+        fold_optional(img.persistedTreeNode(0, a / lineBytes));
+    }
+    img.forEachCounterLine([&](Addr a, const CounterLine &values) {
+        fold(a);
+        for (std::uint64_t v : values)
+            fold(v);
+        fold_optional(img.persistedTreeNode(1, (a - ctr_base) / lineBytes));
+    });
+    for (Addr a : img.replayableLineAddrs())
+        fold(a);
+    fold_optional(img.persistedTreeRoot());
+    return h;
+}
+
+TEST(ForkSweep, InPlaceCrashLeavesExactlyTheForkImage)
+{
+    // A power failure in place and a fork captured at the same point
+    // must leave the same persisted bytes: the ADR drain, the tree
+    // flushed root last and the fault dose, at one channel and at
+    // four. The fingerprint tests compare only classifications.
+    for (DesignPoint d : {DesignPoint::ColocatedCC, DesignPoint::FCA,
+                          DesignPoint::SCA, DesignPoint::Unsafe}) {
+        for (unsigned channels : {1u, 4u}) {
+            SystemConfig cfg = smallConfig(d);
+            cfg.numCores = 2;
+            cfg.numChannels = channels;
+            cfg.memctl.integrityMac = true;
+            cfg.memctl.integrityTree = true;
+            const Addr ctr_base = cfg.memctl.counterRegionBase;
+            const std::string where = std::string(designName(d))
+                + " channels=" + std::to_string(channels);
+
+            std::vector<CrashSpec> plan = planSweep(probeRun(cfg), 8);
+            const FaultSpec dose = FaultSpec::allKindsWithReplays(5);
+            for (std::size_t i = 0; i < plan.size(); ++i)
+                plan[i].faults = dose.forPoint(i);
+
+            std::vector<std::optional<std::uint64_t>> fork_digests(
+                plan.size());
+            System trunk(cfg);
+            trunk.runWithForkCapture(
+                plan, [&](std::size_t i, PersistFork fork) {
+                    fork_digests.at(i) = imageDigest(fork.image, ctr_base);
+                });
+
+            unsigned crashed = 0;
+            for (std::size_t i = 0; i < plan.size(); ++i) {
+                System sys(cfg);
+                const bool hit = sys.runWithCrash(plan[i]).crashed;
+                ASSERT_EQ(hit, fork_digests[i].has_value())
+                    << where << " " << plan[i].describe();
+                if (!hit)
+                    continue;
+                ++crashed;
+                EXPECT_EQ(imageDigest(sys.nvm().persistedState(), ctr_base),
+                          *fork_digests[i])
+                    << where << " " << plan[i].describe();
+            }
+            EXPECT_GT(crashed, 0u) << where;
+        }
+    }
 }
 
 } // anonymous namespace
