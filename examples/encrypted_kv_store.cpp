@@ -218,7 +218,7 @@ main()
                 wl.txnTarget);
 
     // Recover: decrypt the image, roll back the undo log, verify.
-    RecoveryEngine engine(nvm, ctl);
+    RecoveryEngine engine(nvm.persistedState(), ctl);
     RecoveryReport report = engine.recover(store);
     if (!report.consistent) {
         std::printf("RECOVERY FAILED: %s\n", report.detail.c_str());
@@ -230,7 +230,7 @@ main()
 
     // Every put in the committed prefix must be readable with the
     // value it had at that point in history.
-    RecoveredImage image(nvm, ctl);
+    RecoveredImage image(nvm.persistedState(), ctl);
     std::map<std::uint64_t, std::uint64_t> expect;
     for (std::size_t i = 0; i < report.committedTxns; ++i)
         expect[store.history()[i].first] = store.history()[i].second;

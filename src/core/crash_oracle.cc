@@ -20,14 +20,9 @@ crashClassName(CrashClass cls)
     return "?";
 }
 
-CrashOracle::CrashOracle(const PersistSource &src,
+CrashOracle::CrashOracle(const PersistImage &src,
                          const MemController &ctl)
     : src(src), ctl(ctl)
-{
-}
-
-CrashOracle::CrashOracle(const NvmDevice &nvm, const MemController &ctl)
-    : CrashOracle(nvm.persistedState(), ctl)
 {
 }
 

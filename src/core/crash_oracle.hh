@@ -27,7 +27,7 @@
 
 #include "core/recovery.hh"
 #include "memctl/mem_controller.hh"
-#include "nvm/nvm_device.hh"
+#include "nvm/persist_image.hh"
 #include "workloads/workload.hh"
 
 namespace cnvm
@@ -117,17 +117,14 @@ struct OracleReport
 
 /**
  * Classifies crashed images for workloads of one system. Like the
- * recovery engine it works against any PersistSource — the live device
- * after an in-place crash, or a PersistFork's captured image — and
- * reads only immutable configuration from the controller.
+ * recovery engine it reads one PersistImage — the live device's
+ * persisted state after an in-place crash, or a PersistFork's captured
+ * image — and reads only immutable configuration from the controller.
  */
 class CrashOracle
 {
   public:
-    CrashOracle(const PersistSource &src, const MemController &ctl);
-
-    /** Convenience: examine the live device's persisted state. */
-    CrashOracle(const NvmDevice &nvm, const MemController &ctl);
+    CrashOracle(const PersistImage &src, const MemController &ctl);
 
     /**
      * Recovers and classifies one workload's region.
@@ -144,7 +141,7 @@ class CrashOracle
                          const RecoveryOptions &ropt = {}) const;
 
   private:
-    const PersistSource &src;
+    const PersistImage &src;
     const MemController &ctl;
 };
 

@@ -29,7 +29,7 @@ namespace cnvm
 
 /**
  * Controller state at the instant the power failed, captured before
- * crash() tears it down (or, for a fork, at the capture instant while
+ * the crash drops it (or, for a fork, at the capture instant while
  * the trunk keeps running). Lets tests assert that a semantic trigger
  * really crashed in the intended state (non-empty pipeline, occupied
  * landing queue, ...), and feeds the sweep report.

@@ -12,7 +12,7 @@
 namespace cnvm
 {
 
-RecoveredImage::RecoveredImage(const PersistSource &src,
+RecoveredImage::RecoveredImage(const PersistImage &src,
                                const MemController &ctl)
     : src(src), ctl(ctl)
 {
@@ -28,12 +28,6 @@ RecoveredImage::RecoveredImage(const PersistSource &src,
             && computeTreeRoot(src, ctl.config().counterRegionBase)
                    != *root;
     }
-}
-
-RecoveredImage::RecoveredImage(const NvmDevice &nvm,
-                               const MemController &ctl)
-    : RecoveredImage(nvm.persistedState(), ctl)
-{
 }
 
 RecoveredImage::StoredLine
@@ -320,15 +314,9 @@ RecoveredImage::quarantinedLineAddrs() const
     return out;
 }
 
-RecoveryEngine::RecoveryEngine(const PersistSource &src,
+RecoveryEngine::RecoveryEngine(const PersistImage &src,
                                const MemController &ctl)
     : src(src), ctl(ctl)
-{
-}
-
-RecoveryEngine::RecoveryEngine(const NvmDevice &nvm,
-                               const MemController &ctl)
-    : RecoveryEngine(nvm.persistedState(), ctl)
 {
 }
 

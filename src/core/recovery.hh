@@ -18,7 +18,6 @@
 
 #include "common/line_table.hh"
 #include "memctl/mem_controller.hh"
-#include "nvm/nvm_device.hh"
 #include "nvm/persist_image.hh"
 #include "workloads/workload.hh"
 
@@ -32,11 +31,12 @@ class RecoveryCrashInjector;
  * A decrypted, mutable view of the persisted NVM image, as recovery
  * software would see it after a power failure.
  *
- * Works against any PersistSource: the live device after an in-place
- * crash, or a PersistFork's image captured from a running trunk. The
- * controller reference supplies only immutable configuration (design
- * point, counter layout, encryption engine) — never volatile state,
- * which a real crash would have destroyed anyway.
+ * Reads one PersistImage: the live device's persisted state after an
+ * in-place crash, or a PersistFork's image captured from a running
+ * trunk. The controller reference supplies only immutable
+ * configuration (design point, counter layout, encryption engine) —
+ * never volatile state, which a real crash would have destroyed
+ * anyway.
  *
  * When the controller persists integrity metadata
  * (MemCtlConfig::integrityMac), every decryption is *verified before
@@ -65,10 +65,7 @@ class RecoveryCrashInjector;
 class RecoveredImage : public ByteReader
 {
   public:
-    RecoveredImage(const PersistSource &src, const MemController &ctl);
-
-    /** Convenience: recover from the live device's persisted state. */
-    RecoveredImage(const NvmDevice &nvm, const MemController &ctl);
+    RecoveredImage(const PersistImage &src, const MemController &ctl);
 
     void read(Addr addr, unsigned size, void *out) const override;
 
@@ -126,7 +123,7 @@ class RecoveredImage : public ByteReader
     { quarantine.erase(lineAlign(line_addr)); }
 
   private:
-    const PersistSource &src;
+    const PersistImage &src;
     const MemController &ctl;
 
     /** Decrypted lines plus rollback overlays. */
@@ -346,10 +343,7 @@ struct RecoveryOptions
 class RecoveryEngine
 {
   public:
-    RecoveryEngine(const PersistSource &src, const MemController &ctl);
-
-    /** Convenience: recover from the live device's persisted state. */
-    RecoveryEngine(const NvmDevice &nvm, const MemController &ctl);
+    RecoveryEngine(const PersistImage &src, const MemController &ctl);
 
     /**
      * Recovers one workload's region: decrypt, roll back the undo log
@@ -369,7 +363,7 @@ class RecoveryEngine
                            const RecoveryOptions &opt = {});
 
   private:
-    const PersistSource &src;
+    const PersistImage &src;
     const MemController &ctl;
 
     /** The log/validate/digest pipeline; the public wrapper adds the

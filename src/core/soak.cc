@@ -370,18 +370,11 @@ runSoakChain(const SystemConfig &base, const SoakOptions &opt)
         cyc.endTick = r.endTick;
         if (!r.crashed) {
             // Target reached before the spec fired: model a clean
-            // shutdown (full ADR budget, tree flushed), then land the
-            // cycle's media dose on the shut-down image — dosing
-            // pressure must not depend on whether the spec was
-            // reachable. The adrDropCount(0) call keeps the fault
-            // RNG's fixed draw order with nothing to drop.
-            sys->crashChannels();
-            if (cyc.dosed) {
-                FaultModel fm(cyc.spec.faults,
-                              sys->controller().config().counterRegionBase);
-                fm.adrDropCount(0);
-                fm.applyMediaFaults(sys->nvm().persistedState());
-            }
+            // shutdown (the queues have drained, so nothing is left to
+            // lose) and land the cycle's media dose on the shut-down
+            // image — dosing pressure must not depend on whether the
+            // spec was reachable.
+            sys->crashChannels(cyc.spec.faults);
         }
 
         // One pass classifies and write-back-recovers: the oracle

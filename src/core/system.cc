@@ -169,7 +169,7 @@ System::build(const ResumeState *resume)
         // recovery can match any prefix.
         nvmDev.installPersistedState(resume->image);
         // Channel counter state rebuilds from the persisted store
-        // first, exactly as crash() leaves it — the re-seed
+        // first, exactly as a crash leaves it — the re-seed
         // equivalence argument of DESIGN.md section 4i. Order matters:
         // a fresh-incarnation core below allocates new counters
         // through initLines(), which must continue above every
@@ -326,53 +326,44 @@ System::run()
     return runInternal();
 }
 
-unsigned
-System::totalReadyEntries() const
-{
-    unsigned n = 0;
-    for (const auto &ctl : memCtls)
-        n += ctl->readyEntryCount();
-    return n;
-}
-
 std::vector<AdrCut>
-System::adrCuts(unsigned drop) const
+System::crashDrain(PersistImage &img, const FaultSpec &faults) const
 {
-    std::vector<ChannelReady> ready(memCtls.size());
-    for (std::size_t c = 0; c < memCtls.size(); ++c) {
-        ready[c].dataSeqs = memCtls[c]->readyDataSeqs();
-        ready[c].ctrSeqs = memCtls[c]->readyCtrSeqs();
+    // The energy loss is drawn over every channel's queued entries and
+    // lost off the tail of the shared sequence order: computeDrainKeeps
+    // turns it into per-channel keep prefixes.
+    std::vector<ChannelReady> ready;
+    unsigned queued = 0;
+    for (const auto &ctl : memCtls) {
+        ready.push_back(ctl->ready());
+        queued += ready.back().dataSeqs.size() + ready.back().ctrSeqs.size();
     }
-    return computeDrainKeeps(ready, drop);
+    const Addr ctr_base = controller().config().counterRegionBase;
+    FaultModel fm(faults, ctr_base);
+    std::vector<AdrCut> cuts =
+        computeDrainKeeps(ready, fm.adrDropCount(queued));
+    for (std::size_t c = 0; c < memCtls.size(); ++c)
+        memCtls[c]->drainCut(img, cuts[c]);
+
+    // The ADR budget's last act: flush the integrity tree once over
+    // the merged image, so the root persists last *globally*, after
+    // every channel's counters. The controllers' volatile mirror is
+    // (by their noteCounterPersist hooks) the tree of the persisted
+    // counter store, so the flush is modeled as a rebuild from the
+    // image's own store — before the media faults land, which is why
+    // a replayed counter word can never agree with the persisted tree.
+    if (controller().config().integrityTree)
+        rebuildTree(img, ctr_base, 0, ~Addr(0));
+    fm.applyMediaFaults(img);
+    return cuts;
 }
 
 void
-System::crashChannels(unsigned adr_drop_tail)
+System::crashChannels(const FaultSpec &faults)
 {
-    // Global ADR drain: translate the drop into per-channel keep
-    // prefixes of the shared sequence order, drain each channel, then
-    // rebuild the integrity tree once over the merged image — the
-    // root persists last *globally*, after every channel's counters.
-    std::vector<AdrCut> cuts = adrCuts(adr_drop_tail);
+    std::vector<AdrCut> cuts = crashDrain(nvmDev.persistedState(), faults);
     for (std::size_t c = 0; c < memCtls.size(); ++c)
-        memCtls[c]->crashWithCut(cuts[c]);
-    if (controller().config().integrityTree) {
-        rebuildTree(nvmDev.persistedState(),
-                    controller().config().counterRegionBase, 0,
-                    ~Addr(0));
-    }
-}
-
-void
-System::captureChannels(PersistImage &img, unsigned drop) const
-{
-    std::vector<AdrCut> cuts = adrCuts(drop);
-    for (std::size_t c = 0; c < memCtls.size(); ++c)
-        memCtls[c]->captureCrashStateWithCut(img, cuts[c]);
-    if (controller().config().integrityTree) {
-        rebuildTree(img, controller().config().counterRegionBase, 0,
-                    ~Addr(0));
-    }
+        memCtls[c]->dropVolatileState(cuts[c]);
 }
 
 CrashSnapshot
@@ -403,18 +394,7 @@ System::doCrash()
         core->halt();
     for (auto &path : memPaths)
         path->dropAll();
-    if (activeSpec.faults.any()) {
-        // Same order as fork capture: draw the ADR energy loss over
-        // the global ready population, drain under that budget, then
-        // corrupt the persisted image.
-        FaultModel fm(activeSpec.faults,
-                      controller().config().counterRegionBase);
-        unsigned drop = fm.adrDropCount(totalReadyEntries());
-        crashChannels(drop);
-        fm.applyMediaFaults(nvmDev.persistedState());
-    } else {
-        crashChannels();
-    }
+    crashChannels(activeSpec.faults);
     eventq.requestStop();
 }
 
@@ -445,21 +425,12 @@ System::captureFork(const CrashSpec &spec) const
     PersistFork fork;
     fork.snapshot = snapshotNow();
 
-    // Persisted state as a crash here would leave it: the device's
-    // image, then the global ADR drain of every channel's ready queue
-    // entries overlaid on the copy, then the spec's fault dose — the
-    // same draw order as doCrash(), so Replay and Fork corrupt
-    // identically. The trunk's own image stays untouched.
+    // Persisted state as a crash here would leave it: a copy of the
+    // device's image, drained and dosed exactly as crashChannels()
+    // drains and doses the device's own. The trunk's image stays
+    // untouched.
     fork.image = nvmDev.persistedState();
-    if (spec.faults.any()) {
-        FaultModel fm(spec.faults,
-                      controller().config().counterRegionBase);
-        unsigned drop = fm.adrDropCount(totalReadyEntries());
-        captureChannels(fork.image, drop);
-        fm.applyMediaFaults(fork.image);
-    } else {
-        captureChannels(fork.image, 0);
-    }
+    crashDrain(fork.image, spec.faults);
 
     // Digest logs snapshot: the trunk keeps committing after the
     // capture, and the committed-prefix search must not see the fork's
@@ -505,7 +476,7 @@ System::recoverAll(unsigned recovery_jobs)
         ropt.pool = pool.get();
     }
 
-    RecoveryEngine engine(nvmDev, controller());
+    RecoveryEngine engine(nvmDev.persistedState(), controller());
     std::vector<RecoveryReport> reports;
     reports.reserve(workloads.size());
     for (auto &wl : workloads)
@@ -523,7 +494,7 @@ System::examineAll(unsigned recovery_jobs)
         ropt.pool = pool.get();
     }
 
-    CrashOracle oracle(nvmDev, controller());
+    CrashOracle oracle(nvmDev.persistedState(), controller());
     std::vector<OracleReport> reports;
     reports.reserve(workloads.size());
     for (auto &wl : workloads)

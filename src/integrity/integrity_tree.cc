@@ -162,13 +162,13 @@ struct LeafBatch
 };
 
 /**
- * Hashes @p src's persisted counter lines in [@p ctr_lo, @p ctr_hi)
+ * Hashes @p img's persisted counter lines in [@p ctr_lo, @p ctr_hi)
  * treeLanes at a time and hands each hashed batch to @p fn, in address
  * order.
  */
 template <typename Fn>
 void
-forEachLeafBatch(const PersistSource &src, Addr counter_region_base,
+forEachLeafBatch(const PersistImage &img, Addr counter_region_base,
                  Addr ctr_lo, Addr ctr_hi, Fn &&fn)
 {
     LeafBatch batch;
@@ -177,15 +177,14 @@ forEachLeafBatch(const PersistSource &src, Addr counter_region_base,
         fn(batch);
         batch.size = 0;
     };
-    for (Addr addr : src.counterLineAddrs()) {
+    img.forEachCounterLine([&](Addr addr, const CounterLine &values) {
         if (addr < ctr_lo || addr >= ctr_hi)
-            continue;
+            return;
         cnvm_assert(addr >= counter_region_base);
-        batch.add((addr - counter_region_base) / lineBytes,
-                  src.persistedCounters(addr));
+        batch.add((addr - counter_region_base) / lineBytes, values);
         if (batch.full())
             hashAndHand();
-    }
+    });
     if (batch.size > 0)
         hashAndHand();
 }
@@ -193,10 +192,10 @@ forEachLeafBatch(const PersistSource &src, Addr counter_region_base,
 } // anonymous namespace
 
 std::uint64_t
-computeTreeRoot(const PersistSource &src, Addr counter_region_base)
+computeTreeRoot(const PersistImage &img, Addr counter_region_base)
 {
     std::vector<TreeNode> leaves;
-    forEachLeafBatch(src, counter_region_base, 0, ~Addr(0),
+    forEachLeafBatch(img, counter_region_base, 0, ~Addr(0),
                      [&leaves](const LeafBatch &batch) {
                          for (std::size_t l = 0; l < batch.size; ++l)
                              leaves.emplace_back(batch.index[l],

@@ -59,7 +59,6 @@ namespace cnvm
 {
 
 class PersistImage;
-class PersistSource;
 
 /** Children per interior tree node. */
 constexpr unsigned treeArity = 8;
@@ -77,11 +76,11 @@ std::uint64_t treeCombine(const std::uint64_t children[treeArity]);
 std::uint64_t treeZeroHash(unsigned level);
 
 /**
- * Recomputes the root bottom-up from @p src's persisted counter store
+ * Recomputes the root bottom-up from @p img's persisted counter store
  * — the verify-root-first step of recovery. Pure: touches no persisted
- * tree nodes, so it is safe from the shared-source pre-scan shards.
+ * tree nodes, so it is safe from the shared-image pre-scan shards.
  */
-std::uint64_t computeTreeRoot(const PersistSource &src,
+std::uint64_t computeTreeRoot(const PersistImage &img,
                               Addr counter_region_base);
 
 /**
@@ -91,9 +90,9 @@ std::uint64_t computeTreeRoot(const PersistSource &src,
  * level-1 nodes, the root strictly last. Returns the new root.
  *
  * Two callers, one function:
- *  - the controller's crash flush rebuilds everything (full address
- *    range) — afterwards the persisted tree is exactly the tree of the
- *    persisted store;
+ *  - the crash flush (System::crashDrain) rebuilds everything (full
+ *    address range) once every channel has drained — afterwards the
+ *    persisted tree is exactly the tree of the persisted store;
  *  - recovery's reconstruction rebuilds only the counter lines backing
  *    the recovered region, leaving other regions' leaves alone so a
  *    not-yet-recovered region's replay evidence survives.

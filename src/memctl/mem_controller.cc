@@ -191,7 +191,7 @@ MemController::ctrQueueHasIssued(Addr ctr_addr) const
 CounterLine
 MemController::memoryViewCounters(Addr ctr_addr) const
 {
-    CounterLine values = nvm.persistedCounters(ctr_addr);
+    CounterLine values = nvm.persistedState().persistedCounters(ctr_addr);
     // Pending counter-queue entries and not-yet-queued evictions are
     // newer than the image; counters only grow, so merging by max
     // yields the youngest value per slot in any merge order.
@@ -505,7 +505,7 @@ MemController::scheduleDrainKick()
     std::uint64_t epoch = pipelineEpoch;
     scheduleAt(eventq, eventq.curTick(), [this, epoch]() {
         if (epoch != pipelineEpoch)
-            return; // crash() already reset kickScheduled
+            return; // the power failure already reset kickScheduled
         kickScheduled = false;
         kickDrain();
     }, EventQueue::MaxPriority);
@@ -668,7 +668,7 @@ MemController::handleCcEviction(const CounterEviction &ev)
     switch (cfg.design) {
       case DesignPoint::Ideal:
         // Counter persistence is free in the ideal design.
-        nvm.drainCounters(ev.addr, ev.values);
+        nvm.persistedState().drainCounters(ev.addr, ev.values);
         noteCounterPersist(ev.addr);
         return;
       case DesignPoint::ColocatedCC:
@@ -778,7 +778,7 @@ MemController::tryCtrWriteback(Addr data_line_addr,
       case DesignPoint::Ideal: {
         Addr ctr_addr = counterLineAddr(data_line_addr);
         if (CounterCacheLine *line = counterCache->peek(ctr_addr)) {
-            nvm.drainCounters(ctr_addr, line->values);
+            nvm.persistedState().drainCounters(ctr_addr, line->values);
             noteCounterPersist(ctr_addr);
             line->dirty = false;
         }
@@ -932,7 +932,7 @@ MemController::issueOneWrite()
         scheduleAt(eventq, std::max(earliest_busy, now + 1),
                    [this, epoch]() {
             if (epoch != pipelineEpoch)
-                return; // crash() already reset drainKickPending
+                return; // the power failure already reset drainKickPending
             drainKickPending = false;
             kickDrain();
         });
@@ -1028,57 +1028,29 @@ MemController::persistDataEntryTo(PersistImage &img,
     }
 }
 
-unsigned
-MemController::readyEntryCount() const
+ChannelReady
+MemController::ready() const
 {
-    return static_cast<unsigned>(dataQ.size() + ctrQ.size());
-}
-
-std::vector<std::uint64_t>
-MemController::readyDataSeqs() const
-{
-    std::vector<std::uint64_t> seqs;
-    seqs.reserve(dataQ.size());
+    ChannelReady seqs;
+    seqs.dataSeqs.reserve(dataQ.size());
     for (const DataEntry &entry : dataQ)
-        seqs.push_back(entry.seq);
-    return seqs;
-}
-
-std::vector<std::uint64_t>
-MemController::readyCtrSeqs() const
-{
-    std::vector<std::uint64_t> seqs;
-    seqs.reserve(ctrQ.size());
+        seqs.dataSeqs.push_back(entry.seq);
+    seqs.ctrSeqs.reserve(ctrQ.size());
     for (const CtrEntry &entry : ctrQ)
-        seqs.push_back(entry.seq);
+        seqs.ctrSeqs.push_back(entry.seq);
     return seqs;
-}
-
-AdrCut
-MemController::cutFor(unsigned adr_drop_tail) const
-{
-    unsigned budget = readyEntryCount();
-    budget -= std::min(adr_drop_tail, budget);
-
-    AdrCut cut;
-    cut.dataKeep = std::min(budget, dataQueueOccupancy());
-    cut.ctrKeep = budget - cut.dataKeep;
-    cut.flushTree = true;
-    return cut;
 }
 
 void
-MemController::captureCrashStateWithCut(PersistImage &img,
-                                        const AdrCut &cut) const
+MemController::drainCut(PersistImage &img, const AdrCut &cut) const
 {
-    // Same ADR semantics and the same order as the crash path: the
-    // kept data entries in queue (age) order, then the kept counter
-    // entries — the order matters for the co-located designs, whose
-    // data drains read-modify-write the counter store. An
+    // The kept data entries in queue (age) order, then the kept
+    // counter entries — the order matters for the co-located designs,
+    // whose data drains read-modify-write the counter store. An
     // energy-exhaustion fault loses the tail of the *global* drain
     // order, which computeDrainKeeps has already translated into the
     // per-channel keep prefixes of @p cut. A cut never keeps more
-    // than the queued entries; crashWithCut() counts the rest as
+    // than the queued entries; dropVolatileState() counts the rest as
     // dropped.
     cnvm_assert(cut.dataKeep <= dataQ.size()
                 && cut.ctrKeep <= ctrQ.size());
@@ -1086,18 +1058,6 @@ MemController::captureCrashStateWithCut(PersistImage &img,
         persistDataEntryTo(img, dataQ[i]);
     for (unsigned i = 0; i < cut.ctrKeep; ++i)
         img.drainCounters(ctrQ[i].addr, ctrQ[i].values);
-
-    // The ADR budget's last act: flush the integrity tree, root last.
-    // The controller's volatile mirror is (by the noteCounterPersist
-    // hooks) the tree of the persisted counter store, so the flush is
-    // modeled as a rebuild from the image's own store — crucially
-    // *after* the drain overlay above, and before the fault model gets
-    // its turn, which is why a replayed counter word can never agree
-    // with the persisted tree. Multi-channel callers clear flushTree
-    // and rebuild once over the merged image after *every* channel has
-    // drained, so the root is globally last.
-    if (cut.flushTree && cfg.integrityTree)
-        rebuildTree(img, cfg.counterRegionBase, 0, ~Addr(0));
 }
 
 void
@@ -1130,7 +1090,7 @@ MemController::completeCtrDrain(std::uint64_t seq)
     auto it = std::find_if(ctrQ.begin(), ctrQ.end(),
                            [seq](const CtrEntry &e) { return e.seq == seq; });
     if (it != ctrQ.end()) {
-        nvm.drainCounters(it->addr, it->values);
+        nvm.persistedState().drainCounters(it->addr, it->values);
         noteCounterPersist(it->addr);
         ctrQ.erase(it);
     }
@@ -1153,6 +1113,7 @@ MemController::initLines(const Addr line_addrs[],
 {
     constexpr unsigned lanes = crypto::CtrEngine::macLanes;
     const bool encrypted = cfg.design != DesignPoint::NoEncryption;
+    PersistImage &img = nvm.persistedState();
     for (std::size_t first = 0; first < n; first += lanes) {
         const std::size_t k = std::min<std::size_t>(lanes, n - first);
         const Addr *addrs = line_addrs + first;
@@ -1180,15 +1141,15 @@ MemController::initLines(const Addr line_addrs[],
             ctrEngine.lineMacs(addrs, counters, cipher_ptrs, macs, k);
 
         for (std::size_t i = 0; i < k; ++i) {
-            nvm.drainData(addrs[i], *cipher_ptrs[i], counters[i]);
+            img.drainData(addrs[i], *cipher_ptrs[i], counters[i]);
             if (cfg.integrityMac)
-                nvm.persistedState().drainMac(addrs[i], macs[i]);
+                img.drainMac(addrs[i], macs[i]);
             if (!encrypted)
                 continue;
             Addr ctr_addr = counterLineAddr(addrs[i]);
-            CounterLine values = nvm.persistedCounters(ctr_addr);
+            CounterLine values = img.persistedCounters(ctr_addr);
             values[counterSlot(addrs[i])] = counters[i];
-            nvm.drainCounters(ctr_addr, values);
+            img.drainCounters(ctr_addr, values);
         }
     }
 }
@@ -1216,18 +1177,17 @@ MemController::warmCounterLine(Addr data_line_addr)
 void
 MemController::crash(unsigned adr_drop_tail)
 {
-    crashWithCut(cutFor(adr_drop_tail));
+    cnvm_assert(!cfg.integrityTree);
+    const AdrCut cut = computeDrainKeeps({ready()}, adr_drop_tail).front();
+    drainCut(nvm.persistedState(), cut);
+    dropVolatileState(cut);
 }
 
 void
-MemController::crashWithCut(const AdrCut &cut)
+MemController::dropVolatileState(const AdrCut &cut)
 {
-    // ADR: drain exactly the kept entries (section 5.2.2, steps
-    // 4-5) and flush the tree — the overlay fork capture applies to a
-    // copy, applied here to the device's own image. An injected
-    // energy-exhaustion fault loses the tail of the global drain
-    // order; every queued entry outside the cut counts as dropped.
-    captureCrashStateWithCut(nvm.persistedState(), cut);
+    // ADR drained exactly the kept entries (section 5.2.2, steps 4-5);
+    // every queued entry outside the cut counts as dropped.
     crashDroppedData += dataQ.size() - cut.dataKeep;
     crashDroppedCtr += ctrQ.size() - cut.ctrKeep;
 
@@ -1245,7 +1205,7 @@ MemController::crashWithCut(const AdrCut &cut)
     outstandingReads = 0;
     pendingCcEvictions.clear();
     retryCallbacks.clear();
-    dirtyTreeLeaves.clear(); // flushed above; the mirror dies with us
+    dirtyTreeLeaves.clear(); // the System flushed the tree; the mirror dies
 
     // The encryption engine's counter registers are volatile and die
     // with the power failure; what survives is the persisted counter

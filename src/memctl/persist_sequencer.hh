@@ -57,14 +57,6 @@ struct AdrCut
 {
     unsigned dataKeep = 0;
     unsigned ctrKeep = 0;
-
-    /**
-     * Whether the channel rebuilds the integrity tree over its image
-     * after draining. Single-channel callers leave this set; the
-     * multi-channel coordinator clears it and rebuilds the tree once,
-     * globally, so the root is persisted last across *all* channels.
-     */
-    bool flushTree = true;
 };
 
 /** The queued (hence ADR-eligible) entries of one channel, by
@@ -82,10 +74,10 @@ struct ChannelReady
  * Computes the per-channel keep prefixes for a global ADR drain that
  * loses the @p drop youngest queued entries.
  *
- * Matches the single-channel drain order exactly: all data entries
- * persist before any counter entry, each class in global sequence
- * order. The returned cuts have flushTree = false — the
- * caller owns the global tree rebuild.
+ * The drain order: all data entries persist before any counter
+ * entry, each class in global sequence order. Every power failure
+ * takes its cut from here, at one channel or many; the tree rebuild
+ * that follows the drain is the caller's.
  */
 inline std::vector<AdrCut>
 computeDrainKeeps(const std::vector<ChannelReady> &ready, unsigned drop)
@@ -119,8 +111,6 @@ computeDrainKeeps(const std::vector<ChannelReady> &ready, unsigned drop)
     std::uint64_t budget = total - std::min<std::uint64_t>(drop, total);
 
     std::vector<AdrCut> cuts(ready.size());
-    for (auto &cut : cuts)
-        cut.flushTree = false;
     for (const Tagged &t : data) {
         if (budget == 0)
             break;

@@ -90,56 +90,18 @@ class NvmDevice
     // Functional: persisted state
     // ------------------------------------------------------------------
 
-    /** @copydoc PersistImage::drainData */
-    void
-    drainData(Addr line_addr, const LineData &ciphertext,
-              std::uint64_t cipher_counter = 0)
-    {
-        persisted.drainData(line_addr, ciphertext, cipher_counter);
-    }
-
-    /** Applies a drained counter-line write to the counter store. */
-    void
-    drainCounters(Addr ctr_line_addr, const CounterLine &values)
-    {
-        persisted.drainCounters(ctr_line_addr, values);
-    }
-
-    /** @copydoc PersistSource::persistedLine */
-    const LineData *
-    persistedLine(Addr line_addr) const
-    {
-        return persisted.persistedLine(line_addr);
-    }
-
-    /** @copydoc PersistSource::persistedCounters */
-    CounterLine
-    persistedCounters(Addr ctr_line_addr) const
-    {
-        return persisted.persistedCounters(ctr_line_addr);
-    }
-
-    /** @copydoc PersistSource::persistedCipherCounter */
-    std::uint64_t
-    persistedCipherCounter(Addr line_addr) const
-    {
-        return persisted.persistedCipherCounter(line_addr);
-    }
-
-    /** Number of distinct lines present in the persisted image. */
-    std::size_t persistedLineCount() const
-    { return persisted.lineCount(); }
-
     /**
-     * The whole persisted half of the device, as one object.
+     * The whole persisted half of the device, as one object — the
+     * one way in to it for the drain paths, recovery, the crash oracle
+     * and the tests.
      *
      * The const view is the fork-capture entry point: copying it (a
      * deep copy of the touched pages — cost scales with the touched
-     * footprint) plus the controller's ADR overlay is exactly the
-     * state recovery may rely on after a power failure at this
-     * instant. The accessor has no
-     * side effects: no stats counters move and no timing state is
-     * touched, so capturing a fork cannot perturb the trunk run.
+     * footprint) plus the ADR drain of the queued entries is exactly
+     * the state recovery may rely on after a power failure at this
+     * instant. The accessor has no side effects: no stats counters
+     * move and no timing state is touched, so capturing a fork cannot
+     * perturb the trunk run.
      */
     const PersistImage &persistedState() const { return persisted; }
 

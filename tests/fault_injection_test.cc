@@ -150,7 +150,7 @@ TEST(IntegrityMac, CounterRollbackIsRepairedByWindowSearch)
     cfg.memctl.integrityMac = true;
     System sys(cfg);
     MemController &ctl = sys.controller();
-    NvmDevice &nvm = sys.nvm();
+    PersistImage &img = sys.nvm().persistedState();
 
     LineData expect;
     Addr addr = pickDataLine(sys, &expect);
@@ -159,14 +159,14 @@ TEST(IntegrityMac, CounterRollbackIsRepairedByWindowSearch)
     // value the line's MAC was minted with.
     Addr ctr_line = ctl.counterLineAddr(addr);
     unsigned slot = ctl.counterSlot(addr);
-    CounterLine ctrs = nvm.persistedCounters(ctr_line);
+    CounterLine ctrs = img.persistedCounters(ctr_line);
     ASSERT_GE(ctrs[slot], 1u);
     ctrs[slot] -= 1;
-    nvm.drainCounters(ctr_line, ctrs);
+    img.drainCounters(ctr_line, ctrs);
 
     // Osiris-style repair: the MAC mismatch triggers a bounded trial
     // re-decryption that lands on the true counter.
-    RecoveredImage image(nvm, ctl);
+    RecoveredImage image(img, ctl);
     EXPECT_EQ(image.line(addr), expect);
     EXPECT_EQ(image.detectedCorruptions(), 1u);
     EXPECT_EQ(image.windowRepairs(), 1u);
@@ -186,7 +186,7 @@ TEST(IntegrityMac, CorruptCiphertextIsQuarantined)
 
     // No counter in the window authenticates corrupted ciphertext, so
     // the line degrades gracefully: quarantined, reads as zeros.
-    RecoveredImage image(sys.nvm(), sys.controller());
+    RecoveredImage image(sys.nvm().persistedState(), sys.controller());
     EXPECT_EQ(image.line(addr), LineData{});
     EXPECT_EQ(image.detectedCorruptions(), 1u);
     EXPECT_EQ(image.windowRepairs(), 0u);
@@ -200,14 +200,14 @@ TEST(IntegrityMac, QuarantinedLineFailsRecoveryWithReason)
     cfg.memctl.integrityMac = true;
     System sys(cfg);
     sys.run();
-    sys.controller().crash();
+    sys.crashChannels();
 
     Addr addr = pickDataLine(sys);
     LineData garbage;
     garbage.fill(0xa7);
     sys.nvm().persistedState().corruptDataLine(addr, garbage);
 
-    RecoveryEngine engine(sys.nvm(), sys.controller());
+    RecoveryEngine engine(sys.nvm().persistedState(), sys.controller());
     RecoveryReport report = engine.recover(sys.workload(0));
     EXPECT_FALSE(report.consistent);
     EXPECT_EQ(report.reason, RecoveryFailure::QuarantinedLines);
@@ -223,14 +223,14 @@ TEST(IntegrityMac, WithoutMacsTheSameCorruptionIsInvisible)
     SystemConfig cfg = smallConfig(DesignPoint::SCA, 5);
     System sys(cfg);
     sys.run();
-    sys.controller().crash();
+    sys.crashChannels();
 
     Addr addr = pickDataLine(sys);
     LineData garbage;
     garbage.fill(0xa7);
     sys.nvm().persistedState().corruptDataLine(addr, garbage);
 
-    RecoveryEngine engine(sys.nvm(), sys.controller());
+    RecoveryEngine engine(sys.nvm().persistedState(), sys.controller());
     RecoveryReport report = engine.recover(sys.workload(0));
     EXPECT_EQ(report.detectedCorruptions, 0u);
     EXPECT_EQ(report.unrecoverableLines, 0u);

@@ -63,9 +63,9 @@ TEST_P(CleanShutdown, RecoveredImageEqualsShadow)
         sys.eventQueue().run();
     }
     sys.eventQueue().run();
-    sys.controller().crash();
+    sys.crashChannels();
 
-    RecoveredImage image(sys.nvm(), sys.controller());
+    RecoveredImage image(sys.nvm().persistedState(), sys.controller());
     const ShadowMem &shadow = sys.workload(0).shadowMem();
     std::size_t mismatches = 0;
     shadow.forEachLine([&](Addr addr, const LineData &expect) {
@@ -148,15 +148,15 @@ TEST_P(TornStateFuzzer, RecoveryNeverMisjudgesManufacturedStates)
     cfg.wl.recordDigests = true;
     System sys(cfg);
     sys.run();
-    sys.controller().crash();
+    sys.crashChannels();
 
     MemController &ctl = sys.controller();
-    NvmDevice &nvm = sys.nvm();
+    PersistImage &img = sys.nvm().persistedState();
     Workload &wl = sys.workload(0);
 
     // Sanity: the untouched state recovers.
     {
-        RecoveryEngine engine(nvm, ctl);
+        RecoveryEngine engine(img, ctl);
         ASSERT_TRUE(engine.recover(wl).consistent);
     }
 
@@ -169,27 +169,27 @@ TEST_P(TornStateFuzzer, RecoveryNeverMisjudgesManufacturedStates)
             Addr candidate = lineAlign(
                 wl.regionBase()
                 + rng.below(wl.regionEnd() - wl.regionBase()));
-            if (nvm.persistedLine(candidate) != nullptr) {
+            if (img.persistedLine(candidate) != nullptr) {
                 victim = candidate;
                 break;
             }
         }
         ASSERT_NE(victim, 0u);
         Addr ctr_addr = ctl.counterLineAddr(victim);
-        CounterLine values = nvm.persistedCounters(ctr_addr);
+        CounterLine values = img.persistedCounters(ctr_addr);
         unsigned slot = ctl.counterSlot(victim);
         ASSERT_GT(values[slot], 0u);
         values[slot] -= 1; // stale
-        nvm.drainCounters(ctr_addr, values);
+        img.drainCounters(ctr_addr, values);
 
-        RecoveryEngine engine(nvm, ctl);
+        RecoveryEngine engine(img, ctl);
         RecoveryReport report = engine.recover(wl);
         EXPECT_FALSE(report.consistent)
             << "stale counter on " << std::hex << victim
             << " went undetected";
 
         values[slot] += 1; // repair
-        nvm.drainCounters(ctr_addr, values);
+        img.drainCounters(ctr_addr, values);
         ASSERT_TRUE(engine.recover(wl).consistent);
     }
 
@@ -201,16 +201,16 @@ TEST_P(TornStateFuzzer, RecoveryNeverMisjudgesManufacturedStates)
         Addr backup = log.backupAddr(
             static_cast<unsigned>(rng.below(log.maxLines)));
         std::uint64_t counter =
-            nvm.persistedCounters(ctl.counterLineAddr(backup))
+            img.persistedCounters(ctl.counterLineAddr(backup))
                 [ctl.counterSlot(backup)];
-        const LineData *cipher = nvm.persistedLine(backup);
+        const LineData *cipher = img.persistedLine(backup);
         if (cipher != nullptr) {
             LineData garbled = *cipher;
             garbled[rng.below(lineBytes)] ^=
                 static_cast<std::uint8_t>(1 + rng.below(255));
-            nvm.drainData(backup, garbled);
+            img.drainData(backup, garbled);
             (void)counter;
-            RecoveryEngine engine(nvm, ctl);
+            RecoveryEngine engine(img, ctl);
             EXPECT_TRUE(engine.recover(wl).consistent)
                 << "garbage in an inactive log backup must be ignored";
         }
@@ -235,7 +235,7 @@ TEST(Integration, EightCoreStressWithTinyCounterQueue)
     RunResult result = sys.run();
     EXPECT_EQ(result.txnsIssued, 8u * 8u);
 
-    sys.controller().crash();
+    sys.crashChannels();
     std::string why;
     EXPECT_TRUE(sys.recoveredConsistently(&why)) << why;
 }

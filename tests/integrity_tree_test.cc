@@ -127,7 +127,7 @@ TEST(TreeRoot, CrashFlushAgreesWithBottomUpRecompute)
 {
     System sys(treeConfig(DesignPoint::SCA));
     sys.run();
-    sys.controller().crash();
+    sys.crashChannels();
 
     const PersistImage &img = sys.nvm().persistedState();
     const Addr ctr_base = sys.controller().config().counterRegionBase;
@@ -141,7 +141,7 @@ TEST(TreeRoot, ReplayBreaksTheRootAndRebuildRestoresIt)
     System sys(treeConfig(DesignPoint::SCA));
     sys.run();
     MemController &ctl = sys.controller();
-    ctl.crash();
+    sys.crashChannels();
 
     PersistImage &img = sys.nvm().persistedState();
     const Addr ctr_base = ctl.config().counterRegionBase;
@@ -304,7 +304,7 @@ TEST(PreScan, BatchedShardsDecideEveryLineLikeALazyRead)
     System sys(treeConfig(DesignPoint::SCA, 40));
     sys.run();
     MemController &ctl = sys.controller();
-    ctl.crash();
+    sys.crashChannels();
     FaultSpec dose;
     dose.tornWrites = 3;
     dose.bitFlips = 3;
@@ -316,9 +316,9 @@ TEST(PreScan, BatchedShardsDecideEveryLineLikeALazyRead)
     model.applyMediaFaults(sys.nvm().persistedState());
 
     const Workload &wl = sys.workload(0);
-    RecoveredImage scanned(sys.nvm(), ctl);
+    RecoveredImage scanned(sys.nvm().persistedState(), ctl);
     scanned.preScan(wl.regionBase(), wl.regionEnd(), nullptr, nullptr);
-    RecoveredImage lazy(sys.nvm(), ctl);
+    RecoveredImage lazy(sys.nvm().persistedState(), ctl);
     for (Addr a = wl.regionBase(); a < wl.regionEnd(); a += lineBytes) {
         EXPECT_EQ(lazy.line(a), scanned.line(a)) << std::hex << a;
         EXPECT_EQ(lazy.isQuarantined(a), scanned.isQuarantined(a))
@@ -387,7 +387,7 @@ TEST(ReplayDetection, TreeCatchesAStaleTripleTheMacAccepts)
     System sys(treeConfig(DesignPoint::SCA));
     sys.run();
     MemController &ctl = sys.controller();
-    ctl.crash();
+    sys.crashChannels();
 
     PersistImage &img = sys.nvm().persistedState();
     std::vector<Addr> victims = img.replayableLineAddrs();
@@ -396,7 +396,7 @@ TEST(ReplayDetection, TreeCatchesAStaleTripleTheMacAccepts)
     ASSERT_TRUE(img.replayLine(addr, ctl.counterLineAddr(addr),
                                ctl.counterSlot(addr)));
 
-    RecoveredImage image(sys.nvm(), ctl);
+    RecoveredImage image(img, ctl);
     EXPECT_TRUE(image.treeRootMismatch());
     image.line(addr);
     EXPECT_EQ(image.replaysDetected(), 1u);
@@ -415,7 +415,7 @@ TEST(ReplayDetection, MacOnlyConsumesTheSameReplaySilently)
     System sys(cfg);
     sys.run();
     MemController &ctl = sys.controller();
-    ctl.crash();
+    sys.crashChannels();
 
     PersistImage &img = sys.nvm().persistedState();
     std::vector<Addr> victims = img.replayableLineAddrs();
@@ -424,7 +424,7 @@ TEST(ReplayDetection, MacOnlyConsumesTheSameReplaySilently)
     ASSERT_TRUE(img.replayLine(addr, ctl.counterLineAddr(addr),
                                ctl.counterSlot(addr)));
 
-    RecoveredImage image(sys.nvm(), ctl);
+    RecoveredImage image(img, ctl);
     EXPECT_FALSE(image.treeRootMismatch());
     image.line(addr);
     EXPECT_EQ(image.replaysDetected(), 0u);
@@ -448,7 +448,7 @@ TEST(QuarantineRace, ParallelPreScanQuarantinesAcrossShardsLikeSerial)
     System sys(cfg);
     sys.run();
     MemController &ctl = sys.controller();
-    ctl.crash();
+    sys.crashChannels();
 
     const Workload &wl = sys.workload(0);
     PersistImage &img = sys.nvm().persistedState();
@@ -471,11 +471,11 @@ TEST(QuarantineRace, ParallelPreScanQuarantinesAcrossShardsLikeSerial)
         img.corruptDataLine(victims[i], garbage);
     }
 
-    RecoveredImage serial(sys.nvm(), ctl);
+    RecoveredImage serial(img, ctl);
     serial.preScan(wl.regionBase(), wl.regionEnd(), nullptr, nullptr);
 
     WorkPool pool(4);
-    RecoveredImage pooled(sys.nvm(), ctl);
+    RecoveredImage pooled(img, ctl);
     pooled.preScan(wl.regionBase(), wl.regionEnd(), &pool, nullptr);
 
     EXPECT_EQ(serial.quarantinedCount(), victims.size());

@@ -68,17 +68,20 @@ class MemCtlTest : public ::testing::Test
     LineData
     recoverLine(Addr addr)
     {
-        const LineData *cipher = nvm->persistedLine(addr);
+        const LineData *cipher = image().persistedLine(addr);
         if (ctl->design() == DesignPoint::NoEncryption)
             return cipher != nullptr ? *cipher : LineData{};
         LineData bytes = cipher != nullptr
             ? *cipher
             : ctl->engine().encrypt(addr, 0, LineData{});
         std::uint64_t counter =
-            nvm->persistedCounters(ctl->counterLineAddr(addr))
+            image().persistedCounters(ctl->counterLineAddr(addr))
                 [ctl->counterSlot(addr)];
         return ctl->engine().decrypt(addr, counter, bytes);
     }
+
+    /** The device's persisted image. */
+    const PersistImage &image() const { return nvm->persistedState(); }
 
     EventQueue eq;
     std::unique_ptr<NvmDevice> nvm;
@@ -217,8 +220,8 @@ TEST_F(MemCtlTest, EncryptedImageIsNotPlaintext)
 {
     build(DesignPoint::SCA);
     writeAndDrain(0x40000, lineOf(0x3c));
-    ASSERT_NE(nvm->persistedLine(0x40000), nullptr);
-    EXPECT_NE(*nvm->persistedLine(0x40000), lineOf(0x3c));
+    ASSERT_NE(image().persistedLine(0x40000), nullptr);
+    EXPECT_NE(*image().persistedLine(0x40000), lineOf(0x3c));
 }
 
 TEST_F(MemCtlTest, WriteCombiningCoalesces)
@@ -242,11 +245,11 @@ TEST_F(MemCtlTest, CounterMonotonicallyIncreasesAcrossWrites)
     build(DesignPoint::SCA);
     writeAndDrain(0x40000, lineOf(1));
     CounterLine after_first =
-        nvm->persistedCounters(ctl->counterLineAddr(0x40000));
+        image().persistedCounters(ctl->counterLineAddr(0x40000));
     writeAndDrain(0x40000, lineOf(2), /*ca=*/true); // pair persists ctr
     eq.run();
     CounterLine after_second =
-        nvm->persistedCounters(ctl->counterLineAddr(0x40000));
+        image().persistedCounters(ctl->counterLineAddr(0x40000));
     EXPECT_GT(after_second[0], after_first[0]);
 }
 
@@ -360,7 +363,7 @@ TEST_F(MemCtlTest, CrashBeforeLandingLosesWriteEntirely)
     ASSERT_TRUE(ctl->tryWrite(req));
     ctl->crash(); // before the encLatency landing
     eq.run();
-    EXPECT_EQ(nvm->persistedLine(0x40000), nullptr);
+    EXPECT_EQ(image().persistedLine(0x40000), nullptr);
     EXPECT_EQ(recoverLine(0x40000), LineData{}); // still "never written"
 }
 
@@ -414,12 +417,12 @@ TEST_F(MemCtlTest, CrashCountsEntriesOutsideTheAdrCutAsDropped)
     EXPECT_EQ(ctl->crashDroppedData.value(), 2.0);
     EXPECT_EQ(ctl->crashDroppedCtr.value(), 6.0);
     // The kept data landed without its dropped counter.
-    EXPECT_NE(nvm->persistedLine(0x40000 + 3 * 0x1000), nullptr);
-    EXPECT_EQ(nvm->persistedCounters(ctl->counterLineAddr(0x40000))
+    EXPECT_NE(image().persistedLine(0x40000 + 3 * 0x1000), nullptr);
+    EXPECT_EQ(image().persistedCounters(ctl->counterLineAddr(0x40000))
                   [ctl->counterSlot(0x40000)],
               0u);
-    EXPECT_EQ(nvm->persistedLine(0x40000 + 4 * 0x1000), nullptr);
-    EXPECT_EQ(nvm->persistedLine(0x80000), nullptr);
+    EXPECT_EQ(image().persistedLine(0x40000 + 4 * 0x1000), nullptr);
+    EXPECT_EQ(image().persistedLine(0x80000), nullptr);
 }
 
 TEST_F(MemCtlTest, InitLineInstallsDecryptableState)
@@ -519,7 +522,7 @@ TEST_F(MemCtlTest, CrashRebuildsCounterStateFromPersistedStore)
     writeAndDrain(0x40000, lineOf(0x11), /*ca=*/true); // counter 1
     writeAndDrain(0x80000, lineOf(0x22), /*ca=*/true); // counter 2
     std::uint64_t before =
-        nvm->persistedCipherCounter(0x40000);
+        image().persistedCipherCounter(0x40000);
     EXPECT_EQ(before, 1u);
     ctl->crash();
 
@@ -528,9 +531,9 @@ TEST_F(MemCtlTest, CrashRebuildsCounterStateFromPersistedStore)
     // ciphertext — and the oracle's consistency condition must hold:
     // persisted cipher counter == persisted counter-store slot.
     writeAndDrain(0x40000, lineOf(0x33), /*ca=*/true);
-    std::uint64_t cipher_ctr = nvm->persistedCipherCounter(0x40000);
+    std::uint64_t cipher_ctr = image().persistedCipherCounter(0x40000);
     std::uint64_t stored_ctr =
-        nvm->persistedCounters(ctl->counterLineAddr(0x40000))
+        image().persistedCounters(ctl->counterLineAddr(0x40000))
             [ctl->counterSlot(0x40000)];
     EXPECT_EQ(cipher_ctr, stored_ctr);
     EXPECT_EQ(cipher_ctr, 3u); // rebuilt global = 2, next write = 3
@@ -552,7 +555,7 @@ TEST_F(MemCtlTest, CrashWithUnpersistedCountersRestartsLow)
     // and the next write draws counter 1 again; the oracle condition
     // holds for the new pairing.
     writeAndDrain(0x80000, lineOf(0x22), /*ca=*/true);
-    EXPECT_EQ(nvm->persistedCipherCounter(0x80000), 1u);
+    EXPECT_EQ(image().persistedCipherCounter(0x80000), 1u);
     EXPECT_EQ(recoverLine(0x80000), lineOf(0x22));
     // The torn pre-crash line stays torn (Figure 4 semantics).
     EXPECT_NE(recoverLine(0x40000), lineOf(0x11));

@@ -211,12 +211,13 @@ TEST(NvmDevice, LivePlainPartialStores)
 TEST(NvmDevice, PersistedImageSeparateFromLive)
 {
     NvmDevice nvm(simpleTiming(), nullptr);
+    PersistImage &img = nvm.persistedState();
     std::uint8_t b = 9;
     nvm.livePlainStore(0x1000, 1, &b);
-    EXPECT_EQ(nvm.persistedLine(0x1000), nullptr);
-    nvm.drainData(0x1000, lineOf(7));
-    ASSERT_NE(nvm.persistedLine(0x1000), nullptr);
-    EXPECT_EQ(*nvm.persistedLine(0x1000), lineOf(7));
+    EXPECT_EQ(img.persistedLine(0x1000), nullptr);
+    img.drainData(0x1000, lineOf(7));
+    ASSERT_NE(img.persistedLine(0x1000), nullptr);
+    EXPECT_EQ(*img.persistedLine(0x1000), lineOf(7));
     // Live view unchanged by the drain.
     EXPECT_EQ(nvm.livePlainRead(0x1000)[0], 9);
 }
@@ -224,20 +225,22 @@ TEST(NvmDevice, PersistedImageSeparateFromLive)
 TEST(NvmDevice, CounterStore)
 {
     NvmDevice nvm(simpleTiming(), nullptr);
+    PersistImage &img = nvm.persistedState();
     CounterLine zeros{};
-    EXPECT_EQ(nvm.persistedCounters(0x2000), zeros);
+    EXPECT_EQ(img.persistedCounters(0x2000), zeros);
     CounterLine values{1, 2, 3, 4, 5, 6, 7, 8};
-    nvm.drainCounters(0x2000, values);
-    EXPECT_EQ(nvm.persistedCounters(0x2000), values);
+    img.drainCounters(0x2000, values);
+    EXPECT_EQ(img.persistedCounters(0x2000), values);
 }
 
 TEST(NvmDevice, DrainOverwritesPriorImage)
 {
     NvmDevice nvm(simpleTiming(), nullptr);
-    nvm.drainData(0x0, lineOf(1));
-    nvm.drainData(0x0, lineOf(2));
-    EXPECT_EQ(*nvm.persistedLine(0x0), lineOf(2));
-    EXPECT_EQ(nvm.persistedLineCount(), 1u);
+    PersistImage &img = nvm.persistedState();
+    img.drainData(0x0, lineOf(1));
+    img.drainData(0x0, lineOf(2));
+    EXPECT_EQ(*img.persistedLine(0x0), lineOf(2));
+    EXPECT_EQ(img.lineCount(), 1u);
 }
 
 } // anonymous namespace

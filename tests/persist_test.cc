@@ -165,7 +165,7 @@ TEST(Primitives, RawFigure9PatternPersistsUnderSca)
 
     // Power failure after completion: every stage's lines decrypt.
     ctl.crash();
-    RecoveredImage image(nvm, ctl);
+    RecoveredImage image(nvm.persistedState(), ctl);
     EXPECT_EQ(image.readU64(RawPrimitiveSource::kLog),
               0x0123456789abcdefull);
     EXPECT_EQ(image.readU64(RawPrimitiveSource::kData),
@@ -213,7 +213,7 @@ TEST(Primitives, RawPatternWithoutCtrwbTearsUnderSca)
     ASSERT_TRUE(core.finished());
 
     ctl.crash();
-    RecoveredImage image(nvm, ctl);
+    RecoveredImage image(nvm.persistedState(), ctl);
     EXPECT_NE(image.readU64(0x200000), 0xfeedfacecafebeefull);
 }
 

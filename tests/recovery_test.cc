@@ -34,7 +34,7 @@ smallConfig(DesignPoint design, unsigned txns = 20)
 TEST(RecoveredImage, ReadsBackInitializedState)
 {
     System sys(smallConfig(DesignPoint::SCA, 0));
-    RecoveredImage image(sys.nvm(), sys.controller());
+    RecoveredImage image(sys.nvm().persistedState(), sys.controller());
     // The workload's setup state decrypts to the shadow content.
     const ShadowMem &shadow = sys.workload(0).shadowMem();
     bool all_equal = true;
@@ -48,7 +48,7 @@ TEST(RecoveredImage, ReadsBackInitializedState)
 TEST(RecoveredImage, NeverWrittenLinesAreZero)
 {
     System sys(smallConfig(DesignPoint::SCA, 0));
-    RecoveredImage image(sys.nvm(), sys.controller());
+    RecoveredImage image(sys.nvm().persistedState(), sys.controller());
     EXPECT_EQ(image.line(0xdead0000), LineData{});
     EXPECT_EQ(image.readU64(0xdead0040), 0u);
 }
@@ -56,7 +56,7 @@ TEST(RecoveredImage, NeverWrittenLinesAreZero)
 TEST(RecoveredImage, WritesOverlayReads)
 {
     System sys(smallConfig(DesignPoint::SCA, 0));
-    RecoveredImage image(sys.nvm(), sys.controller());
+    RecoveredImage image(sys.nvm().persistedState(), sys.controller());
     std::uint64_t v = 0x1234;
     image.write(0x10000, &v, sizeof(v));
     EXPECT_EQ(image.readU64(0x10000), 0x1234u);
@@ -65,7 +65,7 @@ TEST(RecoveredImage, WritesOverlayReads)
 TEST(RecoveredImage, CrossLineReads)
 {
     System sys(smallConfig(DesignPoint::SCA, 0));
-    RecoveredImage image(sys.nvm(), sys.controller());
+    RecoveredImage image(sys.nvm().persistedState(), sys.controller());
     std::uint8_t buf[200];
     image.write(0x10020, buf, 0); // no-op-size guard not needed; write real
     std::uint8_t data[200];
@@ -83,24 +83,24 @@ TEST(RecoveredImage, TornLineDecryptsToGarbage)
     // counter store still holding the old one.
     System sys(smallConfig(DesignPoint::SCA, 0));
     MemController &ctl = sys.controller();
-    NvmDevice &nvm = sys.nvm();
+    PersistImage &img = sys.nvm().persistedState();
 
     LineData plain;
     plain.fill(0x77);
     Addr addr = 0x40000;
     // Encrypt with counter 14 but persist counter 10.
-    nvm.drainData(addr, ctl.engine().encrypt(addr, 14, plain));
-    CounterLine counters = nvm.persistedCounters(ctl.counterLineAddr(addr));
+    img.drainData(addr, ctl.engine().encrypt(addr, 14, plain));
+    CounterLine counters = img.persistedCounters(ctl.counterLineAddr(addr));
     counters[ctl.counterSlot(addr)] = 10;
-    nvm.drainCounters(ctl.counterLineAddr(addr), counters);
+    img.drainCounters(ctl.counterLineAddr(addr), counters);
 
-    RecoveredImage image(nvm, ctl);
+    RecoveredImage image(img, ctl);
     EXPECT_NE(image.line(addr), plain);
 
     // Fix the counter: now it decrypts.
     counters[ctl.counterSlot(addr)] = 14;
-    nvm.drainCounters(ctl.counterLineAddr(addr), counters);
-    RecoveredImage fixed(nvm, ctl);
+    img.drainCounters(ctl.counterLineAddr(addr), counters);
+    RecoveredImage fixed(img, ctl);
     EXPECT_EQ(fixed.line(addr), plain);
 }
 
@@ -112,7 +112,7 @@ class RecoveryBranchTest : public ::testing::Test
     RecoveryBranchTest() : sys(smallConfig(DesignPoint::SCA, 5))
     {
         sys.run(); // all five txns commit; queues drain
-        sys.controller().crash();
+        sys.crashChannels();
     }
 
     /** Rewrites a log header field post-crash (simulated torn state).
@@ -122,16 +122,16 @@ class RecoveryBranchTest : public ::testing::Test
     rewriteHeaderField(Addr field_addr, std::uint64_t value)
     {
         MemController &ctl = sys.controller();
-        NvmDevice &nvm = sys.nvm();
+        PersistImage &img = sys.nvm().persistedState();
         const LogLayout &log = sys.workload(0).log();
         Addr line = log.headerAddr();
         std::uint64_t counter =
-            nvm.persistedCounters(ctl.counterLineAddr(line))
+            img.persistedCounters(ctl.counterLineAddr(line))
                 [ctl.counterSlot(line)];
         LineData plain = ctl.engine().decrypt(
-            line, counter, *nvm.persistedLine(line));
+            line, counter, *img.persistedLine(line));
         std::memcpy(plain.data() + (field_addr - line), &value, 8);
-        nvm.drainData(line, ctl.engine().encrypt(line, counter, plain));
+        img.drainData(line, ctl.engine().encrypt(line, counter, plain));
     }
 
     System sys;
@@ -139,7 +139,7 @@ class RecoveryBranchTest : public ::testing::Test
 
 TEST_F(RecoveryBranchTest, CleanStateRecoversToLastCommit)
 {
-    RecoveryEngine engine(sys.nvm(), sys.controller());
+    RecoveryEngine engine(sys.nvm().persistedState(), sys.controller());
     RecoveryReport report = engine.recover(sys.workload(0));
     EXPECT_TRUE(report.consistent) << report.detail;
     EXPECT_FALSE(report.rolledBack);
@@ -152,7 +152,7 @@ TEST_F(RecoveryBranchTest, GarbageValidFlagIsDetected)
 {
     rewriteHeaderField(sys.workload(0).log().validAddr(),
                        0x4141414141414141ull);
-    RecoveryEngine engine(sys.nvm(), sys.controller());
+    RecoveryEngine engine(sys.nvm().persistedState(), sys.controller());
     RecoveryReport report = engine.recover(sys.workload(0));
     EXPECT_FALSE(report.consistent);
     // The machine-checkable reason distinguishes the torn commit flag
@@ -164,7 +164,7 @@ TEST_F(RecoveryBranchTest, GarbageValidFlagIsDetected)
 TEST_F(RecoveryBranchTest, GarbageMagicIsDetected)
 {
     rewriteHeaderField(sys.workload(0).log().magicAddr(), 0x999);
-    RecoveryEngine engine(sys.nvm(), sys.controller());
+    RecoveryEngine engine(sys.nvm().persistedState(), sys.controller());
     RecoveryReport report = engine.recover(sys.workload(0));
     EXPECT_FALSE(report.consistent);
     EXPECT_EQ(report.reason, RecoveryFailure::LogHeaderUnreadable);
@@ -200,7 +200,7 @@ TEST_F(RecoveryBranchTest, ValidLogWithBadChecksumIsIgnored)
     rewriteHeaderField(sys.workload(0).log().validAddr(),
                        LogLayout::kValid);
     rewriteHeaderField(sys.workload(0).log().checksumAddr(), 0x1);
-    RecoveryEngine engine(sys.nvm(), sys.controller());
+    RecoveryEngine engine(sys.nvm().persistedState(), sys.controller());
     RecoveryReport report = engine.recover(sys.workload(0));
     EXPECT_TRUE(report.consistent) << report.detail;
     EXPECT_FALSE(report.rolledBack);
@@ -221,7 +221,7 @@ TEST(Recovery, RollbackRestoresPreTxnState)
         RunResult result = sys.runWithCrashAt(total * i / 21);
         if (!result.crashed)
             continue;
-        RecoveryEngine engine(sys.nvm(), sys.controller());
+        RecoveryEngine engine(sys.nvm().persistedState(), sys.controller());
         RecoveryReport report = engine.recover(sys.workload(0));
         ASSERT_TRUE(report.consistent) << report.detail;
         if (report.rolledBack)
@@ -238,7 +238,7 @@ TEST(Recovery, NoEncryptionRecoversPlainly)
     SystemConfig cfg = smallConfig(DesignPoint::NoEncryption, 10);
     System sys(cfg);
     sys.run();
-    sys.controller().crash();
+    sys.crashChannels();
     std::string why;
     EXPECT_TRUE(sys.recoveredConsistently(&why)) << why;
 }
@@ -273,7 +273,7 @@ class IntegrityRepairTest : public ::testing::Test
     IntegrityRepairTest() : sys(integrityConfig(DesignPoint::SCA, 5))
     {
         sys.run();
-        sys.controller().crash();
+        sys.crashChannels();
     }
 
     /** Plants a counter-rollback victim: data, MAC and cipher agree at
@@ -283,15 +283,15 @@ class IntegrityRepairTest : public ::testing::Test
               std::uint64_t true_counter, const LineData &plain)
     {
         MemController &ctl = sys.controller();
-        NvmDevice &nvm = sys.nvm();
+        PersistImage &img = sys.nvm().persistedState();
         LineData cipher = ctl.engine().encrypt(addr, true_counter, plain);
-        nvm.drainData(addr, cipher, true_counter);
-        nvm.persistedState().drainMac(
+        img.drainData(addr, cipher, true_counter);
+        img.drainMac(
             addr, ctl.engine().lineMac(addr, true_counter, cipher));
         CounterLine counters =
-            nvm.persistedCounters(ctl.counterLineAddr(addr));
+            img.persistedCounters(ctl.counterLineAddr(addr));
         counters[ctl.counterSlot(addr)] = stored_counter;
-        nvm.drainCounters(ctl.counterLineAddr(addr), counters);
+        img.drainCounters(ctl.counterLineAddr(addr), counters);
     }
 
     /** Flips a persisted ciphertext byte under an unchanged MAC: no
@@ -299,13 +299,13 @@ class IntegrityRepairTest : public ::testing::Test
     void
     corruptBeyondRepair(Addr line_addr)
     {
-        NvmDevice &nvm = sys.nvm();
-        const LineData *cipher = nvm.persistedLine(line_addr);
+        PersistImage &img = sys.nvm().persistedState();
+        const LineData *cipher = img.persistedLine(line_addr);
         ASSERT_NE(cipher, nullptr);
         LineData bad = *cipher;
         bad[0] ^= 0xff;
-        nvm.drainData(line_addr, bad,
-                      nvm.persistedCipherCounter(line_addr));
+        img.drainData(line_addr, bad,
+                      img.persistedCipherCounter(line_addr));
     }
 
     /** Rewrites one u64 field post-crash, keeping the line's MAC
@@ -314,18 +314,18 @@ class IntegrityRepairTest : public ::testing::Test
     rewriteFieldWithMac(Addr field_addr, std::uint64_t value)
     {
         MemController &ctl = sys.controller();
-        NvmDevice &nvm = sys.nvm();
+        PersistImage &img = sys.nvm().persistedState();
         Addr line = lineAlign(field_addr);
         std::uint64_t counter =
-            nvm.persistedCounters(ctl.counterLineAddr(line))
+            img.persistedCounters(ctl.counterLineAddr(line))
                 [ctl.counterSlot(line)];
-        const LineData *stored = nvm.persistedLine(line);
+        const LineData *stored = img.persistedLine(line);
         ASSERT_NE(stored, nullptr);
         LineData plain = ctl.engine().decrypt(line, counter, *stored);
         std::memcpy(plain.data() + (field_addr - line), &value, 8);
         LineData cipher = ctl.engine().encrypt(line, counter, plain);
-        nvm.drainData(line, cipher, counter);
-        nvm.persistedState().drainMac(
+        img.drainData(line, cipher, counter);
+        img.drainMac(
             line, ctl.engine().lineMac(line, counter, cipher));
     }
 
@@ -356,7 +356,7 @@ TEST_F(IntegrityRepairTest, WindowRepairNearCounterMax)
     Addr addr = firstDataLine();
     plantLine(addr, UINT64_MAX - 1, UINT64_MAX - 5, plain);
 
-    RecoveredImage image(sys.nvm(), sys.controller());
+    RecoveredImage image(sys.nvm().persistedState(), sys.controller());
     EXPECT_EQ(image.line(addr), plain);
     EXPECT_EQ(image.windowRepairs(), 1u);
     EXPECT_EQ(image.quarantinedCount(), 0u);
@@ -371,7 +371,7 @@ TEST_F(IntegrityRepairTest, WindowRepairUpwardAtCounterMax)
     Addr addr = firstDataLine();
     plantLine(addr, UINT64_MAX - 2, UINT64_MAX, plain);
 
-    RecoveredImage image(sys.nvm(), sys.controller());
+    RecoveredImage image(sys.nvm().persistedState(), sys.controller());
     EXPECT_EQ(image.line(addr), plain);
     EXPECT_EQ(image.windowRepairs(), 1u);
 }
@@ -386,7 +386,7 @@ TEST_F(IntegrityRepairTest, WindowRepairNearCounterZero)
     Addr addr = firstDataLine();
     plantLine(addr, 2, 30, plain);
 
-    RecoveredImage image(sys.nvm(), sys.controller());
+    RecoveredImage image(sys.nvm().persistedState(), sys.controller());
     EXPECT_EQ(image.line(addr), plain);
     EXPECT_EQ(image.windowRepairs(), 1u);
     EXPECT_EQ(image.quarantinedCount(), 0u);
@@ -401,7 +401,7 @@ TEST_F(IntegrityRepairTest, WindowRepairDownward)
     Addr addr = firstDataLine();
     plantLine(addr, 1000, 1000 - 40, plain);
 
-    RecoveredImage image(sys.nvm(), sys.controller());
+    RecoveredImage image(sys.nvm().persistedState(), sys.controller());
     EXPECT_EQ(image.line(addr), plain);
     EXPECT_EQ(image.windowRepairs(), 1u);
 }
@@ -416,7 +416,7 @@ TEST_F(IntegrityRepairTest, BeyondWindowQuarantines)
     Addr addr = firstDataLine();
     plantLine(addr, 2000, 2000 + window + 1, plain);
 
-    RecoveredImage image(sys.nvm(), sys.controller());
+    RecoveredImage image(sys.nvm().persistedState(), sys.controller());
     EXPECT_EQ(image.line(addr), LineData{});
     EXPECT_EQ(image.windowRepairs(), 0u);
     EXPECT_EQ(image.detectedCorruptions(), 1u);
@@ -449,14 +449,14 @@ TEST_F(IntegrityRepairTest, QuarantinedBackupRestoresNothing)
     // quarantines and reads zeros.
     std::uint64_t sum;
     {
-        RecoveredImage probe(sys.nvm(), sys.controller());
+        RecoveredImage probe(sys.nvm().persistedState(), sys.controller());
         sum = logChecksum(probe, log, 1, 1);
         ASSERT_TRUE(probe.isQuarantined(log.backupAddr(0)));
     }
     rewriteFieldWithMac(log.checksumAddr(), sum);
     rewriteFieldWithMac(log.validAddr(), LogLayout::kValid);
 
-    RecoveryEngine engine(sys.nvm(), sys.controller());
+    RecoveryEngine engine(sys.nvm().persistedState(), sys.controller());
     RecoveryReport report = engine.recover(sys.workload(0));
     EXPECT_FALSE(report.consistent);
     EXPECT_EQ(report.reason, RecoveryFailure::QuarantinedLines);
@@ -480,14 +480,14 @@ TEST_F(IntegrityRepairTest, IntactBackupRestoresQuarantinedTarget)
     {
         // Persist a known-good backup line (content + MAC).
         MemController &ctl = sys.controller();
+        PersistImage &img = sys.nvm().persistedState();
         Addr baddr = log.backupAddr(0);
-        std::uint64_t counter = sys.nvm()
-            .persistedCounters(ctl.counterLineAddr(baddr))
+        std::uint64_t counter =
+            img.persistedCounters(ctl.counterLineAddr(baddr))
                 [ctl.counterSlot(baddr)];
         LineData cipher = ctl.engine().encrypt(baddr, counter, backup);
-        sys.nvm().drainData(baddr, cipher, counter);
-        sys.nvm().persistedState().drainMac(
-            baddr, ctl.engine().lineMac(baddr, counter, cipher));
+        img.drainData(baddr, cipher, counter);
+        img.drainMac(baddr, ctl.engine().lineMac(baddr, counter, cipher));
     }
 
     rewriteFieldWithMac(log.txnIdAddr(), 1);
@@ -495,13 +495,13 @@ TEST_F(IntegrityRepairTest, IntactBackupRestoresQuarantinedTarget)
     rewriteFieldWithMac(log.descAddr(0), target);
     std::uint64_t sum;
     {
-        RecoveredImage probe(sys.nvm(), sys.controller());
+        RecoveredImage probe(sys.nvm().persistedState(), sys.controller());
         sum = logChecksum(probe, log, 1, 1);
     }
     rewriteFieldWithMac(log.checksumAddr(), sum);
     rewriteFieldWithMac(log.validAddr(), LogLayout::kValid);
 
-    RecoveryEngine engine(sys.nvm(), sys.controller());
+    RecoveryEngine engine(sys.nvm().persistedState(), sys.controller());
     RecoveryReport report = engine.recover(sys.workload(0));
     EXPECT_TRUE(report.rolledBack);
     EXPECT_EQ(report.detectedCorruptions, 1u);
@@ -534,7 +534,7 @@ TEST(RecoveryParallel, ReportsIdenticalAtAnyJobCount)
 
     // Dose the image: one repairable counter rollback, one line gone.
     MemController &ctl = sys.controller();
-    NvmDevice &nvm = sys.nvm();
+    PersistImage &img = sys.nvm().persistedState();
     Addr lines[2] = {0, 0};
     int found = 0;
     sys.workload(0).shadowMem().forEachLine(
@@ -546,24 +546,24 @@ TEST(RecoveryParallel, ReportsIdenticalAtAnyJobCount)
     {
         // Counter-store rollback on lines[0] (repairable).
         CounterLine counters =
-            nvm.persistedCounters(ctl.counterLineAddr(lines[0]));
+            img.persistedCounters(ctl.counterLineAddr(lines[0]));
         std::uint64_t &slot = counters[ctl.counterSlot(lines[0])];
         if (slot > 0) {
             slot -= 1;
-            nvm.drainCounters(ctl.counterLineAddr(lines[0]), counters);
+            img.drainCounters(ctl.counterLineAddr(lines[0]), counters);
         }
         // Unrepairable ciphertext damage on lines[1].
-        const LineData *cipher = nvm.persistedLine(lines[1]);
+        const LineData *cipher = img.persistedLine(lines[1]);
         ASSERT_NE(cipher, nullptr);
         LineData bad = *cipher;
         bad[5] ^= 0x80;
-        nvm.drainData(lines[1], bad,
-                      nvm.persistedCipherCounter(lines[1]));
+        img.drainData(lines[1], bad,
+                      img.persistedCipherCounter(lines[1]));
     }
 
     std::vector<RecoveryReport> reports;
     for (unsigned jobs : {1u, 2u, 8u}) {
-        RecoveryEngine engine(nvm, ctl);
+        RecoveryEngine engine(img, ctl);
         RecoveryOptions opt;
         opt.jobs = jobs;
         reports.push_back(engine.recover(sys.workload(0), nullptr, opt));

@@ -96,6 +96,7 @@ struct Rig
 std::string
 observableState(Rig &rig, const std::vector<Addr> &lines)
 {
+    const PersistImage &img = rig.nvm->persistedState();
     std::ostringstream os;
     rig.registry.dump(os);
     os << "tick=" << rig.eq.curTick() << "\n"
@@ -106,18 +107,18 @@ observableState(Rig &rig, const std::vector<Addr> &lines)
        << " inflight=" << rig.ctl->inflightDepth()
        << " reads=" << rig.ctl->outstandingReadCount()
        << " idle=" << rig.ctl->writesIdle() << "\n"
-       << "imageLines=" << rig.nvm->persistedLineCount() << "\n";
+       << "imageLines=" << img.lineCount() << "\n";
     for (Addr addr : lines) {
         os << std::hex << addr << std::dec << ": ";
-        if (const LineData *cipher = rig.nvm->persistedLine(addr)) {
+        if (const LineData *cipher = img.persistedLine(addr)) {
             for (std::uint8_t b : *cipher)
                 os << static_cast<unsigned>(b) << ",";
         } else {
             os << "-";
         }
-        os << " cc=" << rig.nvm->persistedCipherCounter(addr);
+        os << " cc=" << img.persistedCipherCounter(addr);
         CounterLine ctrs =
-            rig.nvm->persistedCounters(rig.ctl->counterLineAddr(addr));
+            img.persistedCounters(rig.ctl->counterLineAddr(addr));
         os << " ctr=" << ctrs[rig.ctl->counterSlot(addr)] << "\n";
     }
     return os.str();
@@ -171,9 +172,11 @@ runSequence(DesignPoint design, Variant variant, std::uint32_t seed)
             // crash with that cut then persists in place.
             unsigned drop = 1 + rng() % 4;
             PersistImage copy = rig.nvm->persistedState();
-            rig.ctl->captureCrashStateWithCut(copy, rig.ctl->cutFor(drop));
+            rig.ctl->drainCut(
+                copy, computeDrainKeeps({rig.ctl->ready()}, drop).front());
             rig.ctl->crash(drop);
-            EXPECT_EQ(copy.lineCount(), rig.nvm->persistedLineCount())
+            EXPECT_EQ(copy.lineCount(),
+                      rig.nvm->persistedState().lineCount())
                 << "op " << op;
             fold(copy.lineCount());
         }
