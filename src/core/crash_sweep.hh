@@ -222,16 +222,6 @@ struct SweepResult
     unsigned replayDetectedPoints() const
     { return countOf(CrashClass::ReplayDetected); }
 
-    /** Points where recovery saw corruption (integrity metadata). */
-    unsigned
-    detectedPoints() const
-    {
-        unsigned n = 0;
-        for (const SweepPoint &p : points)
-            n += p.crashed && p.detectedCorruptions > 0;
-        return n;
-    }
-
     /** Sum of a per-point corruption counter over reached points. */
     std::uint64_t
     totalOf(std::uint64_t SweepPoint::*field) const

@@ -336,15 +336,6 @@ struct SoakResult
         return n;
     }
 
-    unsigned
-    totalSilent() const
-    {
-        unsigned n = 0;
-        for (const SoakChainResult &c : chains)
-            n += c.silentCycles();
-        return n;
-    }
-
     /** Concatenation of every chain's fingerprint, in chain order. */
     std::string fingerprint() const;
 };

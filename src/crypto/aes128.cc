@@ -118,16 +118,6 @@ haveAesNi()
 
 } // anonymous namespace
 
-bool
-Aes128::usingHardwareAes()
-{
-#ifdef CNVM_AES_NI_POSSIBLE
-    return haveAesNi();
-#else
-    return false;
-#endif
-}
-
 Aes128::Aes128()
 {
     const std::uint8_t zero[keyBytes] = {};

@@ -68,9 +68,6 @@ class Aes128
     void encryptBlockPortable(const std::uint8_t in[blockBytes],
                               std::uint8_t out[blockBytes]) const;
 
-    /** True when encryptBlock dispatches to the AES-NI backend. */
-    static bool usingHardwareAes();
-
   private:
     /** Expanded key schedule: (rounds + 1) 16-byte round keys. */
     std::array<std::uint8_t, (rounds + 1) * blockBytes> roundKeys;

@@ -83,9 +83,6 @@ class CoreMemPath : public Clocked
     /** Reads current plaintext as the core would see it (functional). */
     LineData functionalRead(Addr addr) const;
 
-    /** Writes waiting for controller space (retry queue depth). */
-    std::size_t stalledDepth() const { return stalled.size(); }
-
     unsigned coreId() const { return id; }
 
   private:

@@ -104,11 +104,4 @@ StatRegistry::dump(std::ostream &os) const
         stat->dump(os);
 }
 
-void
-StatRegistry::resetAll()
-{
-    for (Stat *stat : order)
-        stat->reset();
-}
-
 } // namespace cnvm::stats

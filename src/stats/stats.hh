@@ -11,7 +11,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <ostream>
 #include <string>
@@ -125,23 +124,6 @@ class Scalar : public Stat
     double frac = 0;
 };
 
-/** A derived value computed on demand from other stats. */
-class Formula : public Stat
-{
-  public:
-    Formula(std::string name, std::string desc,
-            std::function<double()> compute)
-        : Stat(std::move(name), std::move(desc)),
-          compute(std::move(compute))
-    {}
-
-    double value() const override { return compute(); }
-    void reset() override {}
-
-  private:
-    std::function<double()> compute;
-};
-
 /**
  * Fixed-width linear histogram with saturating overflow bucket;
  * also tracks count / sum / min / max for mean and extremes.
@@ -199,9 +181,6 @@ class StatRegistry
 
     /** Dumps all stats in registration order. */
     void dump(std::ostream &os) const;
-
-    /** Resets every registered stat. */
-    void resetAll();
 
     const std::vector<Stat *> &all() const { return order; }
 

@@ -66,8 +66,6 @@ class PersistentAllocator
     }
 
     Addr poolStart() const { return poolBase; }
-    Addr poolEnd() const { return poolLimit; }
-    Addr cursorLocation() const { return cursorAddr; }
 
   private:
     Addr cursorAddr;

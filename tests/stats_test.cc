@@ -86,19 +86,6 @@ TEST(Scalar, DumpFormatUnchangedForSmallCounts)
     EXPECT_EQ(os.str(), "writes 42 # lines written\n");
 }
 
-TEST(Formula, ComputesOnDemand)
-{
-    Scalar hits("h", ""), misses("m", "");
-    Formula rate("rate", "miss rate", [&]() {
-        double total = hits.value() + misses.value();
-        return total == 0 ? 0.0 : misses.value() / total;
-    });
-    EXPECT_EQ(rate.value(), 0.0);
-    hits += 3;
-    misses += 1;
-    EXPECT_DOUBLE_EQ(rate.value(), 0.25);
-}
-
 TEST(Histogram, CountsMeanMinMax)
 {
     Histogram h("h", "lat", 10, 10);
@@ -220,19 +207,6 @@ TEST(Registry, PreservesRegistrationOrder)
     EXPECT_EQ(reg.all()[0]->name(), "b");
     EXPECT_EQ(reg.all()[1]->name(), "a");
     EXPECT_EQ(reg.all()[2]->name(), "c");
-}
-
-TEST(Registry, ResetAll)
-{
-    StatRegistry reg;
-    Scalar a("a", ""), b("b", "");
-    reg.registerStat(a);
-    reg.registerStat(b);
-    a += 3;
-    b += 4;
-    reg.resetAll();
-    EXPECT_EQ(a.value(), 0.0);
-    EXPECT_EQ(b.value(), 0.0);
 }
 
 TEST(Registry, DumpContainsNamesAndValues)
