@@ -20,8 +20,8 @@
  * In this trace-driven simulator, "programs" are operation streams, so
  * the primitives surface as Op constructors plus the helpers below.
  * UndoTx (txn/undo_log.hh) is the expert-crafted library the paper
- * anticipates: it places the annotations and writebacks so that regular
- * code never touches these primitives directly.
+ * anticipates: it emits its barriers through these primitives and
+ * places the annotations, so regular code never touches them directly.
  */
 
 #ifndef CNVM_PERSIST_PRIMITIVES_HH

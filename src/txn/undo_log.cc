@@ -4,6 +4,7 @@
 
 #include "common/hash.hh"
 #include "common/logging.hh"
+#include "persist/primitives.hh"
 
 namespace cnvm
 {
@@ -111,24 +112,6 @@ UndoTx::mergedLine(Addr line_addr) const
 }
 
 void
-UndoTx::barrier(std::vector<Op> &out, const std::vector<Addr> &line_addrs)
-{
-    for (Addr a : line_addrs)
-        out.push_back(Op::clwb(a));
-
-    // counter_cache_writeback() per distinct counter line: eight data
-    // lines share a counter line, so deduplicate by that granularity.
-    std::set<Addr> ctr_groups;
-    for (Addr a : line_addrs) {
-        Addr group = (a / lineBytes) / countersPerLine;
-        if (ctr_groups.insert(group).second)
-            out.push_back(Op::ctrwb(a));
-    }
-
-    out.push_back(Op::fence());
-}
-
-void
 UndoTx::commit(std::vector<Op> &out)
 {
     cnvm_assert(active);
@@ -181,7 +164,7 @@ UndoTx::commit(std::vector<Op> &out)
     out.push_back(Op::store(log.headerAddr(), &header, sizeof(header),
                             /*ca=*/true));
 
-    barrier(out, log_lines);
+    persist::selectiveBarrier(out, log_lines);
 
     // ------------------------------------------------------------------
     // Stage 2 — Mutate: apply the deferred writes in place. The log
@@ -206,7 +189,7 @@ UndoTx::commit(std::vector<Op> &out)
         shadow.write(line_addr, merged.data(), lineBytes);
     }
 
-    barrier(out, lines);
+    persist::selectiveBarrier(out, lines);
 
     // ------------------------------------------------------------------
     // Stage 3 — Commit: one CounterAtomic store invalidates the backup,
@@ -217,8 +200,7 @@ UndoTx::commit(std::vector<Op> &out)
     shadow.writeU64(log.validAddr(), invalid);
     out.push_back(Op::store(log.validAddr(), &invalid, sizeof(invalid),
                             /*ca=*/true));
-    out.push_back(Op::clwb(log.headerAddr()));
-    out.push_back(Op::fence());
+    persist::persistBarrier(out, {log.headerAddr()});
 
     pendingBytes.clear();
 }

@@ -150,11 +150,6 @@ class UndoTx
 
     /** Merged (shadow + pending) content of a touched line. */
     LineData mergedLine(Addr line_addr) const;
-
-    /** Emits clwb for @p line_addrs, counter_cache_writeback for their
-     *  counter lines (deduplicated), then an sfence. */
-    static void barrier(std::vector<Op> &out,
-                        const std::vector<Addr> &line_addrs);
 };
 
 /**
