@@ -10,11 +10,12 @@
 # recovery pre-scan, replay-dosed pre-scan, the 4-channel fork capture
 # and parallel soak chains), and a Release build with -Werror, its own
 # full test-suite run, its sweep smokes, one brief run of each
-# micro-benchmark and a short perfbench run of both workloads. Host
-# parallelism is run-level only: each simulation runs on one thread,
-# every sweep point, soak chain and pool task owns its System, and fork
-# classification reads only the fork's image copy and the trunk's
-# immutable controller config — the TSan steps are what prove it.
+# micro-benchmark, a short perfbench run of both workloads and the
+# perfbench tests. Host parallelism is run-level only: each simulation
+# runs on one thread, every sweep point, soak chain and pool task owns
+# its System, and fork classification reads only the fork's image copy
+# and the trunk's immutable controller config — the TSan steps are
+# what prove it.
 #
 #   tools/ci.sh [build-dir] [release-build-dir] [tsan-build-dir]
 #
@@ -216,8 +217,9 @@ cmake --build "$tsan" -j "$(nproc)" --target cnvm_soak
 # once, briefly, so a
 # benchmark that no longer runs is caught (a smoke run, not a timing
 # gate; google-benchmark 1.7 takes --benchmark_min_time in seconds);
-# and a 1 s perfbench run of each benchmark workload exits non-zero on
-# any failed op.
+# a 1 s perfbench run of each benchmark workload exits non-zero on
+# any failed op; and perfbench_test checks the benchmark still agrees
+# with the library it is built against.
 cmake -B "$release" -S "$repo" -DCMAKE_BUILD_TYPE=Release \
     -DCMAKE_CXX_FLAGS="-Werror"
 cmake --build "$release" -j "$(nproc)"
@@ -231,3 +233,10 @@ done
 for workload in crash-recovery scale-16c8ch; do
     python3 "$repo/perfbench/run.py" --workload "$workload" --seconds 1
 done
+# The benchmark's own tests, in the tree run.py configured above: the
+# fork sweep perfbench assembles from library calls must match
+# runSweep's, so a library API change that breaks the benchmark fails
+# here.
+cmake --build "$repo/.bench_build/perfbench" --target perfbench_test \
+    -j "$(nproc)"
+"$repo/.bench_build/perfbench/perfbench_test"
