@@ -4,7 +4,7 @@
  *
  * Buffers counter lines (8 counters of 8 B covering 8 consecutive data
  * lines) so that OTP generation can overlap the memory read. Tracks a
- * dirty bit per line; in the SCA design dirty counter lines are the
+ * dirty mask per line; in the SCA design dirty counter lines are the
  * updates whose persistence has been deferred.
  */
 
@@ -14,38 +14,30 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "common/types.hh"
-#include "nvm/nvm_device.hh"
+#include "mem/cache.hh"
+#include "nvm/persist_image.hh"
 #include "stats/stats.hh"
 
 namespace cnvm
 {
 
-/** One resident counter line. */
+/**
+ * One resident counter line. Its address and LRU stamp live in the
+ * cache's per-frame tag and stamp arrays.
+ */
 struct CounterCacheLine
 {
-    Addr addr = 0;          //!< counter-line address
-    bool valid = false;
-    bool dirty = false;
     /** Which of the eight counters carry unpersisted updates. */
     std::uint8_t dirtyMask = 0;
-    std::uint64_t lruStamp = 0;
     CounterLine values{};
-};
 
-/** A dirty counter line displaced by an allocation. */
-struct CounterEviction
-{
-    Addr addr = 0;
-    /** Which of the eight counters carry unpersisted updates. */
-    std::uint8_t dirtyMask = 0;
-    CounterLine values{};
+    bool dirty() const { return dirtyMask != 0; }
 };
 
 /** Set-associative, LRU counter cache. */
-class CounterCache
+class CounterCache : private SetAssocCache<CounterCacheLine>
 {
   public:
     /**
@@ -68,10 +60,10 @@ class CounterCache
                  unsigned index_shift = 0);
 
     /** Looks up a counter line; on hit refreshes LRU. */
-    CounterCacheLine *access(Addr ctr_line_addr);
+    using SetAssocCache::access;
 
     /** Looks up without LRU update. */
-    CounterCacheLine *peek(Addr ctr_line_addr);
+    using SetAssocCache::peek;
 
     /**
      * Installs a counter line (must not be resident), returning the
@@ -83,14 +75,14 @@ class CounterCache
      *                   be exact at install time — a dirty writeback
      *                   sized by a stale mask inflates counter traffic.
      */
-    std::optional<CounterEviction>
+    std::optional<Victim<CounterCacheLine>>
     install(Addr ctr_line_addr, const CounterLine &values,
             std::uint8_t dirty_mask);
 
     /** Drops all contents (power failure). */
-    void reset();
+    using SetAssocCache::reset;
 
-    std::uint64_t validCount() const;
+    using SetAssocCache::validCount;
     std::uint64_t dirtyCount() const;
 
     // Stats are public so the controller can attribute hits/misses by
@@ -100,15 +92,6 @@ class CounterCache
     stats::Scalar writeHits;
     stats::Scalar writeMisses;
     stats::Scalar dirtyEvictions;
-
-  private:
-    std::uint64_t numSets;
-    unsigned ways;
-    unsigned indexShift = 0;
-    std::uint64_t nextStamp = 1;
-    std::vector<CounterCacheLine> lines;
-
-    std::uint64_t setIndex(Addr addr) const;
 };
 
 } // namespace cnvm

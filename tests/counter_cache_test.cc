@@ -29,7 +29,7 @@ TEST(CounterCache, InstallAndAccess)
     CounterCacheLine *line = cc.access(0x1000);
     ASSERT_NE(line, nullptr);
     EXPECT_EQ(line->values, valuesOf(100));
-    EXPECT_FALSE(line->dirty);
+    EXPECT_FALSE(line->dirty());
     EXPECT_EQ(line->dirtyMask, 0);
 }
 
@@ -43,7 +43,7 @@ TEST(CounterCache, DirtyInstallKeepsExactMask)
     cc.install(0x1000, valuesOf(1), 0x04);
     CounterCacheLine *line = cc.peek(0x1000);
     ASSERT_NE(line, nullptr);
-    EXPECT_TRUE(line->dirty);
+    EXPECT_TRUE(line->dirty());
     EXPECT_EQ(line->dirtyMask, 0x04);
 }
 
