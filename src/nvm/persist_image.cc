@@ -187,14 +187,4 @@ PersistImage::dataLineAddrs() const
     return addrs;
 }
 
-std::vector<Addr>
-PersistImage::counterLineAddrs() const
-{
-    std::vector<Addr> addrs;
-    addrs.reserve(counterStore.size());
-    counterStore.forEach(
-        [&addrs](Addr addr, const CounterLine &) { addrs.push_back(addr); });
-    return addrs;
-}
-
 } // namespace cnvm

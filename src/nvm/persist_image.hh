@@ -165,9 +165,6 @@ class PersistImage
      */
     bool lineReplayed(Addr line_addr) const;
 
-    /** Every persisted counter-line address, ascending. */
-    std::vector<Addr> counterLineAddrs() const;
-
     /**
      * Persisted integrity-tree node at (@p level, @p index), or
      * nullptr when none was written (tree disabled, or the subtree
