@@ -58,7 +58,7 @@ BM_SimulatedRead(benchmark::State &state)
     Addr addr = 0x40000;
     for (auto _ : state) {
         bool done = false;
-        ctl.issueRead(addr, 0, [&]() { done = true; });
+        ctl.issueRead(addr, [&]() { done = true; });
         eq.run();
         benchmark::DoNotOptimize(done);
         addr += lineBytes;
@@ -150,7 +150,7 @@ BM_WriteReadBurstQueuePressure(benchmark::State &state)
                 eq.step();
         }
         for (unsigned r = 0; r < readsPerBurst; ++r)
-            ctl.issueRead(lineAt(r * 3 % writesPerBurst), 0,
+            ctl.issueRead(lineAt(r * 3 % writesPerBurst),
                           [&]() { ++readsDone; });
         eq.run();
         ++it;

@@ -25,9 +25,9 @@ ChannelRouter::channelFor(Addr addr) const
 }
 
 void
-ChannelRouter::issueRead(Addr addr, unsigned core_id, ReadCallback done)
+ChannelRouter::issueRead(Addr addr, ReadCallback done)
 {
-    channelFor(addr).issueRead(addr, core_id, std::move(done));
+    channelFor(addr).issueRead(addr, std::move(done));
 }
 
 bool

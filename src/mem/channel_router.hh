@@ -32,8 +32,7 @@ class ChannelRouter : public MemBackend
   public:
     ChannelRouter(std::vector<MemBackend *> channels_in, ChannelMap map);
 
-    void issueRead(Addr addr, unsigned core_id,
-                   ReadCallback done) override;
+    void issueRead(Addr addr, ReadCallback done) override;
     bool tryWrite(const WriteReq &req) override;
     bool tryCtrWriteback(Addr data_line_addr,
                          std::function<void()> accepted) override;

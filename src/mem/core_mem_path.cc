@@ -26,7 +26,6 @@ CoreMemPath::CoreMemPath(EventQueue &eq, ClockDomain cpu_clock,
       l1("core" + std::to_string(core_id) + ".l1", cfg.l1Bytes, cfg.l1Assoc),
       l2("core" + std::to_string(core_id) + ".l2", cfg.l2Bytes, cfg.l2Assoc),
       cfg(cfg),
-      id(core_id),
       l1Hits(statName(core_id, "l1_hits"), "L1 hits"),
       l1Misses(statName(core_id, "l1_misses"), "L1 misses"),
       l2Hits(statName(core_id, "l2_hits"), "L2 hits"),
@@ -53,7 +52,7 @@ template <typename F>
 void
 CoreMemPath::missToMemory(Addr addr, F &&done)
 {
-    backend.issueRead(addr, id,
+    backend.issueRead(addr,
         [this, addr, done = std::forward<F>(done)]() mutable {
             fillBoth(addr, backend.functionalRead(addr));
             done();

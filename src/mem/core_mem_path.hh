@@ -83,14 +83,11 @@ class CoreMemPath : public Clocked
     /** Reads current plaintext as the core would see it (functional). */
     LineData functionalRead(Addr addr) const;
 
-    unsigned coreId() const { return id; }
-
   private:
     MemBackend &backend;
     Cache l1;
     Cache l2;
     CachePathConfig cfg;
-    unsigned id;
 
     /** Deferred writes waiting for controller space, retried in order. */
     std::deque<std::function<bool()>> stalled;

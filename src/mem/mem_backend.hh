@@ -33,8 +33,7 @@ class MemBackend
      * Issues a line read; @p done fires when decrypted data is
      * available to fill the cache.
      */
-    virtual void issueRead(Addr addr, unsigned core_id,
-                           ReadCallback done) = 0;
+    virtual void issueRead(Addr addr, ReadCallback done) = 0;
 
     /**
      * Attempts to hand a line write to the controller.

@@ -26,7 +26,7 @@ class FakeBackend : public MemBackend
     explicit FakeBackend(EventQueue &eq) : eq(eq) {}
 
     void
-    issueRead(Addr addr, unsigned, ReadCallback done) override
+    issueRead(Addr addr, ReadCallback done) override
     {
         ++reads;
         lastReadAddr = addr;

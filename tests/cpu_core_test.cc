@@ -25,7 +25,7 @@ class FakeBackend : public MemBackend
     explicit FakeBackend(EventQueue &eq) : eq(eq) {}
 
     void
-    issueRead(Addr, unsigned, ReadCallback done) override
+    issueRead(Addr, ReadCallback done) override
     {
         ++reads;
         scheduleAfter(eq, nsToTicks(70), std::move(done));

@@ -44,7 +44,7 @@ class MemCtlTest : public ::testing::Test
     {
         Tick start = eq.curTick();
         Tick done = 0;
-        ctl->issueRead(addr, 0, [&]() { done = eq.curTick(); });
+        ctl->issueRead(addr, [&]() { done = eq.curTick(); });
         eq.run();
         return done - start;
     }
@@ -155,7 +155,7 @@ TEST_F(MemCtlTest, ReadForwardsFromWriteQueue)
     // line is served by forwarding, far faster than the device.
     scheduleAfter(eq, ctl->config().encLatency, [&]() {
         Tick start = eq.curTick();
-        ctl->issueRead(0x40000, 0, [&, start]() {
+        ctl->issueRead(0x40000, [&, start]() {
             EXPECT_EQ(eq.curTick() - start, ctl->config().forwardLatency);
         });
     });
@@ -176,7 +176,7 @@ TEST_F(MemCtlTest, ReadForwardsFromInPipelineWrite)
     // Same tick: the write is in the pipeline, not yet in any queue.
     Tick start = eq.curTick();
     Tick done = 0;
-    ctl->issueRead(0x40000, 0, [&]() { done = eq.curTick(); });
+    ctl->issueRead(0x40000, [&]() { done = eq.curTick(); });
     eq.run();
     EXPECT_EQ(done - start, ctl->config().forwardLatency);
     EXPECT_EQ(ctl->readForwards.value(), 1.0);
@@ -472,8 +472,7 @@ TEST_F(MemCtlTest, CrashWithReadsInFlightDoesNotUnderflow)
     build(DesignPoint::SCA);
     unsigned completions = 0;
     for (unsigned i = 0; i < 4; ++i)
-        ctl->issueRead(0x40000 + i * lineBytes, 0,
-                       [&]() { ++completions; });
+        ctl->issueRead(0x40000 + i * lineBytes, [&]() { ++completions; });
     EXPECT_EQ(ctl->outstandingReadCount(), 4u);
     ctl->crash();
     EXPECT_EQ(ctl->outstandingReadCount(), 0u);
@@ -483,7 +482,7 @@ TEST_F(MemCtlTest, CrashWithReadsInFlightDoesNotUnderflow)
 
     // The post-crash controller still serves reads normally.
     bool done = false;
-    ctl->issueRead(0x40000, 0, [&]() { done = true; });
+    ctl->issueRead(0x40000, [&]() { done = true; });
     eq.run();
     EXPECT_TRUE(done);
     EXPECT_EQ(ctl->outstandingReadCount(), 0u);

@@ -156,7 +156,7 @@ runSequence(DesignPoint design, Variant variant, std::uint32_t seed)
             req.counterAtomic = rng() % 2 == 0;
             fold(rig.ctl->tryWrite(req));
         } else if (kind < 70) {
-            rig.ctl->issueRead(random_line(), 0, []() {});
+            rig.ctl->issueRead(random_line(), []() {});
         } else if (kind < 80) {
             fold(rig.ctl->tryCtrWriteback(random_line(), nullptr));
         } else if (kind < 97) {
