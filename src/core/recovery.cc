@@ -395,6 +395,38 @@ RecoveryEngine::recover(const Workload &workload,
         }
         image.preScan(workload.regionBase(), workload.regionEnd(), pool,
                       opt.crash);
+
+        // Degraded write-back (the resume lifecycle): tombstone every
+        // quarantined line before any step can exit — replace its
+        // stored MAC with a value derived from, but never equal to,
+        // the MAC of the stored triple. This is the in-model equivalent
+        // of a persistent bad-line marker: every later recovery of
+        // this image re-detects the line (the tombstone MAC verifies at
+        // no counter in the repair window) and re-quarantines it, so a
+        // quarantine can never silently evaporate between soak cycles,
+        // whichever step this recovery stops at. Without the
+        // tombstone, a *replayed* quarantined line would do exactly
+        // that: its stale triple is self-consistent, and once a tree
+        // rebuild (step 1c, or the next power failure's flush) blesses
+        // the stored counters the replay evidence is gone — the next
+        // cycle would silently read stale plaintext. A line a rollback
+        // later restores gets a fresh MAC from persistLine. The write
+        // is deterministic for a fixed image, so interrupted attempts
+        // rewrite identical bytes.
+        if (opt.degraded && opt.commitTo != nullptr) {
+            constexpr std::uint64_t kTombstone = 0x51A5'0BAD'51A5'0BADull;
+            for (Addr qa : image.quarantinedLineAddrs()) {
+                const LineData *cipher = src.persistedLine(qa);
+                if (cipher == nullptr)
+                    continue; // never-drained lines carry no MAC
+                std::uint64_t counter =
+                    src.persistedCounters(ctl.counterLineAddr(qa))
+                        [ctl.counterSlot(qa)];
+                opt.commitTo->drainMac(
+                    qa, ctl.engine().lineMac(qa, counter, *cipher)
+                            ^ kTombstone);
+            }
+        }
     }
 
     runRecovery(image, workload, digests_in, opt, report);
@@ -508,43 +540,13 @@ RecoveryEngine::runRecovery(RecoveredImage &image,
     // Detected-but-unrepairable lines survive to here only if the
     // rollback could not restore them. By default, degrade gracefully:
     // report the loss precisely instead of validating a region known
-    // to hold zeroed-out garbage.
-    if (image.quarantinedCount() > 0) {
-        if (!opt.degraded) {
-            return fail(RecoveryFailure::QuarantinedLines,
-                        std::to_string(image.quarantinedCount())
-                            + " unrepairable corrupt line(s) "
-                              "quarantined");
-        }
-        // Degraded mode (the resume lifecycle): keep going with the
-        // quarantined lines reading as zeros, but first tombstone each
-        // of them in the write-back image — replace the stored MAC
-        // with a value derived from, but never equal to, the MAC of
-        // the stored triple. This is the in-model equivalent of a
-        // persistent bad-line marker: every later recovery of this
-        // image re-detects the line (the tombstone MAC verifies at no
-        // counter in the repair window) and re-quarantines it, so a
-        // quarantine can never silently evaporate between soak cycles.
-        // Without the tombstone, a *replayed* quarantined line would
-        // do exactly that: its stale triple is self-consistent, and
-        // once step 1c rebuilds the tree over the stored counters the
-        // replay evidence is gone — the next cycle would silently read
-        // stale plaintext. The write is deterministic for a fixed
-        // image, so interrupted attempts rewrite identical bytes.
-        if (opt.commitTo != nullptr && ctl.config().integrityMac) {
-            constexpr std::uint64_t kTombstone = 0x51A5'0BAD'51A5'0BADull;
-            for (Addr qa : image.quarantinedLineAddrs()) {
-                const LineData *cipher = src.persistedLine(qa);
-                if (cipher == nullptr)
-                    continue; // never-drained lines carry no MAC
-                std::uint64_t counter =
-                    src.persistedCounters(ctl.counterLineAddr(qa))
-                        [ctl.counterSlot(qa)];
-                opt.commitTo->drainMac(
-                    qa, ctl.engine().lineMac(qa, counter, *cipher)
-                            ^ kTombstone);
-            }
-        }
+    // to hold zeroed-out garbage. Degraded mode keeps going with the
+    // quarantined lines reading as zeros, tombstoned after the
+    // pre-scan.
+    if (image.quarantinedCount() > 0 && !opt.degraded) {
+        return fail(RecoveryFailure::QuarantinedLines,
+                    std::to_string(image.quarantinedCount())
+                        + " unrepairable corrupt line(s) quarantined");
     }
 
     // --- Step 1c: integrity-tree reconstruction ------------------------

@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/recovery.hh"
 #include "core/recovery_crash.hh"
 #include "core/system.hh"
+#include "integrity/integrity_tree.hh"
 #include "nvm/fault_model.hh"
 
 namespace cnvm
@@ -511,6 +514,63 @@ TEST_F(IntegrityRepairTest, IntactBackupRestoresQuarantinedTarget)
     // (the backup content is synthetic), but the corruption itself is
     // fully healed — nothing remains quarantined.
     EXPECT_NE(report.reason, RecoveryFailure::QuarantinedLines);
+}
+
+TEST(DegradedRecovery, EarlyExitKeepsAReplayedLineQuarantined)
+{
+    // A degraded write-back recovery that stops at step 1 must still
+    // tombstone its quarantined lines. Here the log header is corrupt
+    // beyond repair, so recovery fails with an unreadable header, and
+    // a region line carries a replayed triple. The next power failure
+    // rebuilds the tree from the counter store, which then vouches for
+    // the replayed counter: without its tombstone the stale triple
+    // verifies again and the line silently leaves quarantine.
+    SystemConfig cfg = integrityConfig(DesignPoint::SCA);
+    cfg.memctl.integrityTree = true;
+    System sys(cfg);
+    sys.run();
+    sys.crashChannels();
+
+    const MemController &ctl = sys.controller();
+    PersistImage &img = sys.nvm().persistedState();
+    const Workload &wl = sys.workload(0);
+    const Addr header = wl.log().headerAddr();
+
+    Addr victim = 0;
+    for (Addr a : img.replayableLineAddrs()) {
+        if (a != header && wl.inRegion(a)
+            && img.replayLine(a, ctl.counterLineAddr(a),
+                              ctl.counterSlot(a))) {
+            victim = a;
+            break;
+        }
+    }
+    ASSERT_NE(victim, 0u);
+
+    // Flip a header ciphertext byte under its unchanged MAC.
+    LineData bad = *img.persistedLine(header);
+    bad[0] ^= 0xff;
+    img.drainData(header, bad, img.persistedCipherCounter(header));
+
+    RecoveryOptions opt;
+    opt.degraded = true;
+    opt.commitTo = &img;
+    auto quarantined = [victim](const RecoveryReport &r) {
+        return std::find(r.quarantinedLines.begin(),
+                         r.quarantinedLines.end(), victim)
+            != r.quarantinedLines.end();
+    };
+    RecoveryReport first = RecoveryEngine(img, ctl).recover(wl, nullptr, opt);
+    ASSERT_EQ(first.reason, RecoveryFailure::LogHeaderUnreadable);
+    ASSERT_TRUE(quarantined(first));
+
+    // The next power failure's flush: the tree rebuilt, root last,
+    // over the counter store recovery left behind.
+    rebuildTree(img, ctl.config().counterRegionBase, 0, ~Addr(0));
+
+    RecoveryReport second =
+        RecoveryEngine(img, ctl).recover(wl, nullptr, opt);
+    EXPECT_TRUE(quarantined(second));
 }
 
 TEST(RecoveryParallel, ReportsIdenticalAtAnyJobCount)
