@@ -13,9 +13,9 @@
  * 1 job Replay and Fork differ only in work done; 4 jobs adds the
  * pool's fan-out.
  *
- * Two host-scaling rows ride along: fault-dosed soak chains fanned
- * over 1 and 4 jobs, and crash recovery of growing MAC-armed regions
- * with the integrity pre-scan sharded over 1 and 4 recovery jobs.
+ * Two more rows ride along: fault-dosed soak chains fanned over 1 and
+ * 4 jobs, and crash recovery of growing MAC-armed regions on one
+ * thread.
  */
 
 #include <benchmark/benchmark.h>
@@ -102,7 +102,7 @@ BENCHMARK(BM_SoakChains)->ArgName("jobs")->Arg(1)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 /** Recovery of an SCA region of range(0) KB with MACs, crashed
- *  mid-run, with the pre-scan sharded over range(1) recovery jobs. */
+ *  mid-run. */
 void
 BM_RecoverAll(benchmark::State &state)
 {
@@ -117,15 +117,14 @@ BM_RecoverAll(benchmark::State &state)
     Tick total = System(cfg).run().endTick;
     System sys(cfg);
     sys.runWithCrashAt(total / 2);
-    const unsigned recovery_jobs = static_cast<unsigned>(state.range(1));
 
     for (auto _ : state) {
-        std::vector<RecoveryReport> reports = sys.recoverAll(recovery_jobs);
+        std::vector<RecoveryReport> reports = sys.recoverAll();
         benchmark::DoNotOptimize(reports);
     }
 }
-BENCHMARK(BM_RecoverAll)->ArgsProduct({{512, 2048, 8192}, {1, 4}})
-    ->ArgNames({"kb", "recovery_jobs"})->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RecoverAll)->ArgName("kb")->Arg(512)->Arg(2048)->Arg(8192)
+    ->Unit(benchmark::kMillisecond);
 
 } // anonymous namespace
 

@@ -131,9 +131,8 @@ class CrashOracle
      *
      * @param digests optional committed-digest log override for the
      *        recovery step (see RecoveryEngine::recover).
-     * @param ropt recovery options — pre-scan concurrency and friends
-     *        (see RecoveryOptions); the classification is identical
-     *        at any jobs value.
+     * @param ropt recovery options — write-back target, injector,
+     *        degraded mode (see RecoveryOptions).
      */
     OracleReport examine(const Workload &workload,
                          const std::vector<std::uint64_t> *digests

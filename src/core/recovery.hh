@@ -80,16 +80,15 @@ class RecoveredImage : public ByteReader
      * line up front, so no corruption can hide in a line the later
      * pipeline happens not to read.
      *
-     * The scan shards the range into fixed-size line runs; when
-     * @p pool has more than one job the shards are verified
-     * concurrently (verifyShard() is pure: it touches only the
-     * immutable source and controller) and merged into the cache in
-     * shard order — address order — so the detected/repaired counters,
-     * the quarantine set, and every cached plaintext byte are
-     * identical at any job count. @p crash, when non-null, observes
-     * one PreScanLine step per merged line (and may interrupt there).
+     * The scan walks the range in address order, one fixed-size shard
+     * at a time: verifyShard() batches a shard's MACs, and its lines
+     * are installed before the next shard is verified. @p crash, when
+     * non-null, observes one PreScanLine step per installed line (and
+     * may interrupt there). The WorkPool parameter is unused; it stays
+     * only so that perfbench/, which passes nullptr, compiles
+     * unchanged until a benchmark change drops it.
      */
-    void preScan(Addr base, Addr end, WorkPool *pool,
+    void preScan(Addr base, Addr end, WorkPool *,
                  RecoveryCrashInjector *crash) const;
 
     /** MAC mismatches found so far (integrity metadata only). */
@@ -113,8 +112,7 @@ class RecoveredImage : public ByteReader
     bool isQuarantined(Addr line_addr) const
     { return quarantine.contains(lineAlign(line_addr)); }
 
-    /** The quarantined line addresses, ascending — deterministic
-     *  however the pre-scan shards landed them. */
+    /** The quarantined line addresses, ascending. */
     std::vector<Addr> quarantinedLineAddrs() const;
 
     /** Lifts a line's quarantine (rollback restored it from an intact
@@ -129,14 +127,9 @@ class RecoveredImage : public ByteReader
     /** Decrypted lines plus rollback overlays. */
     mutable LineTable<LineData> cache;
 
-    /**
-     * Integrity bookkeeping (populated lazily as lines decrypt).
-     * Mutated ONLY through install(), which runs on the owner thread:
-     * serially on lazy reads, and at the post-barrier merge of
-     * preScan(). Worker threads produce immutable VerifiedLine values
-     * and never touch these members — quarantine insertions in
-     * particular happen per shard, in address order, at the merge.
-     */
+    /** Integrity bookkeeping (populated as lines decrypt), mutated
+     *  only through install(): by the pre-scan in address order, then
+     *  on lazy reads. */
     mutable std::uint64_t detected = 0;
     mutable std::uint64_t repaired = 0;
     mutable std::uint64_t replays = 0;
@@ -151,7 +144,7 @@ class RecoveredImage : public ByteReader
     bool treeMismatch = false;
 
     /** Outcome of verifying one line, before it touches the image's
-     *  bookkeeping — the unit of work pre-scan shards exchange. */
+     *  bookkeeping. */
     struct VerifiedLine
     {
         LineData plain{}; //!< zeros when quarantined
@@ -183,8 +176,7 @@ class RecoveredImage : public ByteReader
                             std::uint64_t tag) const;
 
     /** Decrypts and verifies one line. Pure: reads only the immutable
-     *  source/controller, mutates nothing — safe to call from worker
-     *  threads. */
+     *  source/controller, mutates nothing. */
     VerifiedLine verifyLine(Addr line_addr) const;
 
     /** verifyLine() of lines [lo, hi) past @p base, batched: one
@@ -292,18 +284,10 @@ struct RecoveryReport
 
 /**
  * How to run one recovery. The default value is the historical
- * behavior: serial, in-memory only, uninterruptible.
+ * behavior: in-memory only, uninterruptible.
  */
 struct RecoveryOptions
 {
-    /** Integrity pre-scan concurrency: 1 is the serial reference,
-     *  0 asks for WorkPool::hardwareJobs(). The outcome is
-     *  byte-identical at any value (see RecoveredImage::preScan). */
-    unsigned jobs = 1;
-
-    /** Optional external pool for the pre-scan; overrides jobs. */
-    WorkPool *pool = nullptr;
-
     /**
      * Write-back mode: persist every restoration recovery makes —
      * rolled-back lines re-encrypted at their stored counters (MAC
@@ -354,8 +338,8 @@ class RecoveryEngine
      *        against instead of the workload's own — a PersistFork's
      *        snapshot, frozen at the capture tick while the workload's
      *        live log keeps growing on the trunk.
-     * @param opt pre-scan concurrency, write-back target, injector
-     *        (see RecoveryOptions).
+     * @param opt write-back target, injector, degraded mode (see
+     *        RecoveryOptions).
      */
     RecoveryReport recover(const Workload &workload,
                            const std::vector<std::uint64_t> *digests

@@ -6,7 +6,6 @@
 #include "common/intmath.hh"
 #include "common/logging.hh"
 #include "integrity/integrity_tree.hh"
-#include "runner/runner.hh"
 
 namespace cnvm
 {
@@ -465,40 +464,24 @@ System::runWithForkCapture(const std::vector<CrashSpec> &specs,
 }
 
 std::vector<RecoveryReport>
-System::recoverAll(unsigned recovery_jobs)
+System::recoverAll()
 {
-    // One pool shared across the per-core recoveries (the pre-scan
-    // within each recovery is what parallelizes; cores stay in order).
-    std::unique_ptr<WorkPool> pool;
-    RecoveryOptions ropt;
-    if (recovery_jobs != 1) {
-        pool = std::make_unique<WorkPool>(recovery_jobs);
-        ropt.pool = pool.get();
-    }
-
     RecoveryEngine engine(nvmDev.persistedState(), controller());
     std::vector<RecoveryReport> reports;
     reports.reserve(workloads.size());
     for (auto &wl : workloads)
-        reports.push_back(engine.recover(*wl, nullptr, ropt));
+        reports.push_back(engine.recover(*wl));
     return reports;
 }
 
 std::vector<OracleReport>
-System::examineAll(unsigned recovery_jobs)
+System::examineAll()
 {
-    std::unique_ptr<WorkPool> pool;
-    RecoveryOptions ropt;
-    if (recovery_jobs != 1) {
-        pool = std::make_unique<WorkPool>(recovery_jobs);
-        ropt.pool = pool.get();
-    }
-
     CrashOracle oracle(nvmDev.persistedState(), controller());
     std::vector<OracleReport> reports;
     reports.reserve(workloads.size());
     for (auto &wl : workloads)
-        reports.push_back(oracle.examine(*wl, nullptr, ropt));
+        reports.push_back(oracle.examine(*wl));
     return reports;
 }
 

@@ -155,13 +155,11 @@ class System
      *  the run completed without crashing). */
     const CrashSnapshot &crashSnapshot() const { return snapshot; }
 
-    /** Recovers and verifies every core's region after a crash.
-     *  @param recovery_jobs integrity pre-scan concurrency (1 =
-     *  serial reference; results are identical at any value). */
-    std::vector<RecoveryReport> recoverAll(unsigned recovery_jobs = 1);
+    /** Recovers and verifies every core's region after a crash. */
+    std::vector<RecoveryReport> recoverAll();
 
     /** Recovers and classifies every core's region (crash oracle). */
-    std::vector<OracleReport> examineAll(unsigned recovery_jobs = 1);
+    std::vector<OracleReport> examineAll();
 
     /** Aggregate: true iff every region recovered consistently. */
     bool recoveredConsistently(std::string *first_failure = nullptr);

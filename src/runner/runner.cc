@@ -15,9 +15,9 @@ WorkPool::hardwareJobs()
 WorkPool::WorkPool(unsigned jobs)
     : njobs(jobs == 0 ? hardwareJobs() : jobs)
 {
-    // The calling thread participates in every batch, so a pool of N
-    // jobs needs N - 1 workers; jobs == 1 spawns none and stays a
-    // purely serial inline loop.
+    // The calling thread joins every drain in waitSubmitted(), so a
+    // pool of N jobs needs N - 1 workers; jobs == 1 spawns none and
+    // runs every task inline.
     workers.reserve(njobs - 1);
     for (unsigned i = 1; i < njobs; ++i)
         workers.emplace_back([this]() { workerLoop(); });
@@ -37,38 +37,17 @@ WorkPool::~WorkPool()
 void
 WorkPool::workerLoop()
 {
-    std::uint64_t seen = 0;
     for (;;) {
-        Batch *b = nullptr;
         {
             std::unique_lock<std::mutex> lock(mtx);
-            wake.wait(lock, [&]() {
-                return stopping
-                    || (batch != nullptr && generation != seen)
-                    || !subQ.empty();
-            });
+            wake.wait(lock, [&]() { return stopping || !subQ.empty(); });
             if (stopping)
                 return;
-            if (batch != nullptr && generation != seen) {
-                seen = generation;
-                b = batch;
-                // Attach before unlocking: the owner must not retire
-                // the batch (a stack object of forEachIndex) while any
-                // worker still holds a pointer to it.
-                ++b->active;
-            }
         }
-        if (b != nullptr) {
-            drainBatch(*b);
-            std::lock_guard<std::mutex> lock(mtx);
-            if (--b->active == 0)
-                idle.notify_all();
-        } else {
-            // Woken for a submitted task; another worker may have
-            // beaten us to it, in which case this is a no-op and we
-            // go back to sleep.
-            runOneSubmitted();
-        }
+        // Another worker (or the owner draining in waitSubmitted) may
+        // have taken the task first, in which case this is a no-op and
+        // we go back to sleep.
+        runOneSubmitted();
     }
 }
 
@@ -143,85 +122,6 @@ WorkPool::waitSubmitted()
     if (!errors.empty()) {
         auto lowest = std::min_element(
             errors.begin(), errors.end(),
-            [](const auto &a, const auto &c) { return a.first < c.first; });
-        std::rethrow_exception(lowest->second);
-    }
-}
-
-void
-WorkPool::drainBatch(Batch &b)
-{
-    for (;;) {
-        std::size_t i;
-        {
-            std::lock_guard<std::mutex> lock(mtx);
-            // A thrown task stops the claim cursor: the batch settles
-            // with in-flight work only, and the error is rethrown by
-            // the owner once everyone is done.
-            if (!b.errors.empty() || b.next >= b.n)
-                return;
-            i = b.next++;
-        }
-        std::exception_ptr err;
-        try {
-            (*b.task)(i);
-        } catch (...) {
-            err = std::current_exception();
-        }
-        {
-            std::lock_guard<std::mutex> lock(mtx);
-            if (err)
-                b.errors.emplace_back(i, err);
-            // A transient done == next mid-batch notifies the owner
-            // while it is still claiming; the extra wakeup is benign
-            // because the owner re-checks the predicate.
-            if (++b.done == b.next)
-                idle.notify_all();
-        }
-    }
-}
-
-void
-WorkPool::forEachIndex(std::size_t n,
-                       const std::function<void(std::size_t)> &task)
-{
-    if (n == 0)
-        return;
-
-    Batch b;
-    b.n = n;
-    b.task = &task;
-
-    if (njobs == 1 || n == 1) {
-        // Serial reference path: run in index order on this thread.
-        // The first throw propagates directly — it is necessarily the
-        // lowest failed index, matching the parallel semantics.
-        for (std::size_t i = 0; i < n; ++i)
-            task(i);
-        return;
-    }
-
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        batch = &b;
-        ++generation;
-    }
-    wake.notify_all();
-
-    // The owner claims indices too, then waits for stragglers — both
-    // for every claimed index to finish and for every attached worker
-    // to drop its pointer to this stack frame's batch.
-    drainBatch(b);
-    {
-        std::unique_lock<std::mutex> lock(mtx);
-        idle.wait(lock,
-                  [&]() { return b.done == b.next && b.active == 0; });
-        batch = nullptr;
-    }
-
-    if (!b.errors.empty()) {
-        auto lowest = std::min_element(
-            b.errors.begin(), b.errors.end(),
             [](const auto &a, const auto &c) { return a.first < c.first; });
         std::rethrow_exception(lowest->second);
     }

@@ -25,7 +25,6 @@
 #include "core/system.hh"
 #include "integrity/integrity_tree.hh"
 #include "nvm/fault_model.hh"
-#include "runner/runner.hh"
 
 namespace cnvm
 {
@@ -343,6 +342,47 @@ TEST(PreScan, BatchedShardsDecideEveryLineLikeALazyRead)
     EXPECT_GT(scanned.quarantinedCount(), scanned.replaysDetected());
 }
 
+TEST(PreScan, QuarantinesVictimsInDistinctShards)
+{
+    // Corrupt one line in each of several distinct 16 KB shards: the
+    // pre-scan verifies and installs shard after shard, and every
+    // victim must come out quarantined.
+    SystemConfig cfg = smallConfig(DesignPoint::SCA, 10);
+    cfg.memctl.integrityMac = true;
+    System sys(cfg);
+    sys.run();
+    MemController &ctl = sys.controller();
+    sys.crashChannels();
+
+    const Workload &wl = sys.workload(0);
+    PersistImage &img = sys.nvm().persistedState();
+
+    std::vector<Addr> persisted = img.dataLineAddrs();
+    std::sort(persisted.begin(), persisted.end());
+    std::vector<Addr> victims;
+    Addr next_shard = wl.regionBase();
+    for (Addr a : persisted) {
+        if (a < next_shard || a >= wl.regionEnd())
+            continue;
+        victims.push_back(a);
+        next_shard = a + (32 << 10); // skip ahead ≥ 2 shards
+    }
+    ASSERT_GE(victims.size(), 2u);
+
+    LineData garbage;
+    for (std::size_t i = 0; i < victims.size(); ++i) {
+        garbage.fill(static_cast<std::uint8_t>(0x51 + i));
+        img.corruptDataLine(victims[i], garbage);
+    }
+
+    RecoveredImage image(img, ctl);
+    image.preScan(wl.regionBase(), wl.regionEnd(), nullptr, nullptr);
+
+    EXPECT_EQ(image.quarantinedCount(), victims.size());
+    for (Addr a : victims)
+        EXPECT_TRUE(image.isQuarantined(a)) << std::hex << a;
+}
+
 // --- multi-match window repair --------------------------------------------
 
 TEST(RepairWindow, SingleMatchIsReturnedWithoutConfirmation)
@@ -442,63 +482,6 @@ TEST(ReplayDetection, MacOnlyConsumesTheSameReplaySilently)
     EXPECT_EQ(image.quarantinedCount(), 0u);
 }
 
-// --- quarantine-race regression -------------------------------------------
-
-TEST(QuarantineRace, ParallelPreScanQuarantinesAcrossShardsLikeSerial)
-{
-    // Regression for the parallel pre-scan data-race hazard: corrupt
-    // lines in several distinct 16 KB shards so multiple workers
-    // produce quarantine verdicts concurrently, then require the
-    // pooled scan's bookkeeping — quarantine set included — to be
-    // identical to the serial reference. Run under TSan, this is the
-    // test that fails if any shard ever touches shared state directly
-    // instead of handing verdicts to the merge.
-    SystemConfig cfg = smallConfig(DesignPoint::SCA, 10);
-    cfg.memctl.integrityMac = true;
-    System sys(cfg);
-    sys.run();
-    MemController &ctl = sys.controller();
-    sys.crashChannels();
-
-    const Workload &wl = sys.workload(0);
-    PersistImage &img = sys.nvm().persistedState();
-
-    std::vector<Addr> persisted = img.dataLineAddrs();
-    std::sort(persisted.begin(), persisted.end());
-    std::vector<Addr> victims;
-    Addr next_shard = wl.regionBase();
-    for (Addr a : persisted) {
-        if (a < next_shard || a >= wl.regionEnd())
-            continue;
-        victims.push_back(a);
-        next_shard = a + (32 << 10); // skip ahead ≥ 2 shards
-    }
-    ASSERT_GE(victims.size(), 2u);
-
-    LineData garbage;
-    for (std::size_t i = 0; i < victims.size(); ++i) {
-        garbage.fill(static_cast<std::uint8_t>(0x51 + i));
-        img.corruptDataLine(victims[i], garbage);
-    }
-
-    RecoveredImage serial(img, ctl);
-    serial.preScan(wl.regionBase(), wl.regionEnd(), nullptr, nullptr);
-
-    WorkPool pool(4);
-    RecoveredImage pooled(img, ctl);
-    pooled.preScan(wl.regionBase(), wl.regionEnd(), &pool, nullptr);
-
-    EXPECT_EQ(serial.quarantinedCount(), victims.size());
-    EXPECT_EQ(pooled.quarantinedCount(), serial.quarantinedCount());
-    EXPECT_EQ(pooled.detectedCorruptions(), serial.detectedCorruptions());
-    EXPECT_EQ(pooled.windowRepairs(), serial.windowRepairs());
-    EXPECT_EQ(pooled.replaysDetected(), serial.replaysDetected());
-    for (Addr a : victims) {
-        EXPECT_TRUE(serial.isQuarantined(a)) << std::hex << a;
-        EXPECT_TRUE(pooled.isQuarantined(a)) << std::hex << a;
-    }
-}
-
 // --- the tree's simulated cost ---------------------------------------------
 
 TEST(TreeOverhead, TreeCostsTicksAndBytesOverMacOnly)
@@ -564,9 +547,9 @@ TEST(ReplaySweep, MacOnlyLetsReplaysThroughSilently)
 
 TEST(ReplaySweep, FingerprintIdenticalAcrossModesAndJobs)
 {
-    // The tree-enabled extension of the PR-5 contract: a replay-dosed
-    // sweep fingerprints byte-identically in Replay and Fork mode at
-    // any jobs / recovery-jobs combination.
+    // The tree-enabled extension of FaultSweep's contract: a
+    // replay-dosed sweep fingerprints byte-identically in Replay and
+    // Fork mode at any job count.
     SystemConfig cfg = treeConfig(DesignPoint::SCA);
 
     SweepOptions ref_opt;
@@ -583,7 +566,6 @@ TEST(ReplaySweep, FingerprintIdenticalAcrossModesAndJobs)
             SweepOptions opt = ref_opt;
             opt.mode = mode;
             opt.jobs = jobs;
-            opt.recoveryJobs = jobs;
             EXPECT_EQ(runSweep(cfg, opt).fingerprint(), ref)
                 << sweepModeName(mode) << " jobs=" << jobs;
         }
@@ -608,7 +590,6 @@ TEST(TreeRecrash, InterruptedReconstructionIsIdempotent)
     RecoveryCrashOptions opt;
     opt.points = 12;
     opt.images = 6;
-    opt.recoveryJobs = 2;
     opt.faults = dose;
     RecoveryCrashResult r =
         runRecoveryCrashSweep(treeConfig(DesignPoint::SCA), opt);

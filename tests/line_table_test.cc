@@ -161,9 +161,9 @@ TEST(LineTable, SizeCountsLines)
 
 TEST(LineTable, ConcurrentConstLookups)
 {
-    // Recovery's pre-scan workers read one shared image at once. Const
-    // lookups must mutate nothing, so this stays race-free under
-    // ThreadSanitizer.
+    // Concurrent crash-during-recovery points read one shared captured
+    // image at once. Const lookups must mutate nothing, so this stays
+    // race-free under ThreadSanitizer.
     LineTable<std::uint64_t> t;
     for (Addr a = 0; a < Addr(1) << 20; a += 3 * lineBytes)
         t[a] = a;

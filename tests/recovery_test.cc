@@ -573,79 +573,6 @@ TEST(DegradedRecovery, EarlyExitKeepsAReplayedLineQuarantined)
     EXPECT_TRUE(quarantined(second));
 }
 
-TEST(RecoveryParallel, ReportsIdenticalAtAnyJobCount)
-{
-    // The determinism contract: with corruption present, recovery at
-    // --recovery-jobs 1/2/8 must produce byte-identical reports —
-    // digest included.
-    SystemConfig cfg;
-    cfg.design = DesignPoint::SCA;
-    cfg.workload = WorkloadKind::ArraySwap;
-    cfg.wl.regionBytes = 256 << 10;
-    cfg.wl.txnTarget = 30;
-    cfg.wl.computePerTxn = 100;
-    cfg.wl.recordDigests = true;
-    cfg.memctl.integrityMac = true;
-
-    Tick total = System(cfg).run().endTick;
-    System sys(cfg);
-    RunResult result = sys.runWithCrashAt(total / 2);
-    ASSERT_TRUE(result.crashed);
-
-    // Dose the image: one repairable counter rollback, one line gone.
-    MemController &ctl = sys.controller();
-    PersistImage &img = sys.nvm().persistedState();
-    Addr lines[2] = {0, 0};
-    int found = 0;
-    sys.workload(0).shadowMem().forEachLine(
-        [&](Addr a, const LineData &) {
-            if (found < 2)
-                lines[found++] = a;
-        });
-    ASSERT_EQ(found, 2);
-    {
-        // Counter-store rollback on lines[0] (repairable).
-        CounterLine counters =
-            img.persistedCounters(ctl.counterLineAddr(lines[0]));
-        std::uint64_t &slot = counters[ctl.counterSlot(lines[0])];
-        if (slot > 0) {
-            slot -= 1;
-            img.drainCounters(ctl.counterLineAddr(lines[0]), counters);
-        }
-        // Unrepairable ciphertext damage on lines[1].
-        const LineData *cipher = img.persistedLine(lines[1]);
-        ASSERT_NE(cipher, nullptr);
-        LineData bad = *cipher;
-        bad[5] ^= 0x80;
-        img.drainData(lines[1], bad,
-                      img.persistedCipherCounter(lines[1]));
-    }
-
-    std::vector<RecoveryReport> reports;
-    for (unsigned jobs : {1u, 2u, 8u}) {
-        RecoveryEngine engine(img, ctl);
-        RecoveryOptions opt;
-        opt.jobs = jobs;
-        reports.push_back(engine.recover(sys.workload(0), nullptr, opt));
-    }
-    const RecoveryReport &ref = reports[0];
-    EXPECT_GT(ref.detectedCorruptions, 0u);
-    for (std::size_t i = 1; i < reports.size(); ++i) {
-        const RecoveryReport &r = reports[i];
-        EXPECT_EQ(r.consistent, ref.consistent);
-        EXPECT_EQ(r.reason, ref.reason);
-        EXPECT_EQ(r.rolledBack, ref.rolledBack);
-        EXPECT_EQ(r.committedTxns, ref.committedTxns);
-        EXPECT_EQ(r.digestChecked, ref.digestChecked);
-        EXPECT_EQ(r.digestComputed, ref.digestComputed);
-        EXPECT_EQ(r.recoveredDigest, ref.recoveredDigest);
-        EXPECT_EQ(r.detectedCorruptions, ref.detectedCorruptions);
-        EXPECT_EQ(r.repairedLines, ref.repairedLines);
-        EXPECT_EQ(r.unrecoverableLines, ref.unrecoverableLines);
-        EXPECT_EQ(r.detail, ref.detail);
-    }
-}
-
 TEST(RecoveryCrash, InterruptedRecoveryConverges)
 {
     // The idempotence invariant, sweep-sized down for a unit test:
@@ -664,7 +591,6 @@ TEST(RecoveryCrash, InterruptedRecoveryConverges)
     RecoveryCrashOptions opt;
     opt.points = 8;
     opt.images = 4;
-    opt.recoveryJobs = 2;
     opt.faults = FaultSpec::allKinds(1);
     RecoveryCrashResult result = runRecoveryCrashSweep(cfg, opt);
 
@@ -679,8 +605,7 @@ TEST(RecoveryCrash, SweepDeterministicAcrossJobs)
 {
     // The whole family — capture, reference, interruption points — is
     // a pure function of (config, seeds): byte-identical fingerprints
-    // serial and parallel, at any recovery-jobs value, on every
-    // crash-handling design.
+    // serial and parallel, on every crash-handling design.
     for (DesignPoint d : {DesignPoint::ColocatedCC, DesignPoint::FCA,
                           DesignPoint::SCA, DesignPoint::Unsafe}) {
         SystemConfig cfg;
@@ -699,14 +624,10 @@ TEST(RecoveryCrash, SweepDeterministicAcrossJobs)
         std::string fp1 = runRecoveryCrashSweep(cfg, serial).fingerprint();
         EXPECT_FALSE(fp1.empty()) << designName(d);
 
-        for (unsigned recovery_jobs : {2u, 8u}) {
-            RecoveryCrashOptions parallel = serial;
-            parallel.jobs = 4;
-            parallel.recoveryJobs = recovery_jobs;
-            EXPECT_EQ(runRecoveryCrashSweep(cfg, parallel).fingerprint(),
-                      fp1)
-                << designName(d) << " recovery jobs=" << recovery_jobs;
-        }
+        RecoveryCrashOptions parallel = serial;
+        parallel.jobs = 4;
+        EXPECT_EQ(runRecoveryCrashSweep(cfg, parallel).fingerprint(), fp1)
+            << designName(d);
     }
 }
 

@@ -393,23 +393,6 @@ TEST(SoakDeterminism, FingerprintIdenticalAcrossJobs)
     EXPECT_EQ(serial.fingerprint(), parallel.fingerprint());
 }
 
-TEST(SoakDeterminism, FingerprintIdenticalAcrossRecoveryJobs)
-{
-    SystemConfig cfg = smallConfig(DesignPoint::SCA);
-    cfg.memctl.integrityMac = true;
-    SoakOptions opt = smallSoak(3);
-    opt.faults = FaultSpec::allKinds(9);
-    opt.faultPeriod = 2;
-
-    opt.recoveryJobs = 1;
-    SoakChainResult serial = runSoakChain(cfg, opt);
-    opt.recoveryJobs = 4;
-    SoakChainResult parallel = runSoakChain(cfg, opt);
-
-    ASSERT_TRUE(serial.ok) << serial.failure;
-    EXPECT_EQ(serial.fingerprint(), parallel.fingerprint());
-}
-
 // --- stat semantics -------------------------------------------------------
 
 /** Each cycle runs on a freshly built System, so per-cycle stats are

@@ -3,12 +3,13 @@
 # crash-point sweep across every design (20 points each, fixed seed,
 # parallel Execute phase), fault-injection and replay-dosed
 # integrity-tree sweeps under the same sanitizers — single- and
-# multi-channel (--channels 4) — parallel-recovery and
+# multi-channel (--channels 4) — pooled integrity-armed and
 # crash-during-recovery sweeps, crash-chain soak smokes in both gate
 # directions, CLI usage-contract smokes, a
 # ThreadSanitizer pass over every host-parallel path (parallel sweeps,
-# recovery pre-scan, replay-dosed pre-scan, the 4-channel fork capture
-# and parallel soak chains), and a Release build with -Werror, its own
+# pooled fault- and replay-dosed fork classification, concurrent
+# interrupted recoveries, the 4-channel fork capture and parallel soak
+# chains), and a Release build with -Werror, its own
 # full test-suite run, its sweep smokes, one brief run of each
 # micro-benchmark, a short perfbench run of both workloads and the
 # perfbench tests. Host parallelism is run-level only: each simulation
@@ -134,22 +135,22 @@ done
     --faults --replays --integrity-tree \
     --design ColocatedCC --design FCA --design SCA --design Unsafe
 
-# Parallel recovery under ASan+UBSan: the sharded integrity pre-scan
-# (--recovery-jobs) inside a pooled fork-mode sweep, and the
-# crash-during-recovery idempotence family (interrupted write-back
-# attempts re-run to convergence). The write-back paths re-encrypt and
-# re-persist lines — exactly where a stale cache iterator or an
-# out-of-bounds MAC write would hide.
+# Recovery under ASan+UBSan: the integrity pre-scan inside a pooled
+# fork-mode sweep, and the crash-during-recovery idempotence family
+# (interrupted write-back attempts re-run to convergence). The
+# write-back paths re-encrypt and re-persist lines — exactly where a
+# stale cache iterator or an out-of-bounds MAC write would hide.
 "$build/tools/cnvm_crash_sweep" --points 10 --jobs 4 \
-    --recovery-jobs 4 --faults --integrity \
+    --faults --integrity \
     --design SCA --design Unsafe
 "$build/tools/cnvm_crash_sweep" --points 8 --recovery-crashes 16 \
-    --jobs 4 --recovery-jobs 2 --faults --integrity \
+    --jobs 4 --faults --integrity \
     --design ColocatedCC --design FCA --design SCA --design Unsafe
 
 # ThreadSanitizer over the concurrent paths: the runner unit tests, the
 # pooled Replay-mode sweep (the reference the fork sweep is pinned to,
-# which only the tests run) and a parallel multi-design fork sweep.
+# which only the tests run), the pooled crash-during-recovery family
+# and a parallel multi-design fork sweep.
 # Fork mode is the sharper TSan target: workers classify captured
 # forks while the trunk simulation is still mutating its own state on
 # the owner thread, so any capture that aliases live trunk state
@@ -163,11 +164,14 @@ cmake --build "$tsan" -j "$(nproc)" \
     --target cnvm_crash_sweep runner_test line_table_test recovery_test \
     crash_sweep_test
 "$tsan/tests/runner_test"
-# The line tables behind the persisted image: pre-scan workers look up
-# lines in the shared image concurrently, so a const lookup that
-# mutated anything (a last-page cache, say) would race here.
+# The line tables behind the persisted image: concurrent
+# crash-during-recovery points each copy one shared captured image, so
+# a const access that mutated anything (a last-page cache, say) would
+# race here.
 "$tsan/tests/line_table_test"
-"$tsan/tests/recovery_test" --gtest_filter='RecoveryParallel.*'
+# Interrupted write-back recoveries running concurrently, each against
+# its own per-point image copy.
+"$tsan/tests/recovery_test" --gtest_filter='RecoveryCrash.*'
 "$tsan/tests/crash_sweep_test" --gtest_filter=\
 'CrashSweepEndToEnd.ParallelExecuteIsByteIdenticalToSerial:ForkSweep.*'
 "$tsan/tools/cnvm_crash_sweep" --points 8 --jobs 4
@@ -175,24 +179,24 @@ cmake --build "$tsan" -j "$(nproc)" \
 # earlier (faulted) forks — the dose must stay on each fork's copy.
 "$tsan/tools/cnvm_crash_sweep" --points 8 --jobs 4 \
     --faults --integrity --design SCA --design Unsafe
-# Parallel recovery under TSan: pre-scan shards verify lines on worker
-# threads against the shared immutable source/engine (any hidden
-# mutability in verifyShard races here), nested inside pooled point
-# classification; then the recovery-crash family, whose points run
-# concurrent interrupted recoveries against per-point image copies.
+# Recovery under TSan: pooled point classification, each point's
+# recovery reading the fork's image against the trunk's shared
+# immutable controller and engine (any hidden mutability in the
+# verification path races here); then the recovery-crash family, whose
+# points run concurrent interrupted recoveries against per-point image
+# copies.
 "$tsan/tools/cnvm_crash_sweep" --points 8 --jobs 4 \
-    --recovery-jobs 4 --faults --integrity --design SCA
+    --faults --integrity --design SCA
 "$tsan/tools/cnvm_crash_sweep" --points 6 --recovery-crashes 10 \
-    --jobs 4 --recovery-jobs 4 --faults --integrity \
+    --jobs 4 --faults --integrity \
     --design SCA --design Unsafe
-# Replay-dosed parallel pre-scan under TSan: shards produce quarantine
-# AND replay verdicts concurrently against the shared tree nodes; the
-# quarantine-race regression test pins the same path at unit scale.
+# Replay-dosed pooled classification under TSan: concurrent recoveries
+# produce quarantine AND replay verdicts against the shared trunk
+# configuration, each on its own fork's tree nodes.
 cmake --build "$tsan" -j "$(nproc)" --target integrity_tree_test
-"$tsan/tests/integrity_tree_test" \
-    --gtest_filter='QuarantineRace.*:ReplaySweep.*'
+"$tsan/tests/integrity_tree_test" --gtest_filter='ReplaySweep.*'
 "$tsan/tools/cnvm_crash_sweep" --points 8 --jobs 4 \
-    --recovery-jobs 4 --faults --replays --integrity-tree \
+    --faults --replays --integrity-tree \
     --design SCA --design Unsafe
 # Multi-channel sweep under TSan: fork capture drains four channels'
 # queues and rebuilds the tree globally while workers classify earlier

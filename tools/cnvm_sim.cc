@@ -58,9 +58,6 @@ options:
   --cold-cc            do not pre-warm the counter cache
   --crash-at-frac F    inject a power failure at F of the expected
                        runtime (two runs: probe, then crash)
-  --recovery-jobs N    worker threads inside the --verify recovery: the
-                       integrity pre-scan shards over them (default 1 =
-                       serial; recovery output is byte-identical at any N)
   --integrity          arm per-line integrity MACs: recovery verifies,
                        repairs counters by trial re-decryption, and
                        quarantines unrepairable lines
@@ -180,7 +177,7 @@ main(int argc, char **argv)
         } else {
             if (result.crashed == false)
                 sys.crashChannels(); // clean-shutdown image check
-            auto reports = sys.recoverAll(opt.recoveryJobs);
+            auto reports = sys.recoverAll();
             for (unsigned c = 0; c < reports.size(); ++c) {
                 const RecoveryReport &r = reports[c];
                 if (r.consistent) {
