@@ -32,8 +32,7 @@ Core::Core(EventQueue &eq, ClockDomain clock, CoreMemPath &mem,
       fenceStallTicks(statName(core_id, "fence_stall_ticks"),
                       "ticks spent blocked at sfences"),
       mem(mem),
-      source(source),
-      id(core_id)
+      source(source)
 {
     if (registry != nullptr) {
         registry->registerStat(loads);

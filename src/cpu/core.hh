@@ -45,8 +45,6 @@ class Core : public Clocked
     /** Tick at which the core finished (valid once finished()). */
     Tick finishedAt() const { return finishTick; }
 
-    unsigned coreId() const { return id; }
-
     stats::Scalar loads;
     stats::Scalar stores;
     stats::Scalar clwbs;
@@ -58,7 +56,6 @@ class Core : public Clocked
   private:
     CoreMemPath &mem;
     OpSource &source;
-    unsigned id;
 
     std::deque<Op> pending;
     unsigned outstandingPersists = 0;
