@@ -20,7 +20,7 @@ BM_CacheHitLookup(benchmark::State &state)
 {
     Cache cache("bench", 2 << 20, 8);
     for (Addr a = 0; a < (2 << 20); a += lineBytes)
-        cache.allocate(a, LineData{});
+        cache.allocate(a, CacheLine{});
     Random rng(1);
     for (auto _ : state) {
         Addr addr = lineAlign(rng.below(2 << 20));
@@ -50,7 +50,7 @@ BM_CacheAllocateEvict(benchmark::State &state)
     Cache cache("bench", 64 << 10, 8);
     Addr next = 0;
     for (auto _ : state) {
-        auto victim = cache.allocate(next, LineData{});
+        auto victim = cache.allocate(next, CacheLine{});
         benchmark::DoNotOptimize(victim);
         next += lineBytes;
     }

@@ -214,9 +214,10 @@ System::build(const ResumeState *resume)
                 wl.shadowMem().write(qa, zeros.data(), lineBytes);
             // Live plaintext view := the fast-forwarded shadow. The
             // shadow, not the decrypted image, is authoritative here:
-            // cache write-allocate fills merge live-view bytes into
-            // partially-stored lines, so the live view must equal the
-            // program-order content the shadow carries.
+            // a writeback snapshots the whole line from the live view,
+            // bytes the resumed run never stores included, so the live
+            // view must equal the program-order content the shadow
+            // carries.
             wl.shadowMem().forEachLine(
                 [this](Addr addr, const LineData &data) {
                     nvmDev.livePlainStore(addr, lineBytes, data.data());

@@ -6,13 +6,15 @@
  * frames, the lookup, the LRU stamps and the victim choice; the line
  * payload says what a resident line holds.
  *
- * The data caches' payload carries the state needed for
- * persistent-memory semantics: a dirty bit, and a counter-atomic bit
- * recording that the line's pending update carries the CounterAtomic
- * annotation (paper section 4.3) so that its eventual writeback is
- * enforced as counter-atomic by the memory controller.
+ * The data caches hold tags and state only: a dirty bit, and a
+ * counter-atomic bit recording that the line's pending update carries
+ * the CounterAtomic annotation (paper section 4.3) so that its eventual
+ * writeback is enforced as counter-atomic by the memory controller. A
+ * line's program-order plaintext lives in one place, the backend's live
+ * view (MemBackend::functionalRead), which a writeback snapshots as the
+ * line leaves the hierarchy.
  *
- * These classes are purely structural (tags, data, LRU); all timing
+ * These classes are purely structural (tags, state, LRU); all timing
  * lives in the CoreMemPath orchestration layer and the controller.
  */
 
@@ -223,18 +225,14 @@ class SetAssocCache
 
 /**
  * The state of one resident data-cache line. Its address and LRU stamp
- * live in the cache's per-frame tag and stamp arrays.
+ * live in the cache's per-frame tag and stamp arrays; its plaintext in
+ * the backend's live view.
  */
 struct CacheLine
 {
-    CacheLine() = default;
-    /** A clean line holding @p fill, as a fill from memory installs. */
-    CacheLine(const LineData &fill) : data(fill) {}
-
     bool dirty = false;
     /** Pending update must be written back counter-atomically. */
     bool counterAtomic = false;
-    LineData data{};
 };
 
 /** A private L1 or L2 data cache. */

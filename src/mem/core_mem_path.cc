@@ -54,7 +54,7 @@ CoreMemPath::missToMemory(Addr addr, F &&done)
 {
     backend.issueRead(addr,
         [this, addr, done = std::forward<F>(done)]() mutable {
-            fillBoth(addr, backend.functionalRead(addr));
+            fillBoth(addr);
             done();
         });
 }
@@ -81,10 +81,9 @@ CoreMemPath::load(Addr addr, std::function<void()> done)
         ++l1Misses;
         after(cfg.l2Cycles,
               [this, addr, start, done = std::move(done)]() mutable {
-            CacheLine *line = l2.access(addr);
-            if (line != nullptr) {
+            if (l2.access(addr) != nullptr) {
                 ++l2Hits;
-                fillL1(addr, line->data);
+                fillL1(addr);
                 finishLoad(start, done);
                 return;
             }
@@ -114,7 +113,6 @@ CoreMemPath::store(Addr addr, unsigned size, const std::uint8_t *bytes,
                   done = std::move(done)]() mutable {
         CacheLine *line = l1.access(line_addr);
         cnvm_assert(line != nullptr);
-        std::memcpy(line->data.data() + offset, payload.data(), size);
         line->dirty = true;
         line->counterAtomic |= counter_atomic;
         backend.functionalStore(line_addr + offset, size, payload.data());
@@ -131,10 +129,9 @@ CoreMemPath::store(Addr addr, unsigned size, const std::uint8_t *bytes,
         // Write-allocate: fetch the line, then apply the merge.
         after(cfg.l2Cycles,
               [this, line_addr, apply = std::move(apply)]() mutable {
-            CacheLine *line = l2.access(line_addr);
-            if (line != nullptr) {
+            if (l2.access(line_addr) != nullptr) {
                 ++l2Hits;
-                fillL1(line_addr, line->data);
+                fillL1(line_addr);
                 apply();
                 return;
             }
@@ -149,13 +146,13 @@ CoreMemPath::clwb(Addr addr, std::function<void()> done)
 {
     Addr line_addr = lineAlign(addr);
     after(cfg.l1Cycles, [this, line_addr, done = std::move(done)]() mutable {
-        // Push any newer L1 data down into L2 (clwb does not invalidate).
+        // Push the L1 line's dirty state down into L2 (clwb does not
+        // invalidate).
         CacheLine *l1_line = l1.peek(line_addr);
         if (l1_line != nullptr && l1_line->dirty) {
             CacheLine *l2_line = l2.access(line_addr);
             // Inclusive hierarchy: the L2 copy must exist.
             cnvm_assert(l2_line != nullptr);
-            l2_line->data = l1_line->data;
             l2_line->dirty = true;
             l2_line->counterAtomic |= l1_line->counterAtomic;
             l1_line->dirty = false;
@@ -172,11 +169,10 @@ CoreMemPath::clwb(Addr addr, std::function<void()> done)
                 return;
             }
             ++writebacks;
-            LineData data = l2_line->data;
             bool ca = l2_line->counterAtomic;
             l2_line->dirty = false;
             l2_line->counterAtomic = false;
-            writebackToMem(line_addr, data, ca, std::move(done));
+            writebackToMem(line_addr, ca, std::move(done));
         });
     });
 }
@@ -200,12 +196,14 @@ CoreMemPath::ctrwb(Addr addr, std::function<void()> done)
 }
 
 void
-CoreMemPath::writebackToMem(Addr addr, const LineData &data, bool ca,
+CoreMemPath::writebackToMem(Addr addr, bool ca,
                             std::function<void()> accepted)
 {
+    // Snapshot the line now: a stalled write retries later, and a
+    // store landing in between must not leak into it.
     WriteReq req;
     req.addr = addr;
-    req.data = data;
+    req.data = backend.functionalRead(addr);
     req.counterAtomic = ca;
     req.accepted = std::move(accepted);
 
@@ -247,42 +245,42 @@ CoreMemPath::drainStalled()
 }
 
 void
-CoreMemPath::fillL1(Addr addr, const LineData &fill)
+CoreMemPath::fillL1(Addr addr)
 {
     if (l1.peek(addr) != nullptr)
         return;
-    auto victim = l1.allocate(addr, fill);
+    auto victim = l1.allocate(addr, CacheLine{});
     if (victim && victim->dirty) {
-        // Merge newer L1 data into the (inclusive) L2 copy.
+        // Merge the L1 victim's dirty state into the (inclusive) L2
+        // copy.
         CacheLine *l2_line = l2.access(victim->addr);
         cnvm_assert(l2_line != nullptr);
-        l2_line->data = victim->data;
         l2_line->dirty = true;
         l2_line->counterAtomic |= victim->counterAtomic;
     }
 }
 
 void
-CoreMemPath::fillBoth(Addr addr, const LineData &fill)
+CoreMemPath::fillBoth(Addr addr)
 {
     if (l2.peek(addr) == nullptr) {
-        auto victim = l2.allocate(addr, fill);
+        auto victim = l2.allocate(addr, CacheLine{});
         if (victim) {
-            // Maintain inclusion: pull any newer L1 copy into the victim.
+            // Maintain inclusion: merge the L1 copy's dirty state into
+            // the victim.
             auto l1_copy = l1.invalidate(victim->addr);
             if (l1_copy && l1_copy->dirty) {
-                victim->data = l1_copy->data;
                 victim->dirty = true;
                 victim->counterAtomic |= l1_copy->counterAtomic;
             }
             if (victim->dirty) {
                 ++evictions;
-                writebackToMem(victim->addr, victim->data,
-                               victim->counterAtomic, nullptr);
+                writebackToMem(victim->addr, victim->counterAtomic,
+                               nullptr);
             }
         }
     }
-    fillL1(addr, fill);
+    fillL1(addr);
 }
 
 void
@@ -291,17 +289,6 @@ CoreMemPath::dropAll()
     l1.reset();
     l2.reset();
     stalled.clear();
-}
-
-LineData
-CoreMemPath::functionalRead(Addr addr) const
-{
-    addr = lineAlign(addr);
-    if (const CacheLine *line = l1.peek(addr))
-        return line->data;
-    if (const CacheLine *line = l2.peek(addr))
-        return line->data;
-    return backend.functionalRead(addr);
 }
 
 } // namespace cnvm

@@ -41,7 +41,10 @@ struct CachePathConfig
 
 /**
  * The L1/L2 pair of one core. Inclusive hierarchy (L1 subset of L2);
- * L2 evictions back-invalidate L1, merging any newer L1 data first.
+ * L2 evictions back-invalidate L1, merging the L1 line's dirty state
+ * first. The caches hold tags and state only: a store updates the
+ * backend's live view at once, and a writeback snapshots the line from
+ * that view as it leaves the hierarchy.
  */
 class CoreMemPath : public Clocked
 {
@@ -80,9 +83,6 @@ class CoreMemPath : public Clocked
     /** Models power failure: every volatile line is lost. */
     void dropAll();
 
-    /** Reads current plaintext as the core would see it (functional). */
-    LineData functionalRead(Addr addr) const;
-
   private:
     MemBackend &backend;
     Cache l1;
@@ -113,20 +113,21 @@ class CoreMemPath : public Clocked
     void finishLoad(Tick start, const std::function<void()> &done);
 
     /**
-     * Brings @p addr into L2 and L1 (data from @p fill), handling the
+     * Brings @p addr into L2 and L1 as a clean line, handling the
      * eviction chain. Either level may already hold the line.
      */
-    void fillBoth(Addr addr, const LineData &fill);
+    void fillBoth(Addr addr);
 
     /** Installs into L1 only, handling an L1 victim (merge into L2). */
-    void fillL1(Addr addr, const LineData &fill);
+    void fillL1(Addr addr);
 
     /**
-     * Sends a dirty line to the controller, queueing behind earlier
-     * stalled writes if the controller is full; @p then (optional) runs
-     * once the write has been handed over.
+     * Sends a dirty line to the controller with its plaintext read from
+     * the live view now, queueing behind earlier stalled writes if the
+     * controller is full; @p accepted (optional) runs once the write
+     * has been handed over.
      */
-    void writebackToMem(Addr addr, const LineData &data, bool ca,
+    void writebackToMem(Addr addr, bool ca,
                         std::function<void()> accepted);
 
     /** Attempts the stalled queue front-to-back; re-arms the retry. */

@@ -58,16 +58,18 @@ class MemBackend
 
     /**
      * Functional (zero-time) read of the newest program-order plaintext
-     * of a line. Used to source cache fills. This is the live view; the
-     * persisted (crash-visible) state is tracked separately by the
-     * controller's queues and the NVM image.
+     * of a line. This live view is the only copy of that plaintext: the
+     * caches hold tags and state only, and a writeback snapshots its
+     * payload from here as the line leaves the hierarchy. The persisted
+     * (crash-visible) state is tracked separately by the controller's
+     * queues and the NVM image.
      */
     virtual LineData functionalRead(Addr addr) const = 0;
 
     /**
      * Functional (zero-time) program-order plaintext update, invoked
-     * when a store retires into the cache. Keeps the live view that
-     * functionalRead() serves coherent with the caches.
+     * when a store retires into the cache; functionalRead() serves it
+     * from then on.
      */
     virtual void functionalStore(Addr addr, unsigned size,
                                  const std::uint8_t *bytes) = 0;

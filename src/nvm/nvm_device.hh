@@ -10,7 +10,8 @@
  *     per-bank busy windows and returns completion ticks.
  *
  *  2. Function — three views of memory contents:
- *       - the live plaintext view (program-order state used for fills),
+ *       - the live plaintext view (program-order state: the one copy
+ *         of a line's plaintext, which cache writebacks snapshot),
  *       - the persisted ciphertext image, updated only when writes drain
  *         from the controller's queues, and
  *       - the persisted counter store, updated when counter-line writes
@@ -113,10 +114,11 @@ class NvmDevice
      * persisted half becomes @p image and the live plaintext view is
      * cleared. The resume path reinstalls the live view from the
      * fast-forwarded workload shadows afterwards — the decrypted image
-     * is not authoritative for it, because cache fills merge live-view
-     * bytes into partially-persisted lines. Timing state (bank/bus
-     * windows) is untouched: a resumed system starts at tick 0 with
-     * cold banks, exactly like a freshly built one.
+     * is not authoritative for it, because a writeback snapshots the
+     * whole line from the live view, bytes the resumed run never
+     * stores included. Timing state (bank/bus windows) is untouched: a
+     * resumed system starts at tick 0 with cold banks, exactly like a
+     * freshly built one.
      */
     void
     installPersistedState(PersistImage image)

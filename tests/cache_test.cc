@@ -12,14 +12,6 @@ namespace cnvm
 namespace
 {
 
-LineData
-lineOf(std::uint8_t v)
-{
-    LineData d;
-    d.fill(v);
-    return d;
-}
-
 TEST(Cache, Geometry)
 {
     Cache c("t", 64 * 1024, 8);
@@ -33,10 +25,9 @@ TEST(Cache, MissThenHit)
 {
     Cache c("t", 4096, 4);
     EXPECT_EQ(c.access(0x1000), nullptr);
-    c.allocate(0x1000, lineOf(7));
+    c.allocate(0x1000, CacheLine{});
     CacheLine *line = c.access(0x1000);
     ASSERT_NE(line, nullptr);
-    EXPECT_EQ(line->data, lineOf(7));
     EXPECT_FALSE(line->dirty);
     EXPECT_FALSE(line->counterAtomic);
 }
@@ -44,7 +35,7 @@ TEST(Cache, MissThenHit)
 TEST(Cache, UnalignedAddressesMapToLine)
 {
     Cache c("t", 4096, 4);
-    c.allocate(0x1000, lineOf(1));
+    c.allocate(0x1000, CacheLine{});
     EXPECT_NE(c.access(0x1017), nullptr);
     EXPECT_NE(c.peek(0x103f), nullptr);
     EXPECT_EQ(c.peek(0x1040), nullptr);
@@ -55,11 +46,11 @@ TEST(Cache, LruEvictsOldest)
     // 2-way, single set via tiny geometry: 128 B total.
     Cache c("t", 128, 2);
     ASSERT_EQ(c.sets(), 1u);
-    c.allocate(0x0, lineOf(1));
-    c.allocate(0x40, lineOf(2));
+    c.allocate(0x0, CacheLine{});
+    c.allocate(0x40, CacheLine{});
     // Touch 0x0 so 0x40 becomes LRU.
     c.access(0x0);
-    auto victim = c.allocate(0x80, lineOf(3));
+    auto victim = c.allocate(0x80, CacheLine{});
     ASSERT_TRUE(victim.has_value());
     EXPECT_EQ(victim->addr, 0x40u);
     EXPECT_NE(c.peek(0x0), nullptr);
@@ -69,50 +60,47 @@ TEST(Cache, LruEvictsOldest)
 TEST(Cache, PeekDoesNotTouchLru)
 {
     Cache c("t", 128, 2);
-    c.allocate(0x0, lineOf(1));
-    c.allocate(0x40, lineOf(2));
+    c.allocate(0x0, CacheLine{});
+    c.allocate(0x40, CacheLine{});
     c.peek(0x0); // must NOT refresh 0x0
-    auto victim = c.allocate(0x80, lineOf(3));
+    auto victim = c.allocate(0x80, CacheLine{});
     ASSERT_TRUE(victim.has_value());
     EXPECT_EQ(victim->addr, 0x0u); // still the oldest
 }
 
-TEST(Cache, EvictionCarriesDirtyStateAndData)
+TEST(Cache, EvictionCarriesDirtyState)
 {
     Cache c("t", 128, 2);
-    c.allocate(0x0, lineOf(1));
+    c.allocate(0x0, CacheLine{});
     CacheLine *line = c.access(0x0);
     line->dirty = true;
     line->counterAtomic = true;
-    line->data = lineOf(9);
-    c.allocate(0x40, lineOf(2));
-    auto victim = c.allocate(0x80, lineOf(3));
+    c.allocate(0x40, CacheLine{});
+    auto victim = c.allocate(0x80, CacheLine{});
     ASSERT_TRUE(victim.has_value());
     EXPECT_EQ(victim->addr, 0x0u);
     EXPECT_TRUE(victim->dirty);
     EXPECT_TRUE(victim->counterAtomic);
-    EXPECT_EQ(victim->data, lineOf(9));
 }
 
 TEST(Cache, CleanEvictionReportedWithoutDirty)
 {
     Cache c("t", 128, 2);
-    c.allocate(0x0, lineOf(1));
-    c.allocate(0x40, lineOf(2));
-    auto victim = c.allocate(0x80, lineOf(3));
+    c.allocate(0x0, CacheLine{});
+    c.allocate(0x40, CacheLine{});
+    auto victim = c.allocate(0x80, CacheLine{});
     ASSERT_TRUE(victim.has_value());
     EXPECT_FALSE(victim->dirty);
 }
 
-TEST(Cache, InvalidateReturnsContent)
+TEST(Cache, InvalidateReturnsState)
 {
     Cache c("t", 4096, 4);
-    c.allocate(0x200, lineOf(5));
+    c.allocate(0x200, CacheLine{});
     c.access(0x200)->dirty = true;
     auto inv = c.invalidate(0x200);
     ASSERT_TRUE(inv.has_value());
     EXPECT_TRUE(inv->dirty);
-    EXPECT_EQ(inv->data, lineOf(5));
     EXPECT_EQ(c.peek(0x200), nullptr);
     EXPECT_FALSE(c.invalidate(0x200).has_value());
 }
@@ -121,10 +109,10 @@ TEST(Cache, DistinctSetsDoNotConflict)
 {
     Cache c("t", 512, 2); // 4 sets
     // These map to different sets and never evict each other.
-    c.allocate(0x0, lineOf(0));
-    c.allocate(0x40, lineOf(1));
-    c.allocate(0x80, lineOf(2));
-    c.allocate(0xc0, lineOf(3));
+    c.allocate(0x0, CacheLine{});
+    c.allocate(0x40, CacheLine{});
+    c.allocate(0x80, CacheLine{});
+    c.allocate(0xc0, CacheLine{});
     EXPECT_EQ(c.validCount(), 4u);
     for (Addr a : {0x0ull, 0x40ull, 0x80ull, 0xc0ull})
         EXPECT_NE(c.peek(a), nullptr);
@@ -133,8 +121,8 @@ TEST(Cache, DistinctSetsDoNotConflict)
 TEST(Cache, ResetDropsEverything)
 {
     Cache c("t", 4096, 4);
-    c.allocate(0x100, lineOf(1));
-    c.allocate(0x140, lineOf(2));
+    c.allocate(0x100, CacheLine{});
+    c.allocate(0x140, CacheLine{});
     c.reset();
     EXPECT_EQ(c.validCount(), 0u);
     EXPECT_EQ(c.peek(0x100), nullptr);
@@ -153,12 +141,12 @@ TEST_P(CacheGeometry, FillToCapacityThenEvict)
 
     // Fill completely: no evictions expected.
     for (std::uint64_t i = 0; i < lines; ++i)
-        ASSERT_FALSE(c.allocate(i * lineBytes, lineOf(1)).has_value());
+        ASSERT_FALSE(c.allocate(i * lineBytes, CacheLine{}).has_value());
     EXPECT_EQ(c.validCount(), lines);
 
     // One more allocation per set must evict exactly one line.
     for (std::uint64_t i = 0; i < c.sets(); ++i) {
-        auto victim = c.allocate((lines + i) * lineBytes, lineOf(2));
+        auto victim = c.allocate((lines + i) * lineBytes, CacheLine{});
         ASSERT_TRUE(victim.has_value());
     }
     EXPECT_EQ(c.validCount(), lines);
