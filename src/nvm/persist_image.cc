@@ -1,7 +1,5 @@
 #include "nvm/persist_image.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace cnvm
@@ -81,8 +79,8 @@ void
 PersistImage::drainTreeNode(unsigned level, std::uint64_t index,
                             std::uint64_t hash)
 {
-    cnvm_assert(index < (std::uint64_t(1) << 32));
-    treeStore[treeKey(level, index)] = hash;
+    cnvm_assert(level < treeNodeLevels);
+    treeNodes[level][index * lineBytes] = hash;
 }
 
 void
@@ -95,8 +93,8 @@ PersistImage::drainTreeRoot(std::uint64_t hash)
 const std::uint64_t *
 PersistImage::persistedTreeNode(unsigned level, std::uint64_t index) const
 {
-    auto it = treeStore.find(treeKey(level, index));
-    return it == treeStore.end() ? nullptr : &it->second;
+    cnvm_assert(level < treeNodeLevels);
+    return treeNodes[level].find(index * lineBytes);
 }
 
 const std::uint64_t *
@@ -109,10 +107,10 @@ std::vector<std::uint64_t>
 PersistImage::persistedTreeLeafIndices() const
 {
     std::vector<std::uint64_t> indices;
-    for (const auto &[key, hash] : treeStore)
-        if ((key >> 32) == 1)
-            indices.push_back(key & 0xffffffffull);
-    std::sort(indices.begin(), indices.end());
+    indices.reserve(treeNodes[1].size());
+    treeNodes[1].forEach([&indices](Addr key, std::uint64_t) {
+        indices.push_back(key / lineBytes);
+    });
     return indices;
 }
 
