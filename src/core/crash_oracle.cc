@@ -47,7 +47,6 @@ CrashOracle::examine(const Workload &workload,
         report.replayedLines += src.lineReplayed(addr);
         if (ctl.design() == DesignPoint::NoEncryption)
             continue;
-        ++report.linesChecked;
         std::uint64_t cc = src.persistedCipherCounter(addr);
         std::uint64_t pc =
             src.persistedCounters(ctl.counterLineAddr(addr))
@@ -58,8 +57,6 @@ CrashOracle::examine(const Workload &workload,
             ++report.tornDataLines;
         else
             ++report.tornCounterLines;
-        if (workload.classifyAddr(addr) == RegionPart::LogHeader)
-            ++report.logHeaderMismatches;
     }
 
     // Classification is recoverability-first: mismatched lines under a

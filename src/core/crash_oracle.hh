@@ -97,11 +97,9 @@ struct OracleReport
     RecoveryReport recovery;
     CrashClass cls = CrashClass::Consistent;
 
-    /** Census scope and findings. */
-    std::uint64_t linesChecked = 0;
+    /** Census findings. */
     std::uint64_t tornDataLines = 0;    //!< persisted counter > cipher
     std::uint64_t tornCounterLines = 0; //!< persisted counter < cipher
-    std::uint64_t logHeaderMismatches = 0;
 
     /** Region lines an injected media fault corrupted (simulator
      *  ground truth — what separates Silent from plain Inconsistent). */

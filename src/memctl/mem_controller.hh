@@ -58,19 +58,6 @@ enum class CtlEvent : unsigned
 
 constexpr unsigned numCtlEvents = 5;
 
-inline const char *
-ctlEventName(CtlEvent ev)
-{
-    switch (ev) {
-      case CtlEvent::PipelineEnter: return "pipeline-enter";
-      case CtlEvent::PairAction: return "pair-action";
-      case CtlEvent::DirtyEviction: return "dirty-eviction";
-      case CtlEvent::DataDrain: return "data-drain";
-      case CtlEvent::CtrDrain: return "ctr-drain";
-    }
-    return "?";
-}
-
 /** Controller geometry and latencies (paper Table 2 defaults). */
 struct MemCtlConfig
 {

@@ -68,9 +68,9 @@ struct WorkloadParams
 
 /**
  * Which functional part of a workload's region an address belongs to.
- * The crash oracle uses this to attribute a counter/data mismatch: a
- * garbage log header loses the whole region, a garbage structure line
- * is recoverable as long as the log still holds its backup.
+ * The parts fail differently: a garbage log header loses the whole
+ * region, a garbage structure line is recoverable as long as the log
+ * still holds its backup.
  */
 enum class RegionPart
 {
@@ -80,19 +80,6 @@ enum class RegionPart
     Structure,  //!< metadata and structure storage
     Outside,    //!< not in this workload's region
 };
-
-inline const char *
-regionPartName(RegionPart part)
-{
-    switch (part) {
-      case RegionPart::LogHeader: return "log-header";
-      case RegionPart::LogDesc: return "log-desc";
-      case RegionPart::LogBackup: return "log-backup";
-      case RegionPart::Structure: return "structure";
-      case RegionPart::Outside: return "outside";
-    }
-    return "?";
-}
 
 /** Outcome of validating a recovered (or live) structure. */
 struct ValidationResult
