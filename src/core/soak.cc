@@ -23,6 +23,10 @@ namespace cnvm
 namespace
 {
 
+/** Every faultPeriod-th cycle of a chain gets the fault dose (cycles
+ *  faultPeriod - 1, 2 * faultPeriod - 1, ...). */
+constexpr unsigned faultPeriod = 2;
+
 /** fnv1a over a quarantined line's persisted (cipher, counter, MAC)
  *  triple — the identity a line must shed before it may legitimately
  *  leave quarantine. A never-drained line folds cipher-absence
@@ -356,8 +360,7 @@ runSoakChain(const SystemConfig &base, const SoakOptions &opt)
         SoakCycle cyc;
         cyc.cycle = c;
         cyc.spec = planCycleSpec(probe, rng);
-        cyc.dosed = opt.faultPeriod > 0 && opt.faults.any()
-            && c % opt.faultPeriod == opt.faultPeriod - 1;
+        cyc.dosed = opt.faults.any() && c % faultPeriod == faultPeriod - 1;
         if (cyc.dosed)
             cyc.spec.faults = opt.faults.forPoint(c);
 

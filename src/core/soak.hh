@@ -66,13 +66,10 @@ struct SoakOptions
      *  (max committed so far) + txnsPerCycle transactions per core. */
     unsigned txnsPerCycle = 12;
 
-    /** Base fault dose; dosed cycles derive a private spec with
+    /** Base fault dose, given to every second cycle (cycles 1, 3,
+     *  5, ...); a dosed cycle derives a private spec with
      *  FaultSpec::forPoint(cycle). Default: clean chains. */
     FaultSpec faults;
-
-    /** Dose every Nth cycle (cycles N-1, 2N-1, ... get the dose);
-     *  0 = never, even when `faults` is non-empty. */
-    unsigned faultPeriod = 2;
 
     /** Interrupted write-back recovery attempts per cycle, run on a
      *  throwaway image copy and gated on convergence with the

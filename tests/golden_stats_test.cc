@@ -168,7 +168,6 @@ TEST(GoldenStats, SoakChainFingerprint)
     opt.txnsPerCycle = 8;
     opt.seed = 3;
     opt.faults = FaultSpec::allKindsWithReplays(17);
-    opt.faultPeriod = 2;
     expectGolden("soak chain",
                  runSoakChain(armedConfig(), opt).fingerprint(),
                  0x72536b461b63ea35ull);

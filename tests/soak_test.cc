@@ -344,7 +344,6 @@ TEST(SoakChain, FaultDosedChainStaysLoud)
     cfg.memctl.integrityTree = true;
     SoakOptions opt = smallSoak(8);
     opt.faults = FaultSpec::allKindsWithReplays(11);
-    opt.faultPeriod = 2;
     SoakChainResult chain = runSoakChain(cfg, opt);
     ASSERT_TRUE(chain.ok) << chain.failure;
     EXPECT_EQ(chain.silentCycles(), 0u);
@@ -381,7 +380,6 @@ TEST(SoakDeterminism, FingerprintIdenticalAcrossJobs)
     cfg.memctl.integrityMac = true;
     SoakOptions opt = smallSoak(3);
     opt.faults = FaultSpec::allKinds(5);
-    opt.faultPeriod = 2;
     opt.chains = 3;
 
     opt.jobs = 1;
@@ -437,7 +435,6 @@ TEST(SoakHeadline, FourDesignsHundredCyclesZeroSilent)
         cfg.memctl.integrityTree = true;
         SoakOptions opt = smallSoak(26);
         opt.faults = FaultSpec::allKindsWithReplays(3);
-        opt.faultPeriod = 2;
         SoakChainResult chain = runSoakChain(cfg, opt);
         ASSERT_TRUE(chain.ok)
             << designName(d) << ": " << chain.failure;

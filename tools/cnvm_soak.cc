@@ -83,10 +83,10 @@ options:
   --footprint-kb N  per-core region size (default 256)
   --cc-kb N         total counter cache KB (default 16)
   --seed N          chain planning seed (default 1)
-  --faults          dose cycles with media faults (torn lines, bit
-                    flips, counter corruption/rollback, ADR loss);
-                    per-cycle spec derived with FaultSpec::forPoint
-  --fault-period N  dose every Nth cycle (default 2; requires --faults)
+  --faults          dose every second cycle with media faults (torn
+                    lines, bit flips, counter corruption/rollback, ADR
+                    loss); per-cycle spec derived with
+                    FaultSpec::forPoint
   --fault-seed N    base seed of the fault dose (default 1; requires
                     --faults)
   --replays         add a replay dose: whole stale (ciphertext,
@@ -118,7 +118,6 @@ parseArgs(int argc, char **argv)
     opt.cfg.memctl.counterCacheBytes = 16u << 10;
     opt.jobs = opt.soak.jobs;
 
-    bool fault_period_set = false;
     toolargs::parseArgs(
         argc, argv, opt, toolargs::FlagSet::CrashRuns, usage,
         [&](toolargs::ArgReader &a) {
@@ -128,19 +127,12 @@ parseArgs(int argc, char **argv)
                 opt.soak.txnsPerCycle = a.positive();
             else if (a.is("--chains"))
                 opt.soak.chains = a.positive();
-            else if (a.is("--fault-period")) {
-                opt.soak.faultPeriod = a.positive();
-                fault_period_set = true;
-            } else if (a.is("--stats"))
+            else if (a.is("--stats"))
                 opt.printStats = true;
             else
                 return false;
             return true;
         });
-    toolargs::enforceFlagRules(
-        {{fault_period_set, opt.faults, "--fault-period", "--faults"}},
-        usage);
-
     opt.soak.seed = opt.seed;
     opt.soak.jobs = opt.jobs;
     opt.soak.recoveryCrashes = opt.recoveryCrashes;
