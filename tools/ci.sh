@@ -176,17 +176,14 @@ cmake --build "$tsan" -j "$(nproc)" \
 'CrashSweepEndToEnd.ParallelExecuteIsByteIdenticalToSerial:ForkSweep.*'
 "$tsan/tools/cnvm_crash_sweep" --points 8 --jobs 4
 # Fault capture happens on the trunk thread while workers classify
-# earlier (faulted) forks — the dose must stay on each fork's copy.
-"$tsan/tools/cnvm_crash_sweep" --points 8 --jobs 4 \
-    --faults --integrity --design SCA --design Unsafe
-# Recovery under TSan: pooled point classification, each point's
-# recovery reading the fork's image against the trunk's shared
-# immutable controller and engine (any hidden mutability in the
-# verification path races here); then the recovery-crash family, whose
+# earlier (faulted) forks — the dose must stay on each fork's copy —
+# and each point's recovery reads the fork's image against the trunk's
+# shared immutable controller and engine (any hidden mutability in the
+# verification path races here). Then the recovery-crash family, whose
 # points run concurrent interrupted recoveries against per-point image
 # copies.
 "$tsan/tools/cnvm_crash_sweep" --points 8 --jobs 4 \
-    --faults --integrity --design SCA
+    --faults --integrity --design SCA --design Unsafe
 "$tsan/tools/cnvm_crash_sweep" --points 6 --recovery-crashes 10 \
     --jobs 4 --faults --integrity \
     --design SCA --design Unsafe
