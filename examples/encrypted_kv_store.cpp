@@ -170,7 +170,8 @@ main()
     // The System owns workload construction; plug the custom workload
     // in by running it directly on a System built around it. For a
     // custom OpSource, the simplest route is the components API:
-    // EventQueue + NvmDevice + MemController + CoreMemPath + Core.
+    // EventQueue + NvmDevice + MemController + LiveView + CoreMemPath
+    // + Core.
     SystemConfig cfg;
     cfg.design = DesignPoint::SCA;
     cfg.wl.regionBytes = 1 << 20;
@@ -187,8 +188,9 @@ main()
     WorkloadParams wl = cfg.wl;
     wl.regionBase = cfg.dataRegionBase;
     KvStoreWorkload store(wl);
+    LiveView live;
     store.setup([&](Addr a, const void *d, unsigned s) {
-        nvm.livePlainStore(a, s, static_cast<const std::uint8_t *>(d));
+        live.store(a, s, static_cast<const std::uint8_t *>(d));
     });
     store.shadowMem().forEachLine([&](Addr a, const LineData &data) {
         ctl.initLine(a, data);
@@ -198,7 +200,8 @@ main()
     store.shadowMem().forEachLine(
         [&](Addr a, const LineData &) { ctl.warmCounterLine(a); });
 
-    CoreMemPath path(eq, ClockDomain(250), ctl, cfg.cache, 0, &registry);
+    CoreMemPath path(eq, ClockDomain(250), ctl, live, cfg.cache, 0,
+                     &registry);
     Core core(eq, ClockDomain(250), path, store, 0, &registry);
     core.start();
 

@@ -3,14 +3,13 @@
  * LineTable<T>: one value per 64-byte line, stored in fixed-size pages.
  *
  * The simulator keeps several per-line views of memory — the persisted
- * image and its integrity-tree nodes, the live plaintext view, the
- * engine's per-line counters and recovery's decrypted lines. Lines come
- * in dense runs (a workload region, the counter region), so the table
- * stores them in pages of 64 consecutive lines, each page with a
- * presence mask, and finds a page through a two-level directory: a
- * short sorted vector of chunks (2 MB of address space each), each
- * holding the page pointers of its span up to the highest page touched
- * so far.
+ * image and its integrity-tree nodes, the live plaintext view and
+ * recovery's decrypted lines. Lines come in dense runs (a workload
+ * region, the counter region), so the table stores them in pages of 64
+ * consecutive lines, each page with a presence mask, and finds a page
+ * through a two-level directory: a short sorted vector of chunks (2 MB
+ * of address space each), each holding the page pointers of its span
+ * up to the highest page touched so far.
  *
  * Contract:
  *  - a line never inserted (or erased) reads as absent; first touch

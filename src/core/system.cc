@@ -136,7 +136,8 @@ System::build(const ResumeState *resume)
         workloads.push_back(makeWorkload(cfg.workload, wl));
 
         memPaths.push_back(std::make_unique<CoreMemPath>(
-            eventq, cpu_clock, *backend, cfg.cache, i, &registry));
+            eventq, cpu_clock, *backend, liveView, cfg.cache, i,
+            &registry));
         cores.push_back(std::make_unique<Core>(
             eventq, cpu_clock, *memPaths.back(), *workloads.back(), i,
             &registry));
@@ -165,8 +166,10 @@ System::build(const ResumeState *resume)
         // which regenerates its shadow, RNG, allocator state and
         // digest log byte-identically to the pre-crash run's — the
         // digest log in particular must cover [0, K] so the *next*
-        // recovery can match any prefix.
-        nvmDev.installPersistedState(resume->image);
+        // recovery can match any prefix. Only the device's image is
+        // replaced: its banks and bus start cold at tick 0, as in a
+        // freshly built system.
+        nvmDev.persistedState() = resume->image;
         // Channel counter state rebuilds from the persisted store
         // first, exactly as a crash leaves it — the re-seed
         // equivalence argument of DESIGN.md section 4i. Order matters:
@@ -220,7 +223,7 @@ System::build(const ResumeState *resume)
             // carries.
             wl.shadowMem().forEachLine(
                 [this](Addr addr, const LineData &data) {
-                    nvmDev.livePlainStore(addr, lineBytes, data.data());
+                    liveView.store(addr, lineBytes, data.data());
                 });
         }
     }
@@ -252,7 +255,7 @@ void
 System::installFresh(Workload &wl)
 {
     wl.setup([this](Addr a, const void *d, unsigned s) {
-        nvmDev.livePlainStore(a, s, static_cast<const std::uint8_t *>(d));
+        liveView.store(a, s, static_cast<const std::uint8_t *>(d));
     });
 
     // Route each line to its owning channel so the per-channel counter

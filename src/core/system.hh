@@ -28,6 +28,7 @@
 #include "cpu/core.hh"
 #include "mem/channel_router.hh"
 #include "mem/core_mem_path.hh"
+#include "mem/live_view.hh"
 #include "memctl/mem_controller.hh"
 #include "memctl/persist_sequencer.hh"
 #include "nvm/nvm_device.hh"
@@ -221,6 +222,9 @@ class System
 
     NvmDevice &nvm() { return nvmDev; }
     const NvmDevice &nvm() const { return nvmDev; }
+
+    /** The cores' program-order plaintext (see LiveView). */
+    const LiveView &live() const { return liveView; }
     Workload &workload(unsigned core) { return *workloads.at(core); }
     const Workload &workload(unsigned core) const
     { return *workloads.at(core); }
@@ -248,6 +252,11 @@ class System
     std::unique_ptr<ChannelRouter> router;
 
     std::vector<std::unique_ptr<Workload>> workloads;
+
+    /** The one copy of each line's plaintext, shared by every core's
+     *  memory path; declared before them so it outlives them. */
+    LiveView liveView;
+
     std::vector<std::unique_ptr<CoreMemPath>> memPaths;
     std::vector<std::unique_ptr<Core>> cores;
 

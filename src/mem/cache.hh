@@ -10,9 +10,9 @@
  * counter-atomic bit recording that the line's pending update carries
  * the CounterAtomic annotation (paper section 4.3) so that its eventual
  * writeback is enforced as counter-atomic by the memory controller. A
- * line's program-order plaintext lives in one place, the backend's live
- * view (MemBackend::functionalRead), which a writeback snapshots as the
- * line leaves the hierarchy.
+ * line's program-order plaintext lives in one place, the LiveView
+ * (mem/live_view.hh), which a writeback snapshots as the line leaves
+ * the hierarchy.
  *
  * These classes are purely structural (tags, state, LRU); all timing
  * lives in the CoreMemPath orchestration layer and the controller.

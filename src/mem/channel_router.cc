@@ -81,17 +81,4 @@ ChannelRouter::pumpRetries(std::size_t channel)
         cb();
 }
 
-LineData
-ChannelRouter::functionalRead(Addr addr) const
-{
-    return channelFor(addr).functionalRead(addr);
-}
-
-void
-ChannelRouter::functionalStore(Addr addr, unsigned size,
-                               const std::uint8_t *bytes)
-{
-    channelFor(addr).functionalStore(addr, size, bytes);
-}
-
 } // namespace cnvm

@@ -37,9 +37,6 @@ class ChannelRouter : public MemBackend
     bool tryCtrWriteback(Addr data_line_addr,
                          std::function<void()> accepted) override;
     void registerRetry(std::function<void()> retry) override;
-    LineData functionalRead(Addr addr) const override;
-    void functionalStore(Addr addr, unsigned size,
-                         const std::uint8_t *bytes) override;
 
   private:
     std::vector<MemBackend *> channels;

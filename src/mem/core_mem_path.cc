@@ -19,10 +19,12 @@ statName(unsigned core, const char *leaf)
 } // anonymous namespace
 
 CoreMemPath::CoreMemPath(EventQueue &eq, ClockDomain cpu_clock,
-                         MemBackend &backend, const CachePathConfig &cfg,
-                         unsigned core_id, stats::StatRegistry *registry)
+                         MemBackend &backend, LiveView &live,
+                         const CachePathConfig &cfg, unsigned core_id,
+                         stats::StatRegistry *registry)
     : Clocked(eq, cpu_clock),
       backend(backend),
+      live(live),
       l1("core" + std::to_string(core_id) + ".l1", cfg.l1Bytes, cfg.l1Assoc),
       l2("core" + std::to_string(core_id) + ".l2", cfg.l2Bytes, cfg.l2Assoc),
       cfg(cfg),
@@ -115,7 +117,7 @@ CoreMemPath::store(Addr addr, unsigned size, const std::uint8_t *bytes,
         cnvm_assert(line != nullptr);
         line->dirty = true;
         line->counterAtomic |= counter_atomic;
-        backend.functionalStore(line_addr + offset, size, payload.data());
+        live.store(line_addr + offset, size, payload.data());
         done();
     };
 
@@ -203,7 +205,7 @@ CoreMemPath::writebackToMem(Addr addr, bool ca,
     // store landing in between must not leak into it.
     WriteReq req;
     req.addr = addr;
-    req.data = backend.functionalRead(addr);
+    req.data = live.read(addr);
     req.counterAtomic = ca;
     req.accepted = std::move(accepted);
 

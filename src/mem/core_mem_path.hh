@@ -19,6 +19,7 @@
 #include <string>
 
 #include "mem/cache.hh"
+#include "mem/live_view.hh"
 #include "mem/mem_backend.hh"
 #include "sim/clocked.hh"
 #include "sim/eventq.hh"
@@ -43,15 +44,18 @@ struct CachePathConfig
  * The L1/L2 pair of one core. Inclusive hierarchy (L1 subset of L2);
  * L2 evictions back-invalidate L1, merging the L1 line's dirty state
  * first. The caches hold tags and state only: a store updates the
- * backend's live view at once, and a writeback snapshots the line from
- * that view as it leaves the hierarchy.
+ * live view at once, and a writeback snapshots the line from that view
+ * as it leaves the hierarchy.
  */
 class CoreMemPath : public Clocked
 {
   public:
+    /** @param live the live view every core's path shares; it must
+     *         outlive the path. */
     CoreMemPath(EventQueue &eq, ClockDomain cpu_clock,
-                MemBackend &backend, const CachePathConfig &cfg,
-                unsigned core_id, stats::StatRegistry *registry);
+                MemBackend &backend, LiveView &live,
+                const CachePathConfig &cfg, unsigned core_id,
+                stats::StatRegistry *registry);
 
     /** Line-granularity load; @p done fires when data is usable. */
     void load(Addr addr, std::function<void()> done);
@@ -85,6 +89,7 @@ class CoreMemPath : public Clocked
 
   private:
     MemBackend &backend;
+    LiveView &live;
     Cache l1;
     Cache l2;
     CachePathConfig cfg;

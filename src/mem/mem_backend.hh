@@ -55,24 +55,6 @@ class MemBackend
      * have become available.
      */
     virtual void registerRetry(std::function<void()> retry) = 0;
-
-    /**
-     * Functional (zero-time) read of the newest program-order plaintext
-     * of a line. This live view is the only copy of that plaintext: the
-     * caches hold tags and state only, and a writeback snapshots its
-     * payload from here as the line leaves the hierarchy. The persisted
-     * (crash-visible) state is tracked separately by the controller's
-     * queues and the NVM image.
-     */
-    virtual LineData functionalRead(Addr addr) const = 0;
-
-    /**
-     * Functional (zero-time) program-order plaintext update, invoked
-     * when a store retires into the cache; functionalRead() serves it
-     * from then on.
-     */
-    virtual void functionalStore(Addr addr, unsigned size,
-                                 const std::uint8_t *bytes) = 0;
 };
 
 } // namespace cnvm

@@ -1,7 +1,6 @@
 #include "nvm/nvm_device.hh"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/logging.hh"
 
@@ -116,24 +115,6 @@ NvmDevice::scheduleWrite(Addr addr, Tick now, unsigned bytes)
     if (writeTraceHook)
         writeTraceHook(lineAlign(addr), bytes);
     return burst_end;
-}
-
-LineData
-NvmDevice::livePlainRead(Addr line_addr) const
-{
-    cnvm_assert(isLineAligned(line_addr));
-    const LineData *line = livePlain.find(line_addr);
-    return line == nullptr ? LineData{} : *line;
-}
-
-void
-NvmDevice::livePlainStore(Addr byte_addr, unsigned size,
-                          const std::uint8_t *bytes)
-{
-    Addr line_addr = lineAlign(byte_addr);
-    cnvm_assert(byte_addr + size <= line_addr + lineBytes);
-    LineData &line = livePlain[line_addr];
-    std::memcpy(line.data() + (byte_addr - line_addr), bytes, size);
 }
 
 } // namespace cnvm

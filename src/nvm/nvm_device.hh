@@ -9,29 +9,23 @@
  *     the device serializes them over the shared data bus and the
  *     per-bank busy windows and returns completion ticks.
  *
- *  2. Function — three views of memory contents:
- *       - the live plaintext view (program-order state: the one copy
- *         of a line's plaintext, which cache writebacks snapshot),
- *       - the persisted ciphertext image, updated only when writes drain
- *         from the controller's queues, and
- *       - the persisted counter store, updated when counter-line writes
- *         drain.
- *     After a simulated power failure, only the latter two survive, and
- *     recovery must decrypt the image with the stored counters
- *     (paper section 2.2.2).
+ *  2. The persisted image — the ciphertext lines, updated only when
+ *     writes drain from the controller's queues, and the counter
+ *     store, updated when counter-line writes drain. It is all that
+ *     survives a simulated power failure, and recovery must decrypt
+ *     the image with the stored counters (paper section 2.2.2). The
+ *     program-order plaintext is not the device's: it lives in the
+ *     System's LiveView.
  */
 
 #ifndef CNVM_NVM_NVM_DEVICE_HH
 #define CNVM_NVM_NVM_DEVICE_HH
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
 
-#include "common/line_table.hh"
 #include "common/types.hh"
-#include "crypto/ctr_engine.hh"
 #include "mem/channel_map.hh"
 #include "nvm/nvm_timing.hh"
 #include "nvm/persist_image.hh"
@@ -77,18 +71,7 @@ class NvmDevice
     Tick scheduleWrite(Addr addr, Tick now, unsigned bytes);
 
     // ------------------------------------------------------------------
-    // Functional: live plaintext view
-    // ------------------------------------------------------------------
-
-    /** Current program-order plaintext of a line (zeros if untouched). */
-    LineData livePlainRead(Addr line_addr) const;
-
-    /** Program-order plaintext update. */
-    void livePlainStore(Addr byte_addr, unsigned size,
-                        const std::uint8_t *bytes);
-
-    // ------------------------------------------------------------------
-    // Functional: persisted state
+    // Persisted state
     // ------------------------------------------------------------------
 
     /**
@@ -106,26 +89,9 @@ class NvmDevice
      */
     const PersistImage &persistedState() const { return persisted; }
 
-    /** Mutable persisted state (the drain paths and the crash path). */
+    /** Mutable persisted state (the drain paths, the crash path, and
+     *  the resume path, which assigns a recovered image to it). */
     PersistImage &persistedState() { return persisted; }
-
-    /**
-     * Replaces the functional state with a recovered image: the
-     * persisted half becomes @p image and the live plaintext view is
-     * cleared. The resume path reinstalls the live view from the
-     * fast-forwarded workload shadows afterwards — the decrypted image
-     * is not authoritative for it, because a writeback snapshots the
-     * whole line from the live view, bytes the resumed run never
-     * stores included. Timing state (bank/bus windows) is untouched: a
-     * resumed system starts at tick 0 with cold banks, exactly like a
-     * freshly built one.
-     */
-    void
-    installPersistedState(PersistImage image)
-    {
-        persisted = std::move(image);
-        livePlain.clear();
-    }
 
     /** Index of the bank serving @p addr, across all channels
      *  (channel-major: channel * numBanks + bank). */
@@ -175,8 +141,6 @@ class NvmDevice
 
     /** Whether each channel's last bus transfer was a write (tWTR). */
     std::vector<std::uint8_t> lastWasWrite;
-
-    LineTable<LineData> livePlain;
 
     /** Everything that survives a power failure (paper section 2.2.2). */
     PersistImage persisted;

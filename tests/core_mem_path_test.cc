@@ -9,7 +9,6 @@
 
 #include <cstring>
 #include <deque>
-#include <map>
 
 #include "mem/core_mem_path.hh"
 #include "sim/eventq.hh"
@@ -74,21 +73,6 @@ class FakeBackend : public MemBackend
             cb();
     }
 
-    LineData
-    functionalRead(Addr addr) const override
-    {
-        auto it = mem.find(lineAlign(addr));
-        return it == mem.end() ? LineData{} : it->second;
-    }
-
-    void
-    functionalStore(Addr addr, unsigned size,
-                    const std::uint8_t *bytes) override
-    {
-        Addr line = lineAlign(addr);
-        std::memcpy(mem[line].data() + (addr - line), bytes, size);
-    }
-
     EventQueue &eq;
     Tick readLatency = nsToTicks(70);
     Tick acceptLatency = nsToTicks(5);
@@ -99,7 +83,6 @@ class FakeBackend : public MemBackend
     std::vector<WriteReq> writes;
     std::vector<Addr> ctrwbs;
     std::vector<std::function<void()>> retries;
-    std::map<Addr, LineData> mem;
 };
 
 class CoreMemPathTest : public ::testing::Test
@@ -107,7 +90,8 @@ class CoreMemPathTest : public ::testing::Test
   protected:
     CoreMemPathTest()
         : backend(eq),
-          path(eq, ClockDomain(250), backend, smallConfig(), 0, nullptr)
+          path(eq, ClockDomain(250), backend, live, smallConfig(), 0,
+               nullptr)
     {}
 
     static CachePathConfig
@@ -145,6 +129,7 @@ class CoreMemPathTest : public ::testing::Test
 
     EventQueue eq;
     FakeBackend backend;
+    LiveView live;
     CoreMemPath path;
 };
 
@@ -177,7 +162,7 @@ TEST_F(CoreMemPathTest, StoreMissWriteAllocates)
 TEST_F(CoreMemPathTest, StoreUpdatesLiveView)
 {
     storeNow(0x20008, 42);
-    EXPECT_EQ(backend.functionalRead(0x20000)[8], 42);
+    EXPECT_EQ(live.read(0x20000)[8], 42);
 }
 
 TEST_F(CoreMemPathTest, StoreHitIsFast)
@@ -336,7 +321,8 @@ TEST_F(CoreMemPathTest, DropAllLosesDirtyData)
 TEST_F(CoreMemPathTest, StatsCountHitsAndMisses)
 {
     stats::StatRegistry reg;
-    CoreMemPath p2(eq, ClockDomain(250), backend, smallConfig(), 3, &reg);
+    CoreMemPath p2(eq, ClockDomain(250), backend, live, smallConfig(), 3,
+                   &reg);
     bool done = false;
     p2.load(0x90000, [&]() { done = true; });
     eq.run();

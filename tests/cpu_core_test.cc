@@ -66,8 +66,6 @@ class FakeBackend : public MemBackend
     }
 
     void registerRetry(std::function<void()>) override {}
-    LineData functionalRead(Addr) const override { return LineData{}; }
-    void functionalStore(Addr, unsigned, const std::uint8_t *) override {}
 
     EventQueue &eq;
     bool deferAcceptance = false;
@@ -115,7 +113,8 @@ class CoreTest : public ::testing::Test
         cache.l1Assoc = 2;
         cache.l2Assoc = 4;
         path = std::make_unique<CoreMemPath>(eq, ClockDomain(250),
-                                             backend, cache, 0, nullptr);
+                                             backend, live, cache, 0,
+                                             nullptr);
         source = std::make_unique<ScriptSource>(std::move(script));
         core = std::make_unique<Core>(eq, ClockDomain(250), *path,
                                       *source, 0, nullptr);
@@ -132,6 +131,7 @@ class CoreTest : public ::testing::Test
 
     EventQueue eq;
     FakeBackend backend;
+    LiveView live;
     std::unique_ptr<CoreMemPath> path;
     std::unique_ptr<ScriptSource> source;
     std::unique_ptr<Core> core;
@@ -145,7 +145,7 @@ TEST_F(CoreTest, EmptySourceFinishesImmediately)
     cache.l1Assoc = 2;
     cache.l2Assoc = 4;
     path = std::make_unique<CoreMemPath>(eq, ClockDomain(250), backend,
-                                         cache, 0, nullptr);
+                                         live, cache, 0, nullptr);
     ScriptSource empty({});
     Core c(eq, ClockDomain(250), *path, empty, 0, nullptr);
     bool notified = false;
@@ -201,7 +201,7 @@ TEST_F(CoreTest, FenceWaitsForClwbAcceptance)
     cache.l1Assoc = 2;
     cache.l2Assoc = 4;
     path = std::make_unique<CoreMemPath>(eq, ClockDomain(250), backend,
-                                         cache, 0, nullptr);
+                                         live, cache, 0, nullptr);
     source = std::make_unique<ScriptSource>(script);
     core = std::make_unique<Core>(eq, ClockDomain(250), *path, *source,
                                   0, nullptr);
@@ -226,7 +226,7 @@ TEST_F(CoreTest, FenceWaitsForCtrwbAcceptance)
     cache.l1Assoc = 2;
     cache.l2Assoc = 4;
     path = std::make_unique<CoreMemPath>(eq, ClockDomain(250), backend,
-                                         cache, 0, nullptr);
+                                         live, cache, 0, nullptr);
     source = std::make_unique<ScriptSource>(script);
     core = std::make_unique<Core>(eq, ClockDomain(250), *path, *source,
                                   0, nullptr);
@@ -254,7 +254,7 @@ TEST_F(CoreTest, ClwbDoesNotBlockExecution)
     cache.l1Assoc = 2;
     cache.l2Assoc = 4;
     path = std::make_unique<CoreMemPath>(eq, ClockDomain(250), backend,
-                                         cache, 0, nullptr);
+                                         live, cache, 0, nullptr);
     source = std::make_unique<ScriptSource>(script);
     core = std::make_unique<Core>(eq, ClockDomain(250), *path, *source,
                                   0, nullptr);
@@ -280,7 +280,7 @@ TEST_F(CoreTest, HaltStopsFurtherOps)
     cache.l1Assoc = 2;
     cache.l2Assoc = 4;
     path = std::make_unique<CoreMemPath>(eq, ClockDomain(250), backend,
-                                         cache, 0, nullptr);
+                                         live, cache, 0, nullptr);
     source = std::make_unique<ScriptSource>(script);
     core = std::make_unique<Core>(eq, ClockDomain(250), *path, *source,
                                   0, nullptr);
@@ -300,7 +300,7 @@ TEST_F(CoreTest, StatsCountOps)
     cache.l1Assoc = 2;
     cache.l2Assoc = 4;
     path = std::make_unique<CoreMemPath>(eq, ClockDomain(250), backend,
-                                         cache, 0, nullptr);
+                                         live, cache, 0, nullptr);
     std::vector<Op> script = {
         Op::load(0x10000), store64(0x10000, 1), Op::clwb(0x10000),
         Op::ctrwb(0x10000), Op::fence(), Op::compute(10),
@@ -327,7 +327,7 @@ TEST_F(CoreTest, FenceStallTicksAccumulate)
     cache.l1Assoc = 2;
     cache.l2Assoc = 4;
     path = std::make_unique<CoreMemPath>(eq, ClockDomain(250), backend,
-                                         cache, 0, nullptr);
+                                         live, cache, 0, nullptr);
     std::vector<Op> script = {
         store64(0x10000, 1), Op::clwb(0x10000), Op::fence(),
     };

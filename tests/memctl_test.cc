@@ -512,11 +512,11 @@ TEST_F(MemCtlTest, CrashResetsDrainKickStateAndWritesFlowAgain)
 
 TEST_F(MemCtlTest, CrashRebuildsCounterStateFromPersistedStore)
 {
-    // Regression: crash() used to carry globalCounter/currentCounter
-    // across the failure — volatile encryption-engine state surviving
-    // a power loss. The controller now rebuilds both from the
-    // persisted counter region (what recovery's counter scan knows),
-    // so post-crash writes stay consistent with the surviving image.
+    // Regression: crash() used to carry the global counter across the
+    // failure — volatile encryption-engine state surviving a power
+    // loss. The controller now rebuilds it from the persisted counter
+    // region (what recovery's counter scan knows), so post-crash
+    // writes stay consistent with the surviving image.
     build(DesignPoint::SCA);
     writeAndDrain(0x40000, lineOf(0x11), /*ca=*/true); // counter 1
     writeAndDrain(0x80000, lineOf(0x22), /*ca=*/true); // counter 2

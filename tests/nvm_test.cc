@@ -1,11 +1,13 @@
 /**
  * @file
  * Unit tests for the NVM device: PCM timing (latencies, bank conflicts,
- * write pausing, bus turnaround) and the functional image views.
+ * write pausing, bus turnaround) and the persisted image; and for the
+ * live view.
  */
 
 #include <gtest/gtest.h>
 
+#include "mem/live_view.hh"
 #include "nvm/nvm_device.hh"
 
 namespace cnvm
@@ -189,37 +191,33 @@ TEST(NvmDevice, BankFreeQueries)
     EXPECT_EQ(nvm.bankFreeTick(nvm.bankOf(0x40)), 0u);
 }
 
-// --- functional views ----------------------------------------------------
+// --- live view and persisted image ---------------------------------------
 
-TEST(NvmDevice, LivePlainDefaultsToZero)
+TEST(LiveView, DefaultsToZero)
 {
-    NvmDevice nvm(simpleTiming(), nullptr);
-    EXPECT_EQ(nvm.livePlainRead(0x1000), LineData{});
+    LiveView live;
+    EXPECT_EQ(live.read(0x1000), LineData{});
 }
 
-TEST(NvmDevice, LivePlainPartialStores)
+TEST(LiveView, PartialStores)
 {
-    NvmDevice nvm(simpleTiming(), nullptr);
+    LiveView live;
     std::uint8_t bytes[4] = {1, 2, 3, 4};
-    nvm.livePlainStore(0x1010, 4, bytes);
-    LineData line = nvm.livePlainRead(0x1000);
+    live.store(0x1010, 4, bytes);
+    LineData line = live.read(0x1000);
     EXPECT_EQ(line[0x10], 1);
     EXPECT_EQ(line[0x13], 4);
     EXPECT_EQ(line[0x14], 0);
 }
 
-TEST(NvmDevice, PersistedImageSeparateFromLive)
+TEST(NvmDevice, PersistedImageHoldsOnlyDrainedLines)
 {
     NvmDevice nvm(simpleTiming(), nullptr);
     PersistImage &img = nvm.persistedState();
-    std::uint8_t b = 9;
-    nvm.livePlainStore(0x1000, 1, &b);
     EXPECT_EQ(img.persistedLine(0x1000), nullptr);
     img.drainData(0x1000, lineOf(7));
     ASSERT_NE(img.persistedLine(0x1000), nullptr);
     EXPECT_EQ(*img.persistedLine(0x1000), lineOf(7));
-    // Live view unchanged by the drain.
-    EXPECT_EQ(nvm.livePlainRead(0x1000)[0], 9);
 }
 
 TEST(NvmDevice, CounterStore)

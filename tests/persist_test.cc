@@ -156,7 +156,8 @@ TEST(Primitives, RawFigure9PatternPersistsUnderSca)
     mc.design = DesignPoint::SCA;
     MemController ctl(eq, nvm, mc, nullptr);
     CachePathConfig cache;
-    CoreMemPath path(eq, ClockDomain(250), ctl, cache, 0, nullptr);
+    LiveView live;
+    CoreMemPath path(eq, ClockDomain(250), ctl, live, cache, 0, nullptr);
     RawPrimitiveSource program;
     Core core(eq, ClockDomain(250), path, program, 0, nullptr);
     core.start();
@@ -205,7 +206,8 @@ TEST(Primitives, RawPatternWithoutCtrwbTearsUnderSca)
     mc.design = DesignPoint::SCA;
     MemController ctl(eq, nvm, mc, nullptr);
     CachePathConfig cache;
-    CoreMemPath path(eq, ClockDomain(250), ctl, cache, 0, nullptr);
+    LiveView live;
+    CoreMemPath path(eq, ClockDomain(250), ctl, live, cache, 0, nullptr);
     NoCtrwbSource program;
     Core core(eq, ClockDomain(250), path, program, 0, nullptr);
     core.start();
