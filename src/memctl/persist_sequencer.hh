@@ -37,11 +37,6 @@ class PersistSequencer
   public:
     std::uint64_t acquire() { return next++; }
 
-    /** The next sequence number that acquire() would hand out. */
-    std::uint64_t peek() const { return next; }
-
-    void reset() { next = 1; }
-
   private:
     std::uint64_t next = 1;
 };
