@@ -81,8 +81,9 @@ options:
   --txns N          transactions per core (default 40)
   --footprint-kb N  per-core region size (default 256)
   --cc-kb N         total counter cache KB, split evenly across the
-                    channels (default 16; small, so dirty evictions
-                    are reachable crash states)
+                    channels (power of two, at least --channels;
+                    default 16: small, so dirty evictions are
+                    reachable crash states)
   --seed N          workload seed (default 1)
   --faults          dose every crash point with media faults (torn line
                     writes, bit flips, counter corruption/rollback, ADR

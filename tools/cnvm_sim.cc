@@ -50,7 +50,8 @@ options:
   --batch N            mutations per transaction (default 1)
   --footprint-kb N     per-core region size (default 8192)
   --cc-kb N            total counter cache KB, split evenly across the
-                       channels (default 1024)
+                       channels (power of two, at least --channels;
+                       default 1024)
   --compute N          compute cycles per transaction (default 1000)
   --seed N             workload seed (default 1)
   --read-mult X        scale NVM read latency (default 1.0)

@@ -81,7 +81,9 @@ options:
   --channels N      memory channels sharding the address space
                     (power of two; default 1)
   --footprint-kb N  per-core region size (default 256)
-  --cc-kb N         total counter cache KB (default 16)
+  --cc-kb N         total counter cache KB, split evenly across the
+                    channels (power of two, at least --channels;
+                    default 16)
   --seed N          chain planning seed (default 1)
   --faults          dose every second cycle with media faults (torn
                     lines, bit flips, counter corruption/rollback, ADR

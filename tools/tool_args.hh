@@ -15,6 +15,9 @@
  *    stderr and exits 2 — never an atoi-style silent 0;
  *  - a flag that only tunes another ("--fault-seed requires
  *    --faults") is a usage error without it, never a silent enable;
+ *  - a value that is wrong only next to another flag's (a counter
+ *    cache the channels cannot split) is checked on the parsed
+ *    configuration, so each tool's default is checked too;
  *  - --help prints the usage to stdout and exits 0; an unknown flag
  *    prints it to stderr and exits 2.
  */
@@ -33,6 +36,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/intmath.hh"
 #include "core/config.hh"
 #include "nvm/fault_model.hh"
 #include "workloads/factory.hh"
@@ -325,7 +329,8 @@ inline constexpr SharedFlag kSharedFlags[] = {
  * Parses argv into @p args: the rows of kSharedFlags in @p set, then
  * whatever @p own(reader) accepts — it returns false for a flag that
  * is not the tool's, which is a usage error. Finishes with the shared
- * prerequisite rules.
+ * prerequisite rules and the check that the channels can split the
+ * counter cache.
  */
 template <typename OwnFlags>
 void
@@ -351,6 +356,18 @@ parseArgs(int argc, char **argv, CommonArgs &args, FlagSet set,
         {{args.faultSeedSet, args.faults, "--fault-seed", "--faults"},
          {args.replays, args.faults, "--replays", "--faults"}},
         usage);
+    // Each channel's 16-way counter cache needs a power-of-two number
+    // of 1 KB sets, so the total in KB must be a power of two and at
+    // least the channel count.
+    const std::uint64_t cc_kb = args.cfg.memctl.counterCacheBytes >> 10;
+    if (!isPowerOf2(cc_kb) || cc_kb < args.cfg.numChannels) {
+        std::fprintf(stderr,
+                     "--cc-kb needs a power of two of at least --channels "
+                     "(%u), got '%llu'\n",
+                     args.cfg.numChannels,
+                     static_cast<unsigned long long>(cc_kb));
+        usage(2);
+    }
 }
 
 /** Design name for table rows: the co-located designs without the
