@@ -14,6 +14,8 @@
  *   - Unsafe (no atomicity)     -> decryption fails: the counter for
  *     the log's CounterAtomic valid flag was still in the (volatile)
  *     counter cache when the power failed.
+ *
+ * Exits 1, naming the design, when a design breaks that story.
  */
 
 #include <cstdio>
@@ -25,7 +27,15 @@ using namespace cnvm;
 namespace
 {
 
-void
+/** How a design's crash points recovered. */
+struct Counts
+{
+    unsigned consistent = 0;
+    unsigned inconsistent = 0;
+    unsigned rollbacks = 0;
+};
+
+Counts
 demonstrate(DesignPoint design, Tick total_runtime)
 {
     std::printf("== %s ==\n", designName(design));
@@ -37,7 +47,7 @@ demonstrate(DesignPoint design, Tick total_runtime)
     cfg.wl.txnTarget = 40;
     cfg.wl.recordDigests = true;
 
-    unsigned consistent = 0, inconsistent = 0, rollbacks = 0;
+    Counts n;
     const int points = 10;
     for (int i = 1; i <= points; ++i) {
         System sys(cfg);
@@ -49,8 +59,8 @@ demonstrate(DesignPoint design, Tick total_runtime)
         auto reports = sys.recoverAll();
         const RecoveryReport &report = reports.at(0);
         if (report.consistent) {
-            ++consistent;
-            rollbacks += report.rolledBack ? 1 : 0;
+            ++n.consistent;
+            n.rollbacks += report.rolledBack ? 1 : 0;
             std::printf("  crash @%6.1f us -> recovered to txn %llu/%llu"
                         "%s\n",
                         static_cast<double>(crash_at) / 1e6,
@@ -61,7 +71,7 @@ demonstrate(DesignPoint design, Tick total_runtime)
                         report.rolledBack ? " (undo log rolled back)"
                                           : "");
         } else {
-            ++inconsistent;
+            ++n.inconsistent;
             std::printf("  crash @%6.1f us -> INCONSISTENT: %s\n",
                         static_cast<double>(crash_at) / 1e6,
                         report.detail.c_str());
@@ -69,7 +79,8 @@ demonstrate(DesignPoint design, Tick total_runtime)
     }
     std::printf("  summary: %u consistent, %u inconsistent, "
                 "%u rollbacks\n\n",
-                consistent, inconsistent, rollbacks);
+                n.consistent, n.inconsistent, n.rollbacks);
+    return n;
 }
 
 } // anonymous namespace
@@ -90,9 +101,18 @@ main()
     probe.design = DesignPoint::SCA;
     Tick total = System(probe).run().endTick;
 
-    demonstrate(DesignPoint::SCA, total);
-    demonstrate(DesignPoint::FCA, total);
-    demonstrate(DesignPoint::Unsafe, total);
+    const Counts sca = demonstrate(DesignPoint::SCA, total);
+    const Counts fca = demonstrate(DesignPoint::FCA, total);
+    const Counts unsafe = demonstrate(DesignPoint::Unsafe, total);
+    if (sca.inconsistent != 0 || fca.inconsistent != 0) {
+        std::printf("%s recovered inconsistently at a crash point\n",
+                    sca.inconsistent != 0 ? "SCA" : "FCA");
+        return 1;
+    }
+    if (unsafe.inconsistent == 0) {
+        std::printf("Unsafe recovered at every crash point\n");
+        return 1;
+    }
 
     std::printf("The Unsafe design shows the Figure-4 failure: the "
                 "commit record's data reached NVMM but its counter\n"
