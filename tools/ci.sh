@@ -11,12 +11,12 @@
 # interrupted recoveries, the 4-channel fork capture and parallel soak
 # chains), and a Release build with -Werror, its own
 # full test-suite run, its sweep smokes, one brief run of each
-# micro-benchmark, a short perfbench run of both workloads and the
-# perfbench tests. Host parallelism is run-level only: each simulation
-# runs on one thread, every sweep point, soak chain and pool task owns
-# its System, and fork classification reads only the fork's image copy
-# and the trunk's immutable controller config — the TSan steps are
-# what prove it.
+# micro-benchmark, one run of each ablation harness, a short perfbench
+# run of both workloads and the perfbench tests. Host parallelism is
+# run-level only: each simulation runs on one thread, every sweep
+# point, soak chain and pool task owns its System, and fork
+# classification reads only the fork's image copy and the trunk's
+# immutable controller config — the TSan steps are what prove it.
 #
 #   tools/ci.sh [build-dir] [release-build-dir] [tsan-build-dir]
 #
@@ -218,6 +218,8 @@ cmake --build "$tsan" -j "$(nproc)" --target cnvm_soak
 # once, briefly, so a
 # benchmark that no longer runs is caught (a smoke run, not a timing
 # gate; google-benchmark 1.7 takes --benchmark_min_time in seconds);
+# each ablation harness runs once, its table discarded, so one that
+# aborts or exits non-zero fails here;
 # a 1 s perfbench run of each benchmark workload exits non-zero on
 # any failed op; and perfbench_test checks the benchmark still agrees
 # with the library it is built against.
@@ -230,6 +232,9 @@ ctest --test-dir "$release" --output-on-failure -j "$(nproc)"
 for micro in micro_cache micro_crypto micro_eventq micro_memctl \
         micro_sweep; do
     "$release/bench/$micro" --benchmark_min_time=0.01 > /dev/null
+done
+for ablation in ablation_controller ablation_lifetime; do
+    "$release/bench/$ablation" > /dev/null
 done
 for workload in crash-recovery scale-16c8ch; do
     python3 "$repo/perfbench/run.py" --workload "$workload" --seconds 1
