@@ -13,12 +13,16 @@
  * 1 job Replay and Fork differ only in work done; 4 jobs adds the
  * pool's fan-out.
  *
- * Two more rows ride along: fault-dosed soak chains fanned over 1 and
- * 4 jobs, and crash recovery of growing MAC-armed regions on one
- * thread.
+ * Three more rows ride along: fault-dosed soak chains fanned over 1
+ * and 4 jobs, crash recovery of growing MAC-armed regions on one
+ * thread, and fork capture from a trunk over growing regions — a fork
+ * shares the trunk's image pages, so only the pages the ADR drain and
+ * the integrity-tree flush write should grow a capture's cost.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <memory>
 
 #include "core/crash_sweep.hh"
 #include "core/soak.hh"
@@ -124,6 +128,37 @@ BM_RecoverAll(benchmark::State &state)
     }
 }
 BENCHMARK(BM_RecoverAll)->ArgName("kb")->Arg(512)->Arg(2048)->Arg(8192)
+    ->Unit(benchmark::kMillisecond);
+
+/** One trunk run of the sweep machine over a range(0) KB region with
+ *  the MAC and the tree armed, capturing 32 planned forks that the
+ *  sink discards; items are captures. */
+void
+BM_ForkCapture(benchmark::State &state)
+{
+    SystemConfig cfg = sweepConfig();
+    cfg.wl.regionBytes = static_cast<std::uint64_t>(state.range(0)) << 10;
+    cfg.memctl.integrityTree = true;
+    const std::vector<CrashSpec> plan = planSweep(probeRun(cfg), 32);
+
+    std::uint64_t captures = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        auto trunk = std::make_unique<System>(cfg);
+        state.ResumeTiming();
+        RunResult run = trunk->runWithForkCapture(
+            plan, [&captures](std::size_t, PersistFork fork) {
+                benchmark::DoNotOptimize(fork);
+                ++captures;
+            });
+        benchmark::DoNotOptimize(run);
+        state.PauseTiming();
+        trunk.reset();
+        state.ResumeTiming();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(captures));
+}
+BENCHMARK(BM_ForkCapture)->ArgName("kb")->Arg(512)->Arg(2048)->Arg(8192)
     ->Unit(benchmark::kMillisecond);
 
 } // anonymous namespace

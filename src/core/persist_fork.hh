@@ -47,10 +47,11 @@ struct CrashSnapshot
 };
 
 /**
- * One captured crash point. Self-contained deep copy: mutating the
- * trunk after capture (it keeps simulating) cannot change a fork's
- * classification, and forks from one trunk may be classified
- * concurrently on worker threads.
+ * One captured crash point, self-contained: its image shares pages
+ * with the trunk's, and whichever side writes a shared page copies it
+ * first, so mutating the trunk after capture (it keeps simulating)
+ * cannot change a fork's classification, and forks from one trunk may
+ * be classified concurrently on worker threads.
  */
 struct PersistFork
 {

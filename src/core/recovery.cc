@@ -395,9 +395,12 @@ RecoveryEngine::recover(const Workload &workload,
                 std::uint64_t counter =
                     src.persistedCounters(ctl.counterLineAddr(qa))
                         [ctl.counterSlot(qa)];
-                opt.commitTo->drainMac(
-                    qa, ctl.engine().lineMac(qa, counter, *cipher)
-                            ^ kTombstone);
+                // commitTo may be src itself: the last read through
+                // cipher comes before drainMac writes (and, if a copy
+                // shares it, replaces) the line's page.
+                const std::uint64_t mac =
+                    ctl.engine().lineMac(qa, counter, *cipher) ^ kTombstone;
+                opt.commitTo->drainMac(qa, mac);
             }
         }
     }

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <memory>
 #include <unordered_set>
+#include <utility>
 
 #include "common/hash.hh"
 #include "common/logging.hh"
@@ -276,18 +277,19 @@ snapshotStats(System &sys, const RunResult &r)
 }
 
 /**
- * Crash-during-recovery idempotence, probed inside the chain: on a
- * throwaway copy of the crashed image, run `attempts` interrupted
- * write-back attempts per core followed by one completing attempt,
- * and require the convergent fields to match the committing pass the
- * chain actually resumes from. Returns a violation string, or empty.
+ * Crash-during-recovery idempotence, probed inside the chain: on
+ * @p img, the crashed image as it was before the chain's write-back
+ * (a copy sharing its pages), run `attempts` interrupted write-back
+ * attempts per core followed by one completing attempt, and require
+ * the convergent fields to match the committing pass the chain
+ * actually resumes from. Returns a violation string, or empty.
  */
 std::string
-probeRecoveryIdempotence(System &sys, const std::vector<OracleReport> &ref,
+probeRecoveryIdempotence(System &sys, PersistImage img,
+                         const std::vector<OracleReport> &ref,
                          const SoakOptions &opt, Random &rng,
                          unsigned *interrupts)
 {
-    PersistImage img = sys.nvm().persistedState();
     RecoveryOptions ropt;
     ropt.degraded = true;
     ropt.commitTo = &img;
@@ -364,8 +366,9 @@ runSoakChain(const SystemConfig &base, const SoakOptions &opt)
         if (cyc.dosed)
             cyc.spec.faults = opt.faults.forPoint(c);
 
-        auto sys = haveState ? std::make_unique<System>(cfg, state)
-                             : std::make_unique<System>(cfg);
+        auto sys = haveState
+            ? std::make_unique<System>(cfg, std::move(state))
+            : std::make_unique<System>(cfg);
         RunResult r = sys->runWithCrash(cyc.spec);
         cyc.crashed = r.crashed;
         cyc.endTick = r.endTick;
@@ -378,10 +381,19 @@ runSoakChain(const SystemConfig &base, const SoakOptions &opt)
             sys->crashChannels(cyc.spec.faults);
         }
 
+        // The idempotence probe replays recovery from the crashed
+        // image as the write-back below found it, so it keeps a copy
+        // sharing the image's pages; the write-back copies only the
+        // pages it writes.
+        PersistImage crashed;
+        if (opt.recoveryCrashes > 0)
+            crashed = sys->nvm().persistedState();
+
         // One pass classifies and write-back-recovers: the oracle
-        // reads the image copy it also commits restorations to
-        // (reads cache before writes land, so the view is coherent).
-        PersistImage img = sys->nvm().persistedState();
+        // reads the image it also commits restorations to (reads cache
+        // before writes land, so the view is coherent). The image
+        // leaves the device, which nothing reads again.
+        PersistImage img = std::move(sys->nvm().persistedState());
         RecoveryOptions ropt;
         ropt.degraded = true;
         ropt.commitTo = &img;
@@ -394,7 +406,8 @@ runSoakChain(const SystemConfig &base, const SoakOptions &opt)
 
         if (opt.recoveryCrashes > 0) {
             std::string viol = probeRecoveryIdempotence(
-                *sys, reports, opt, rng, &cyc.recoveryInterrupts);
+                *sys, std::move(crashed), reports, opt, rng,
+                &cyc.recoveryInterrupts);
             if (!viol.empty()) {
                 cyc.stats = snapshotStats(*sys, r);
                 res.cycles.push_back(cyc);
@@ -459,13 +472,14 @@ runSoakChain(const SystemConfig &base, const SoakOptions &opt)
         SoakCycle fin;
         fin.cycle = opt.cycles;
 
-        auto sys = haveState ? std::make_unique<System>(cfg, state)
-                             : std::make_unique<System>(cfg);
+        auto sys = haveState
+            ? std::make_unique<System>(cfg, std::move(state))
+            : std::make_unique<System>(cfg);
         RunResult r = sys->run();
         fin.endTick = r.endTick;
         sys->crashChannels();
 
-        PersistImage img = sys->nvm().persistedState();
+        PersistImage img = std::move(sys->nvm().persistedState());
         RecoveryOptions ropt;
         ropt.degraded = true;
         ropt.commitTo = &img;

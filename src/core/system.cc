@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "common/intmath.hh"
 #include "common/logging.hh"
@@ -35,7 +36,7 @@ regionStride(const WorkloadParams &wl, unsigned num_cores)
 ChannelMap
 makeChannelMap(const SystemConfig &cfg)
 {
-    if (!isPowerOfTwo(cfg.numChannels))
+    if (!isPowerOf2(cfg.numChannels))
         cnvm_fatal("numChannels must be a nonzero power of two, got %u",
                    cfg.numChannels);
     return ChannelMap(cfg.numChannels, cfg.memctl.counterRegionBase);
@@ -51,7 +52,7 @@ System::System(const SystemConfig &cfg_in)
     build(nullptr);
 }
 
-System::System(const SystemConfig &cfg_in, const ResumeState &resume)
+System::System(const SystemConfig &cfg_in, ResumeState resume)
     : cfg(cfg_in),
       nvmDev(cfg_in.nvm, &registry, makeChannelMap(cfg_in))
 {
@@ -64,16 +65,17 @@ System::System(const SystemConfig &cfg_in, const ResumeState &resume)
 System::~System() = default;
 
 void
-System::build(const ResumeState *resume)
+System::build(ResumeState *resume)
 {
     MemCtlConfig mc = cfg.memctl;
     mc.design = cfg.design;
     mc.numChannels = cfg.numChannels;
     // The configured counter-cache capacity is the explicit system
     // total; each channel owns an equal slice of it.
-    if (cfg.memctl.counterCacheBytes % cfg.numChannels != 0) {
+    if (!MemController::counterCacheSplits(cfg.memctl.counterCacheBytes,
+                                           cfg.numChannels)) {
         cnvm_fatal("counter cache (%llu B) does not split evenly over "
-                   "%u channels",
+                   "%u channels into a power-of-two number of 1 KB sets",
                    static_cast<unsigned long long>(
                        cfg.memctl.counterCacheBytes),
                    cfg.numChannels);
@@ -169,7 +171,7 @@ System::build(const ResumeState *resume)
         // recovery can match any prefix. Only the device's image is
         // replaced: its banks and bus start cold at tick 0, as in a
         // freshly built system.
-        nvmDev.persistedState() = resume->image;
+        nvmDev.persistedState() = std::move(resume->image);
         // Channel counter state rebuilds from the persisted store
         // first, exactly as a crash leaves it — the re-seed
         // equivalence argument of DESIGN.md section 4i. Order matters:
@@ -367,6 +369,7 @@ System::crashChannels(const FaultSpec &faults)
     std::vector<AdrCut> cuts = crashDrain(nvmDev.persistedState(), faults);
     for (std::size_t c = 0; c < memCtls.size(); ++c)
         memCtls[c]->dropVolatileState(cuts[c]);
+    liveView = LiveView{};
 }
 
 CrashSnapshot
@@ -430,7 +433,8 @@ System::captureFork(const CrashSpec &spec) const
 
     // Persisted state as a crash here would leave it: a copy of the
     // device's image, drained and dosed exactly as crashChannels()
-    // drains and doses the device's own. The trunk's image stays
+    // drains and doses the device's own. The copy shares the trunk's
+    // pages until the drain writes them, so the trunk's image stays
     // untouched.
     fork.image = nvmDev.persistedState();
     crashDrain(fork.image, spec.faults);

@@ -106,9 +106,10 @@ class System
      * exactly as a crash's dropVolatileState() does. Works under any
      * numChannels configuration. cfg.wl.txnTarget must exceed every
      * core's committed count, or the resumed run has nothing left to
-     * do.
+     * do. The image moves into the device: pass the state with
+     * std::move to hand it over, or an lvalue to keep a shared copy.
      */
-    System(const SystemConfig &cfg, const ResumeState &resume);
+    System(const SystemConfig &cfg, ResumeState resume);
 
     ~System();
 
@@ -210,10 +211,11 @@ class System
     /**
      * Models a power failure across all channels right now: the fork
      * capture of this instant (crashDrain()) applied to the device's
-     * own image, then every controller drops its volatile state. The
-     * one crash path of a System at any channel count — the injected
-     * failures of runWithCrash() take it too. The clean-shutdown
-     * image check in the CLI uses it undosed.
+     * own image, then every controller drops its volatile state and
+     * the live view is emptied — a power failure persists none of it.
+     * The one crash path of a System at any channel count — the
+     * injected failures of runWithCrash() take it too. The
+     * clean-shutdown image check in the CLI uses it undosed.
      *
      * @param faults the dose: energy loss off the tail of the global
      *        drain order, then media faults on the drained image.
@@ -268,7 +270,9 @@ class System
     /** The spec runWithCrash() armed — doCrash() reads its fault dose. */
     CrashSpec activeSpec;
 
-    void build(const ResumeState *resume);
+    /** Wires the machine; @p resume (null on a first boot) gives up
+     *  its image to the device. */
+    void build(ResumeState *resume);
 
     /** Runs @p wl's setup into the live view and installs every line
      *  it touched into the persisted image, as a first boot would. */
@@ -293,10 +297,11 @@ class System
     std::vector<AdrCut> crashDrain(PersistImage &img,
                                    const FaultSpec &faults) const;
 
-    /** Deep-copies the crash closure of the current instant (see
+    /** Captures the crash closure of the current instant (see
      *  PersistFork): persisted image + ADR overlay + @p spec's fault
      *  dose, controller snapshot, per-core digest logs. const — the
-     *  faults land on the fork's image copy, never the trunk's. */
+     *  fork's image shares the trunk's pages, and the drain and the
+     *  faults copy each page they write, never touching the trunk's. */
     PersistFork captureFork(const CrashSpec &spec) const;
 };
 

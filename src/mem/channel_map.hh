@@ -28,18 +28,12 @@
 #ifndef CNVM_MEM_CHANNEL_MAP_HH
 #define CNVM_MEM_CHANNEL_MAP_HH
 
+#include "common/intmath.hh"
 #include "common/logging.hh"
 #include "common/types.hh"
 
 namespace cnvm
 {
-
-/** Returns true when @p v is a power of two (and nonzero). */
-constexpr bool
-isPowerOfTwo(std::uint64_t v)
-{
-    return v != 0 && (v & (v - 1)) == 0;
-}
 
 struct ChannelMap
 {
@@ -51,7 +45,7 @@ struct ChannelMap
     ChannelMap(unsigned channels_in, Addr counter_region_base)
         : channels(channels_in), counterRegionBase(counter_region_base)
     {
-        cnvm_assert(isPowerOfTwo(channels));
+        cnvm_assert(isPowerOf2(channels));
         cnvm_assert(isLineAligned(counterRegionBase));
     }
 

@@ -85,19 +85,16 @@ MemController::MemController(EventQueue &eq, NvmDevice &nvm,
     // so the tree axis implies the MAC axis.
     if (this->cfg.integrityTree)
         this->cfg.integrityMac = true;
-    cnvm_assert(isPowerOfTwo(cfg.numChannels));
+    cnvm_assert(isPowerOf2(cfg.numChannels));
     cnvm_assert(cfg.channelId < cfg.numChannels);
     if (designHasCounterCache(cfg.design)) {
         // Fold the channel-id bits out of the set index: this shard
         // only sees counter-line indices ≡ channelId (mod channels),
         // and indexing with those constant bits in place would strand
         // all but numSets/channels of the sets.
-        unsigned index_shift = 0;
-        while ((1u << index_shift) < cfg.numChannels)
-            ++index_shift;
         counterCache = std::make_unique<CounterCache>(
             cfg.counterCacheBytes, counterCacheAssoc, registry,
-            ccStatPrefix(cfg), index_shift);
+            ccStatPrefix(cfg), floorLog2(cfg.numChannels));
     }
     dataQ.reserve(cfg.dataWqEntries);
     ctrQ.reserve(cfg.ctrWqEntries);

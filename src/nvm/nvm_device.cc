@@ -21,7 +21,7 @@ NvmDevice::NvmDevice(NvmTiming timing, stats::StatRegistry *registry,
       writesIssued("nvm.writes", "line writes issued to NVMM")
 {
     cnvm_assert(timing.numBanks > 0);
-    cnvm_assert(isPowerOfTwo(map.channels));
+    cnvm_assert(isPowerOf2(map.channels));
     if (registry != nullptr) {
         registry->registerStat(readBytes);
         registry->registerStat(writeBytes);

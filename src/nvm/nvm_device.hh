@@ -79,9 +79,10 @@ class NvmDevice
      * one way in to it for the drain paths, recovery, the crash oracle
      * and the tests.
      *
-     * The const view is the fork-capture entry point: copying it (a
-     * deep copy of the touched pages — cost scales with the touched
-     * footprint) plus the ADR drain of the queued entries is exactly
+     * The const view is the fork-capture entry point: copying it (the
+     * copy shares the image's pages, and either side copies a page
+     * only when it writes it) plus the ADR drain of the queued entries
+     * is exactly
      * the state recovery may rely on after a power failure at this
      * instant. The accessor has no side effects: no stats counters
      * move and no timing state is touched, so capturing a fork cannot
@@ -90,7 +91,7 @@ class NvmDevice
     const PersistImage &persistedState() const { return persisted; }
 
     /** Mutable persisted state (the drain paths, the crash path, and
-     *  the resume path, which assigns a recovered image to it). */
+     *  the resume path, which moves a recovered image into it). */
     PersistImage &persistedState() { return persisted; }
 
     /** Index of the bank serving @p addr, across all channels

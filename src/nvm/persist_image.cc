@@ -1,5 +1,7 @@
 #include "nvm/persist_image.hh"
 
+#include <utility>
+
 #include "common/logging.hh"
 
 namespace cnvm
@@ -80,7 +82,11 @@ PersistImage::drainTreeNode(unsigned level, std::uint64_t index,
                             std::uint64_t hash)
 {
     cnvm_assert(level < treeNodeLevels);
-    treeNodes[level][index * lineBytes] = hash;
+    LineTable<std::uint64_t> &nodes = treeNodes[level];
+    const Addr key = index * lineBytes;
+    const std::uint64_t *node = std::as_const(nodes).find(key);
+    if (node == nullptr || *node != hash)
+        nodes[key] = hash;
 }
 
 void
@@ -147,7 +153,7 @@ PersistImage::replayLine(Addr line_addr, Addr ctr_line_addr,
                          unsigned slot)
 {
     cnvm_assert(slot < countersPerLine);
-    const StaleTriple *stale = staleTriples.find(line_addr);
+    const StaleTriple *stale = std::as_const(staleTriples).find(line_addr);
     if (stale == nullptr)
         return false;
     // A "replay" to the value already stored would change nothing —

@@ -32,10 +32,11 @@ using CounterLine = std::array<std::uint64_t, countersPerLine>;
 
 /**
  * The state that survives a power failure: ciphertext image, counter
- * store, and the oracle's cipher-counter record. Copyable — the line
- * tables hold only pages with a line ever drained, so a copy deep-
- * copies those pages: its cost scales with the touched footprint, not
- * the address space.
+ * store, and the oracle's cipher-counter record. Copyable — a copy
+ * shares every line-table page with its source, and whichever side
+ * then writes a shared page copies that page first (see LineTable). A
+ * copy costs the page directories; each side pays for the pages it
+ * writes afterwards, not for the touched footprint.
  */
 class PersistImage
 {
@@ -69,7 +70,10 @@ class PersistImage
 
     /**
      * Stores one integrity-tree node (the controller's lazy epoch
-     * write-back, the crash flush, or recovery's reconstruction).
+     * write-back, the crash flush, or recovery's reconstruction). A
+     * node already persisted with @p hash is left alone, so a flush
+     * that rebuilds the whole tree writes — and unshares from a copy —
+     * only the pages of nodes that changed.
      */
     void drainTreeNode(unsigned level, std::uint64_t index,
                        std::uint64_t hash);

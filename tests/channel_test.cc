@@ -284,12 +284,23 @@ TEST(CounterCacheCapacity, TotalIsExplicitNotScaledByCores)
 
 TEST(CounterCacheCapacity, SplitsEvenlyAcrossChannels)
 {
-    // A total that 4 channels cannot share evenly must be a loud
-    // config error, not capacity silently rounded away.
-    SystemConfig cfg = channelConfig(4);
-    cfg.memctl.counterCacheBytes = (64 << 10) + 2;
-    EXPECT_EXIT({ System sys(cfg); }, ::testing::ExitedWithCode(1),
-                "does not split evenly");
+    // A total that the channels cannot share as equal power-of-two
+    // numbers of 16-way 1 KB sets must be a loud config error, not
+    // capacity silently rounded away or an abort inside the cache:
+    // uneven bytes, fewer KB than channels, and a share that is not a
+    // power of two.
+    const struct
+    {
+        unsigned channels;
+        std::uint64_t bytes;
+    } cases[] = {{4, (64 << 10) + 2}, {8, 1 << 10}, {1, 24 << 10}};
+    for (const auto &c : cases) {
+        SystemConfig cfg = channelConfig(c.channels);
+        cfg.memctl.counterCacheBytes = c.bytes;
+        EXPECT_EXIT({ System sys(cfg); }, ::testing::ExitedWithCode(1),
+                    "does not split evenly")
+            << c.channels << " channels, " << c.bytes << " B";
+    }
 }
 
 TEST(ChannelShardedCache, IndexShiftRecoversStrandedSets)

@@ -113,6 +113,113 @@ TEST(LineTable, CopyIsIndependentOfSource)
     EXPECT_EQ(assigned.size(), 3u);
 }
 
+TEST(LineTable, CopySharesPagesUntilWritten)
+{
+    LineTable<std::uint64_t> src;
+    src[0x0] = 1;
+    src[0x40] = 2;
+    src[counterRegion] = 3;
+    const LineTable<std::uint64_t> copy = src;
+    const LineTable<std::uint64_t> &csrc = src;
+    EXPECT_EQ(copy.find(0x0), csrc.find(0x0));
+    EXPECT_EQ(copy.find(counterRegion), csrc.find(counterRegion));
+
+    // A write to one line of a shared page gives the writer its own
+    // page: every line of it moves, lines on other pages stay shared.
+    src[0x40] = 20;
+    EXPECT_NE(copy.find(0x0), csrc.find(0x0));
+    EXPECT_NE(copy.find(0x40), csrc.find(0x40));
+    EXPECT_EQ(copy.find(counterRegion), csrc.find(counterRegion));
+    EXPECT_EQ(*copy.find(0x40), 2u);
+    EXPECT_EQ(*csrc.find(0x40), 20u);
+
+    // Once private, the page is written in place.
+    const std::uint64_t *own = csrc.find(0x0);
+    src[0x80] = 4;
+    EXPECT_EQ(csrc.find(0x0), own);
+
+    // A non-const lookup of an absent line copies nothing.
+    EXPECT_EQ(src.find(counterRegion + 0x40), nullptr);
+    EXPECT_FALSE(src.erase(counterRegion + 0x40));
+    EXPECT_EQ(copy.find(counterRegion), csrc.find(counterRegion));
+}
+
+TEST(LineTable, WritesToEitherSideStayPrivate)
+{
+    LineTable<std::uint64_t> a;
+    for (Addr line = 0; line < 8 * lineBytes; line += lineBytes)
+        a[line] = line;
+    a[counterRegion] = 1;
+    const std::vector<Addr> before = addrsOf(a);
+
+    // Insert, overwrite and erase through the copy.
+    LineTable<std::uint64_t> b = a;
+    b[8 * lineBytes] = 99;
+    b[0x0] = 100;
+    *b.find(lineBytes) = 101;
+    EXPECT_TRUE(b.erase(2 * lineBytes));
+    EXPECT_TRUE(b.erase(counterRegion));
+    EXPECT_EQ(addrsOf(a), before);
+    EXPECT_EQ(a.size(), 9u);
+    for (Addr line = 0; line < 8 * lineBytes; line += lineBytes)
+        EXPECT_EQ(*a.find(line), line);
+    EXPECT_EQ(*a.find(counterRegion), 1u);
+
+    // And the same through the source, with the copy unchanged.
+    const std::vector<Addr> b_before = addrsOf(b);
+    a[16 * lineBytes] = 7;
+    a[3 * lineBytes] = 300;
+    *a.find(4 * lineBytes) = 400;
+    EXPECT_TRUE(a.erase(5 * lineBytes));
+    EXPECT_TRUE(a.erase(0x0));
+    EXPECT_EQ(addrsOf(b), b_before);
+    EXPECT_EQ(b.size(), 8u);
+    EXPECT_EQ(*b.find(0x0), 100u);
+    EXPECT_EQ(*b.find(lineBytes), 101u);
+    EXPECT_EQ(*b.find(3 * lineBytes), 3 * lineBytes);
+    EXPECT_EQ(*b.find(4 * lineBytes), 4 * lineBytes);
+    EXPECT_EQ(*b.find(5 * lineBytes), 5 * lineBytes);
+    EXPECT_EQ(*b.find(8 * lineBytes), 99u);
+    EXPECT_EQ(b.find(16 * lineBytes), nullptr);
+}
+
+TEST(LineTable, ConcurrentCopiesWriteIndependently)
+{
+    // Forks of one image are copied, dosed and recovered on worker
+    // threads while the trunk keeps reading its own image: every copy
+    // writes its shared pages without a lock, and ThreadSanitizer
+    // must see no race.
+    LineTable<std::uint64_t> t;
+    for (Addr a = 0; a < Addr(256) << 10; a += lineBytes)
+        t[a] = a;
+    const LineTable<std::uint64_t> &shared = t;
+
+    std::vector<std::uint64_t> sums(4, 0);
+    std::vector<std::thread> workers;
+    for (unsigned w = 0; w < sums.size(); ++w) {
+        workers.emplace_back([&shared, &sums, w] {
+            LineTable<std::uint64_t> mine = shared;
+            for (Addr a = w % 2 * lineBytes; a < Addr(256) << 10;
+                 a += 2 * lineBytes)
+                mine[a] += w + 1;
+            mine.forEach([&sums, w](Addr a, const std::uint64_t &v) {
+                sums[w] += v - a;
+            });
+        });
+    }
+    std::uint64_t mismatches = 0;
+    for (Addr a = 0; a < Addr(256) << 10; a += lineBytes)
+        mismatches += *shared.find(a) != a;
+    for (std::thread &w : workers)
+        w.join();
+    EXPECT_EQ(mismatches, 0u);
+    // Each worker bumped every other line of the region by its id.
+    const std::uint64_t half = (Addr(256) << 10) / lineBytes / 2;
+    for (unsigned w = 0; w < sums.size(); ++w)
+        EXPECT_EQ(sums[w], half * (w + 1)) << w;
+    t.forEach([](Addr a, const std::uint64_t &v) { EXPECT_EQ(v, a); });
+}
+
 TEST(LineTable, MoveLeavesPagesInPlace)
 {
     LineTable<std::uint64_t> src;

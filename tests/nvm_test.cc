@@ -1,11 +1,13 @@
 /**
  * @file
  * Unit tests for the NVM device: PCM timing (latencies, bank conflicts,
- * write pausing, bus turnaround) and the persisted image; and for the
- * live view.
+ * write pausing, bus turnaround) and the persisted image, copies of it
+ * included; and for the live view.
  */
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "mem/live_view.hh"
 #include "nvm/nvm_device.hh"
@@ -239,6 +241,90 @@ TEST(NvmDevice, DrainOverwritesPriorImage)
     img.drainData(0x0, lineOf(2));
     EXPECT_EQ(*img.persistedLine(0x0), lineOf(2));
     EXPECT_EQ(img.lineCount(), 1u);
+}
+
+constexpr Addr kCtrLine = Addr(1) << 33;
+
+/** Everything an image lets a reader see, flattened for comparison. */
+std::vector<std::uint64_t>
+stateOf(const PersistImage &img)
+{
+    std::vector<std::uint64_t> s;
+    auto opt = [&s](const std::uint64_t *v) { s.push_back(v ? *v : ~0ull); };
+    for (Addr a : img.dataLineAddrs()) {
+        const LineData &cipher = *img.persistedLine(a);
+        s.push_back(a);
+        s.insert(s.end(), cipher.begin(), cipher.end());
+        s.push_back(img.persistedCipherCounter(a));
+        opt(img.persistedMac(a));
+        s.push_back(img.lineFaulted(a));
+        s.push_back(img.lineReplayed(a));
+    }
+    img.forEachCounterLine([&s](Addr a, const CounterLine &values) {
+        s.push_back(a);
+        s.insert(s.end(), values.begin(), values.end());
+    });
+    for (Addr a : img.replayableLineAddrs())
+        s.push_back(a);
+    for (unsigned level = 0; level < 3; ++level)
+        for (std::uint64_t index = 0; index < 2; ++index)
+            opt(img.persistedTreeNode(level, index));
+    opt(img.persistedTreeRoot());
+    s.push_back(img.faultedLineCount());
+    return s;
+}
+
+/** Applies every PersistImage mutator once. */
+void
+mutateEveryTable(PersistImage &img)
+{
+    img.drainData(0x0, lineOf(4), 3);
+    img.drainMac(0x0, 33);
+    img.drainData(0x80, lineOf(4), 3);
+    img.drainCounters(kCtrLine, CounterLine{3, 1, 3});
+    img.drainTreeNode(0, 0, 55);
+    img.drainTreeNode(2, 0, 66);
+    img.drainTreeRoot(77);
+    img.corruptDataLine(0x80, lineOf(5));
+    img.corruptCounterSlot(kCtrLine, 1, 999, 0x40);
+    EXPECT_TRUE(img.replayLine(0x0, kCtrLine, 0));
+    img.clearFaultGroundTruth();
+}
+
+TEST(PersistImage, CopyIsIndependentOfEveryTable)
+{
+    // Data lines with MACs, a counter line, a stale triple per line, a
+    // replayed and a faulted line, and a small tree.
+    PersistImage base;
+    base.drainCounters(kCtrLine, CounterLine{1, 1});
+    base.drainData(0x0, lineOf(1), 1);
+    base.drainMac(0x0, 11);
+    base.drainData(0x40, lineOf(1), 1);
+    base.drainMac(0x40, 21);
+    base.drainCounters(kCtrLine, CounterLine{2, 2});
+    base.drainData(0x0, lineOf(2), 2);
+    base.drainMac(0x0, 12);
+    base.drainData(0x40, lineOf(2), 2);
+    base.drainMac(0x40, 22);
+    ASSERT_TRUE(base.replayLine(0x40, kCtrLine, 1));
+    base.corruptDataLine(0x0, lineOf(3));
+    base.drainTreeNode(0, 0, 5);
+    base.drainTreeNode(1, 0, 6);
+    base.drainTreeRoot(7);
+    const std::vector<std::uint64_t> base_state = stateOf(base);
+
+    // Every mutator on the copy leaves the source as it was...
+    PersistImage copy = base;
+    EXPECT_EQ(stateOf(copy), base_state);
+    mutateEveryTable(copy);
+    EXPECT_NE(stateOf(copy), base_state);
+    EXPECT_EQ(stateOf(base), base_state);
+
+    // ...and on the source, leaves a fresh copy as it was.
+    PersistImage other = base;
+    mutateEveryTable(base);
+    EXPECT_EQ(stateOf(base), stateOf(copy));
+    EXPECT_EQ(stateOf(other), base_state);
 }
 
 } // anonymous namespace

@@ -220,6 +220,28 @@ TEST(System, LiveShadowMatchesLivePlainAfterRun)
     EXPECT_TRUE(all_equal);
 }
 
+TEST(System, PowerFailureDropsLiveView)
+{
+    // A power failure persists none of the live view: after it, a line
+    // the run stored reads as zeros there.
+    System sys(smallConfig(DesignPoint::SCA, WorkloadKind::RbTree, 1,
+                           30));
+    sys.run();
+    Addr stored = 0;
+    bool found = false;
+    sys.workload(0).shadowMem().forEachLine(
+        [&](Addr addr, const LineData &data) {
+            if (!found && data != LineData{}) {
+                stored = addr;
+                found = true;
+            }
+        });
+    ASSERT_TRUE(found);
+    ASSERT_NE(sys.live().read(stored), LineData{});
+    sys.crashChannels();
+    EXPECT_EQ(sys.live().read(stored), LineData{});
+}
+
 TEST(System, StatsRegistryPopulated)
 {
     System sys(smallConfig(DesignPoint::SCA));

@@ -15,8 +15,10 @@
 # run of both workloads and the perfbench tests. Host parallelism is
 # run-level only: each simulation runs on one thread, every sweep
 # point, soak chain and pool task owns its System, and fork
-# classification reads only the fork's image copy and the trunk's
-# immutable controller config — the TSan steps are what prove it.
+# classification reads only the fork's image and the trunk's immutable
+# controller config. A fork's image shares pages with the trunk's, and
+# the trunk copies a shared page before it writes it — the TSan steps
+# are what prove it.
 #
 #   tools/ci.sh [build-dir] [release-build-dir] [tsan-build-dir]
 #
@@ -93,9 +95,10 @@ done
 # → resume cycles per design must stay consistent with zero silent
 # cycles; the same dose with the MAC disarmed must demonstrate at
 # least one silent cycle (both are part of the tool's exit status).
-# The resume constructor re-seeds live controllers from a recovered
-# image — exactly where a counter store aliased into the new System
-# instead of deep-copied, or a stale quarantine pointer, would hide.
+# The resume constructor takes the recovered image over and re-seeds
+# live controllers from it — exactly where a page written while
+# another image still shares it, or a stale quarantine pointer, would
+# hide.
 "$build/tools/cnvm_soak" --cycles 8 --chains 2 --jobs 2 \
     --faults --replays --integrity-tree \
     --design ColocatedCC --design FCA --design SCA --design Unsafe
@@ -153,8 +156,10 @@ done
 # and a parallel multi-design fork sweep.
 # Fork mode is the sharper TSan target: workers classify captured
 # forks while the trunk simulation is still mutating its own state on
-# the owner thread, so any capture that aliases live trunk state
-# instead of deep-copying it shows up as a race here. ASan/TSan cannot
+# the owner thread. Forks share image pages with the trunk, and the
+# trunk copies a shared page before it writes it, so a write that
+# skips that copy, or a capture that aliases other live trunk state,
+# shows up as a race here. ASan/TSan cannot
 # share a build, so this is its own configuration; only the needed
 # targets are built.
 cmake -B "$tsan" -S "$repo" \
@@ -165,23 +170,25 @@ cmake --build "$tsan" -j "$(nproc)" \
     crash_sweep_test
 "$tsan/tests/runner_test"
 # The line tables behind the persisted image: concurrent
-# crash-during-recovery points each copy one shared captured image, so
-# a const access that mutated anything (a last-page cache, say) would
-# race here.
+# crash-during-recovery points each copy one shared captured image and
+# write their copies' shared pages, so a const access that mutated
+# anything (a last-page cache, say), or a page count whose ordering
+# lets a write in place overtake another copy's reads, would race here.
 "$tsan/tests/line_table_test"
 # Interrupted write-back recoveries running concurrently, each against
-# its own per-point image copy.
+# its own per-point copy of one image, sharing its pages until it
+# writes them.
 "$tsan/tests/recovery_test" --gtest_filter='RecoveryCrash.*'
 "$tsan/tests/crash_sweep_test" --gtest_filter=\
 'CrashSweepEndToEnd.ParallelExecuteIsByteIdenticalToSerial:ForkSweep.*'
 "$tsan/tools/cnvm_crash_sweep" --points 8 --jobs 4
 # Fault capture happens on the trunk thread while workers classify
-# earlier (faulted) forks — the dose must stay on each fork's copy —
-# and each point's recovery reads the fork's image against the trunk's
-# shared immutable controller and engine (any hidden mutability in the
-# verification path races here). Then the recovery-crash family, whose
-# points run concurrent interrupted recoveries against per-point image
-# copies.
+# earlier (faulted) forks — the dose must land on pages the fork copied
+# for itself — and each point's recovery reads the fork's image against
+# the trunk's shared immutable controller and engine (any hidden
+# mutability in the verification path races here). Then the
+# recovery-crash family, whose points run concurrent interrupted
+# recoveries against per-point copies of the fork's image.
 "$tsan/tools/cnvm_crash_sweep" --points 8 --jobs 4 \
     --faults --integrity --design SCA --design Unsafe
 "$tsan/tools/cnvm_crash_sweep" --points 6 --recovery-crashes 10 \
@@ -197,8 +204,8 @@ cmake --build "$tsan" -j "$(nproc)" --target integrity_tree_test
     --design SCA --design Unsafe
 # Multi-channel sweep under TSan: fork capture drains four channels'
 # queues and rebuilds the tree globally while workers classify earlier
-# forks — any channel state aliased into a fork instead of deep-copied
-# races here.
+# forks — any channel state aliased into a fork, or an image page the
+# trunk writes while a fork still shares it, races here.
 "$tsan/tools/cnvm_crash_sweep" --points 8 --channels 4 --jobs 4 \
     --faults --integrity-tree --design SCA --design Unsafe
 # Crash-chain soak under TSan: parallel chains run whole

@@ -36,8 +36,8 @@
 #include <string_view>
 #include <vector>
 
-#include "common/intmath.hh"
 #include "core/config.hh"
+#include "memctl/mem_controller.hh"
 #include "nvm/fault_model.hh"
 #include "workloads/factory.hh"
 
@@ -356,16 +356,14 @@ parseArgs(int argc, char **argv, CommonArgs &args, FlagSet set,
         {{args.faultSeedSet, args.faults, "--fault-seed", "--faults"},
          {args.replays, args.faults, "--replays", "--faults"}},
         usage);
-    // Each channel's 16-way counter cache needs a power-of-two number
-    // of 1 KB sets, so the total in KB must be a power of two and at
-    // least the channel count.
-    const std::uint64_t cc_kb = args.cfg.memctl.counterCacheBytes >> 10;
-    if (!isPowerOf2(cc_kb) || cc_kb < args.cfg.numChannels) {
+    if (!MemController::counterCacheSplits(args.cfg.memctl.counterCacheBytes,
+                                           args.cfg.numChannels)) {
         std::fprintf(stderr,
                      "--cc-kb needs a power of two of at least --channels "
                      "(%u), got '%llu'\n",
                      args.cfg.numChannels,
-                     static_cast<unsigned long long>(cc_kb));
+                     static_cast<unsigned long long>(
+                         args.cfg.memctl.counterCacheBytes >> 10));
         usage(2);
     }
 }
