@@ -188,13 +188,12 @@ main()
     WorkloadParams wl = cfg.wl;
     wl.regionBase = cfg.dataRegionBase;
     KvStoreWorkload store(wl);
-    LiveView live;
-    store.setup([&](Addr a, const void *d, unsigned s) {
-        live.store(a, s, static_cast<const std::uint8_t *>(d));
-    });
-    store.shadowMem().forEachLine([&](Addr a, const LineData &data) {
-        ctl.initLine(a, data);
-    });
+    // Setup fills the workload's shadow; the live view starts as a copy
+    // of it that shares its pages, and the image is installed from it.
+    store.setup([](Addr, const void *, unsigned) {});
+    LiveView live(store.shadowMem().table());
+    store.shadowMem().table().forEach(
+        [&](Addr a, const LineData &data) { ctl.initLine(a, data); });
     // Warm in a second pass: warming while neighbours are still being
     // installed would capture stale counter lines.
     store.shadowMem().forEachLine(

@@ -100,6 +100,8 @@ System::build(ResumeState *resume)
 
     ClockDomain cpu_clock(static_cast<Tick>(1000.0 / cpuGHz));
 
+    // Each path keeps a reference to its view: size the vector first.
+    liveViews.resize(cfg.numCores);
     Addr prev_region_end = 0;
     for (unsigned i = 0; i < cfg.numCores; ++i) {
         WorkloadParams wl = cfg.wl;
@@ -138,7 +140,7 @@ System::build(ResumeState *resume)
         workloads.push_back(makeWorkload(cfg.workload, wl));
 
         memPaths.push_back(std::make_unique<CoreMemPath>(
-            eventq, cpu_clock, *backend, liveView, cfg.cache, i,
+            eventq, cpu_clock, *backend, liveViews[i], cfg.cache, i,
             &registry));
         cores.push_back(std::make_unique<Core>(
             eventq, cpu_clock, *memPaths.back(), *workloads.back(), i,
@@ -158,8 +160,8 @@ System::build(ResumeState *resume)
         // Install each workload's initial state consistently: live
         // view, encrypted image and counters, as a freshly booted
         // system.
-        for (auto &wl : workloads)
-            installFresh(*wl);
+        for (unsigned i = 0; i < cfg.numCores; ++i)
+            installFresh(i);
     } else {
         // Resume-after-recovery: the recovered image is the persisted
         // truth — nothing is re-initialized on media. Each workload
@@ -189,7 +191,7 @@ System::build(ResumeState *resume)
                 // verifiable free space; its quarantined lines keep
                 // their tombstones until setup or the new run drains
                 // fresh triples over them.
-                installFresh(wl);
+                installFresh(i);
                 continue;
             }
             wl.setup([](Addr, const void *, unsigned) {});
@@ -217,16 +219,13 @@ System::build(ResumeState *resume)
             LineData zeros{};
             for (Addr qa : resume->quarantined[i])
                 wl.shadowMem().write(qa, zeros.data(), lineBytes);
-            // Live plaintext view := the fast-forwarded shadow. The
-            // shadow, not the decrypted image, is authoritative here:
-            // a writeback snapshots the whole line from the live view,
-            // bytes the resumed run never stores included, so the live
-            // view must equal the program-order content the shadow
-            // carries.
-            wl.shadowMem().forEachLine(
-                [this](Addr addr, const LineData &data) {
-                    liveView.store(addr, lineBytes, data.data());
-                });
+            // Live plaintext view := the fast-forwarded shadow, sharing
+            // its pages. The shadow, not the decrypted image, is
+            // authoritative here: a writeback snapshots the whole line
+            // from the live view, bytes the resumed run never stores
+            // included, so the live view must equal the program-order
+            // content the shadow carries.
+            liveViews[i] = LiveView(wl.shadowMem().table());
         }
     }
     if (cfg.warmCounterCache) {
@@ -242,8 +241,8 @@ System::build(ResumeState *resume)
         // (the golden digests catch it). Simulated results therefore
         // depend on the standard library's unordered_map layout; an
         // explicit order would be a deliberate timing-model change.
-        // (Installing in ascending order instead moves none of the
-        // golden digests; only the warm order matters.)
+        // (installFresh installs in ascending order, which moves none
+        // of the golden digests; only the warm order matters.)
         for (auto &wl : workloads) {
             wl->shadowMem().forEachLine(
                 [this, &map](Addr addr, const LineData &) {
@@ -254,17 +253,20 @@ System::build(ResumeState *resume)
 }
 
 void
-System::installFresh(Workload &wl)
+System::installFresh(unsigned core)
 {
-    wl.setup([this](Addr a, const void *d, unsigned s) {
-        liveView.store(a, s, static_cast<const std::uint8_t *>(d));
-    });
+    // Setup writes only the shadow (Workload::initWrite): the live view
+    // and the image are both built from it afterwards.
+    Workload &wl = *workloads[core];
+    wl.setup([](Addr, const void *, unsigned) {});
+    const ShadowMem &shadow = wl.shadowMem();
+    liveViews[core] = LiveView(shadow.table());
 
     // Route each line to its owning channel so the per-channel counter
     // engines see exactly their shard. Each channel receives its lines
-    // in ShadowMem::forEachLine order, so it assigns every line the
-    // counter a line-by-line install would; the lines are staged per
-    // channel and handed over one MAC batch at a time.
+    // in ascending address order, so it assigns every line the counter
+    // a line-by-line install would; the lines are staged per channel
+    // and handed over one MAC batch at a time.
     constexpr unsigned lanes = crypto::CtrEngine::macLanes;
     struct Staged
     {
@@ -279,7 +281,7 @@ System::installFresh(Workload &wl)
         staged[c].n = 0;
     };
     const ChannelMap &map = nvmDev.channelMap();
-    wl.shadowMem().forEachLine([&](Addr addr, const LineData &data) {
+    shadow.table().forEach([&](Addr addr, const LineData &data) {
         const std::size_t c = map.channelOf(addr);
         Staged &st = staged[c];
         st.addrs[st.n] = addr;
@@ -369,7 +371,8 @@ System::crashChannels(const FaultSpec &faults)
     std::vector<AdrCut> cuts = crashDrain(nvmDev.persistedState(), faults);
     for (std::size_t c = 0; c < memCtls.size(); ++c)
         memCtls[c]->dropVolatileState(cuts[c]);
-    liveView = LiveView{};
+    for (LiveView &view : liveViews)
+        view = LiveView{};
 }
 
 CrashSnapshot

@@ -99,9 +99,9 @@ class System
      * re-seeds from @p resume — the recovered image becomes the
      * persisted state, each workload deterministically fast-forwards
      * to its committed transaction count (regenerating its digest log
-     * and shadow exactly as the pre-crash run produced them), the
-     * live plaintext view is rebuilt from the fast-forwarded shadows
-     * with quarantined lines reading as zeros, and every channel's
+     * and shadow exactly as the pre-crash run produced them), each
+     * core's live view becomes a copy of its fast-forwarded shadow's
+     * table with quarantined lines reading as zeros, and every channel's
      * controller rebuilds its counter state from the persisted store
      * exactly as a crash's dropVolatileState() does. Works under any
      * numChannels configuration. cfg.wl.txnTarget must exceed every
@@ -212,8 +212,8 @@ class System
      * Models a power failure across all channels right now: the fork
      * capture of this instant (crashDrain()) applied to the device's
      * own image, then every controller drops its volatile state and
-     * the live view is emptied — a power failure persists none of it.
-     * The one crash path of a System at any channel count — the
+     * every live view is emptied — a power failure persists none of
+     * them. The one crash path of a System at any channel count — the
      * injected failures of runWithCrash() take it too. The
      * clean-shutdown image check in the CLI uses it undosed.
      *
@@ -225,8 +225,10 @@ class System
     NvmDevice &nvm() { return nvmDev; }
     const NvmDevice &nvm() const { return nvmDev; }
 
-    /** The cores' program-order plaintext (see LiveView). */
-    const LiveView &live() const { return liveView; }
+    /** Core @p core's program-order plaintext (see LiveView): a copy
+     *  of its shadow's table at build, sharing every page until the
+     *  shadow or a retiring store writes one. */
+    const LiveView &live(unsigned core) const { return liveViews.at(core); }
     Workload &workload(unsigned core) { return *workloads.at(core); }
     const Workload &workload(unsigned core) const
     { return *workloads.at(core); }
@@ -255,9 +257,11 @@ class System
 
     std::vector<std::unique_ptr<Workload>> workloads;
 
-    /** The one copy of each line's plaintext, shared by every core's
-     *  memory path; declared before them so it outlives them. */
-    LiveView liveView;
+    /** One live view per core; core i's memory path holds a reference
+     *  to liveViews[i], so the vector is sized before the paths are
+     *  built and never resized. Declared before them so it outlives
+     *  them. */
+    std::vector<LiveView> liveViews;
 
     std::vector<std::unique_ptr<CoreMemPath>> memPaths;
     std::vector<std::unique_ptr<Core>> cores;
@@ -274,9 +278,14 @@ class System
      *  its image to the device. */
     void build(ResumeState *resume);
 
-    /** Runs @p wl's setup into the live view and installs every line
-     *  it touched into the persisted image, as a first boot would. */
-    void installFresh(Workload &wl);
+    /**
+     * Boots core @p core's workload as a first boot would: runs its
+     * setup into the shadow (with a no-op writer), makes the core's
+     * live view a copy of the shadow's table — one shared set of pages
+     * — and installs every line setup touched into the persisted
+     * image, in ascending address order.
+     */
+    void installFresh(unsigned core);
 
     /** Controller occupancy across every channel, right now. */
     CrashSnapshot snapshotNow() const;

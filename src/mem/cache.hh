@@ -10,7 +10,7 @@
  * counter-atomic bit recording that the line's pending update carries
  * the CounterAtomic annotation (paper section 4.3) so that its eventual
  * writeback is enforced as counter-atomic by the memory controller. A
- * line's program-order plaintext lives in one place, the LiveView
+ * line's program-order plaintext lives in its core's LiveView
  * (mem/live_view.hh), which a writeback snapshots as the line leaves
  * the hierarchy.
  *
@@ -226,7 +226,7 @@ class SetAssocCache
 /**
  * The state of one resident data-cache line. Its address and LRU stamp
  * live in the cache's per-frame tag and stamp arrays; its plaintext in
- * the backend's live view.
+ * the core's live view.
  */
 struct CacheLine
 {

@@ -50,8 +50,7 @@ struct CachePathConfig
 class CoreMemPath : public Clocked
 {
   public:
-    /** @param live the live view every core's path shares; it must
-     *         outlive the path. */
+    /** @param live this core's live view; it must outlive the path. */
     CoreMemPath(EventQueue &eq, ClockDomain cpu_clock,
                 MemBackend &backend, LiveView &live,
                 const CachePathConfig &cfg, unsigned core_id,

@@ -1,16 +1,22 @@
 /**
  * @file
- * The live view: the program-order plaintext of every line, the one
- * copy of it in the simulator. A store updates it as it retires into
- * the L1; a writeback reads the whole line from it as the line leaves
- * the cache hierarchy. It is functional (zero-time) state outside the
- * timing model, and a power failure persists none of it.
+ * The live view: one core's program-order plaintext of every line it
+ * touches. A store updates it as it retires into the L1; a writeback
+ * reads the whole line from it as the line leaves the cache hierarchy.
+ * It is functional (zero-time) state outside the timing model, and a
+ * power failure persists none of it.
+ *
+ * System keeps one view per core, each built as a copy of that core's
+ * shadow table, so the view and the shadow share every page until one
+ * of them writes it (see LineTable): a line's plaintext is stored once
+ * until the two diverge.
  */
 
 #ifndef CNVM_MEM_LIVE_VIEW_HH
 #define CNVM_MEM_LIVE_VIEW_HH
 
 #include <cstring>
+#include <utility>
 
 #include "common/line_table.hh"
 #include "common/logging.hh"
@@ -21,6 +27,12 @@ namespace cnvm
 class LiveView
 {
   public:
+    LiveView() = default;
+
+    /** A view holding @p lines; a table copied in shares its pages. */
+    explicit LiveView(LineTable<LineData> lines) : lines(std::move(lines))
+    {}
+
     /** The plaintext of @p line_addr: zeros if never stored to. */
     LineData
     read(Addr line_addr) const

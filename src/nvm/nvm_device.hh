@@ -14,8 +14,8 @@
  *     store, updated when counter-line writes drain. It is all that
  *     survives a simulated power failure, and recovery must decrypt
  *     the image with the stored counters (paper section 2.2.2). The
- *     program-order plaintext is not the device's: it lives in the
- *     System's LiveView.
+ *     program-order plaintext is not the device's: it lives in each
+ *     core's LiveView, which shares its pages with the core's shadow.
  */
 
 #ifndef CNVM_NVM_NVM_DEVICE_HH

@@ -28,7 +28,7 @@ PersistImage::drainData(Addr line_addr, const LineData &ciphertext,
     // drainMac() for the new burst only lands after drainData().
     if (!inserted && line->cipherCounter != cipher_counter) {
         staleTriples[line_addr] = {line->cipher, line->cipherCounter,
-                                   line->mac, line->hasMac};
+                                   line->mac};
     }
     line->cipher = ciphertext;
     line->cipherCounter = cipher_counter;
@@ -65,16 +65,14 @@ PersistImage::persistedCipherCounter(Addr line_addr) const
 void
 PersistImage::drainMac(Addr line_addr, std::uint64_t mac)
 {
-    DataLine &line = drainedLine(line_addr);
-    line.mac = mac;
-    line.hasMac = true;
+    drainedLine(line_addr).mac = mac;
 }
 
 const std::uint64_t *
 PersistImage::persistedMac(Addr line_addr) const
 {
     const DataLine *line = dataLines.find(line_addr);
-    return line == nullptr || !line->hasMac ? nullptr : &line->mac;
+    return line == nullptr ? nullptr : &line->mac;
 }
 
 void
@@ -165,7 +163,6 @@ PersistImage::replayLine(Addr line_addr, Addr ctr_line_addr,
     line.cipher = stale->cipher;
     line.cipherCounter = stale->counter;
     line.mac = stale->mac;
-    line.hasMac = stale->hasMac;
     counterStore[ctr_line_addr][slot] = stale->counter;
     replayed[line_addr] = true;
     return true;

@@ -103,10 +103,11 @@ class PersistImage
     /**
      * Re-installs the stale-but-valid triple recorded the last time
      * @p line_addr was overwritten at a new counter: the old
-     * ciphertext, the old MAC, and the old counter value written back
-     * into the store word (@p ctr_line_addr / @p slot). The whole
-     * triple is internally consistent, so the per-line MAC verifies —
-     * only the integrity tree can tell the counter was rolled back.
+     * ciphertext, the old MAC word (0 if none was stored), and the old
+     * counter value written back into the store word (@p ctr_line_addr
+     * / @p slot). The whole triple is internally consistent, so the
+     * per-line MAC verifies — only the integrity tree can tell the
+     * counter was rolled back.
      *
      * Returns false (and changes nothing) when the line was never
      * overwritten, or when the recorded counter equals the currently
@@ -145,9 +146,11 @@ class PersistImage
     std::uint64_t persistedCipherCounter(Addr line_addr) const;
 
     /**
-     * Persisted integrity MAC of a line, or nullptr when none was
-     * stored (integrity metadata disabled, or the line never drained).
-     * Modeled as ECC-spare-bit storage updated atomically with the
+     * Persisted integrity MAC word of a line, or nullptr only when the
+     * line was never drained. A drained line's word reads 0 until
+     * drainMac() stores a MAC (with integrity metadata disabled it
+     * stays 0), so readers check whether MACs are on before trusting
+     * it. Modeled as ECC-spare-bit storage updated atomically with the
      * line's own write burst, so it costs no extra bus traffic.
      */
     const std::uint64_t *persistedMac(Addr line_addr) const;
@@ -241,9 +244,9 @@ class PersistImage
          *  truth, not an architectural structure). */
         std::uint64_t cipherCounter = 0;
 
-        /** Integrity MAC (ECC spare bits), valid iff hasMac. */
+        /** Integrity MAC (ECC spare bits); 0 until drainMac() stores
+         *  one. */
         std::uint64_t mac = 0;
-        bool hasMac = false;
     };
 
     /** The triple a data line held before its last overwrite at a new
@@ -253,7 +256,6 @@ class PersistImage
         LineData cipher{};
         std::uint64_t counter = 0;
         std::uint64_t mac = 0;
-        bool hasMac = false;
     };
 
     /** Persisted tree levels below the root (the integrity tree's

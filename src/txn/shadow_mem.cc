@@ -14,11 +14,11 @@ ShadowMem::read(Addr addr, unsigned size, void *out) const
         unsigned offset = static_cast<unsigned>(addr - line_addr);
         unsigned chunk = std::min(size, lineBytes - offset);
 
-        auto it = lines.find(line_addr);
-        if (it == lines.end())
+        const LineData *line = lines.find(line_addr);
+        if (line == nullptr)
             std::memset(dst, 0, chunk);
         else
-            std::memcpy(dst, it->second.data() + offset, chunk);
+            std::memcpy(dst, line->data() + offset, chunk);
 
         dst += chunk;
         addr += chunk;
@@ -34,7 +34,10 @@ ShadowMem::write(Addr addr, const void *data, unsigned size)
         Addr line_addr = lineAlign(addr);
         unsigned offset = static_cast<unsigned>(addr - line_addr);
         unsigned chunk = std::min(size, lineBytes - offset);
-        std::memcpy(lines[line_addr].data() + offset, src, chunk);
+        auto [line, inserted] = lines.tryEmplace(line_addr);
+        if (inserted)
+            firstTouch.push_back(line_addr);
+        std::memcpy(line->data() + offset, src, chunk);
         src += chunk;
         addr += chunk;
         size -= chunk;
@@ -45,8 +48,8 @@ LineData
 ShadowMem::line(Addr line_addr) const
 {
     cnvm_assert(isLineAligned(line_addr));
-    auto it = lines.find(line_addr);
-    return it == lines.end() ? LineData{} : it->second;
+    const LineData *line = lines.find(line_addr);
+    return line == nullptr ? LineData{} : *line;
 }
 
 } // namespace cnvm

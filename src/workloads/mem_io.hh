@@ -38,8 +38,8 @@ class TxIo : public MemIo
 
 /**
  * Runs structure code at setup time: reads come from the shadow and
- * writes go through the workload's init writer, so the pre-populated
- * structure lands consistently in the simulated NVM. The allocation
+ * writes go through Workload::initWrite into it, so the pre-populated
+ * structure lands in the shadow that System installs. The allocation
  * cursor is the same persistent field the transactional allocator uses.
  */
 class SetupIo : public MemIo

@@ -123,9 +123,11 @@ class Workload : public OpSource
     virtual const char *name() const = 0;
 
     /**
-     * Builds the initial persistent state. @p writer installs bytes
-     * consistently into the simulated NVM (data, counters and live
-     * view), as a freshly booted system would find them.
+     * Builds the initial persistent state into the shadow, passing
+     * every byte it writes to @p writer as well. System passes a no-op
+     * writer and installs the finished shadow afterwards — its lines
+     * into the persisted image, its table as the core's live view — as
+     * a freshly booted system would find them.
      */
     void setup(InitWriter writer);
 

@@ -212,6 +212,29 @@ TEST(LiveView, PartialStores)
     EXPECT_EQ(line[0x14], 0);
 }
 
+TEST(LiveView, SharedTableStaysPrivateAfterAWrite)
+{
+    // A view built from a table shares its pages; a store through the
+    // view leaves the table as it was, and a write to the table leaves
+    // the view as it was.
+    LineTable<LineData> table;
+    table[0x1000] = lineOf(1);
+    table[0x1040] = lineOf(2);
+    LiveView live(table);
+    EXPECT_EQ(live.read(0x1000), lineOf(1));
+    EXPECT_EQ(live.read(0x1040), lineOf(2));
+
+    std::uint8_t bytes[4] = {9, 9, 9, 9};
+    live.store(0x1000, 4, bytes);
+    EXPECT_EQ(live.read(0x1000)[0], 9);
+    EXPECT_EQ(*table.find(0x1000), lineOf(1));
+
+    table[0x1040] = lineOf(3);
+    table[0x1080] = lineOf(4);
+    EXPECT_EQ(live.read(0x1040), lineOf(2));
+    EXPECT_EQ(live.read(0x1080), LineData{});
+}
+
 TEST(NvmDevice, PersistedImageHoldsOnlyDrainedLines)
 {
     NvmDevice nvm(simpleTiming(), nullptr);
@@ -289,6 +312,34 @@ mutateEveryTable(PersistImage &img)
     img.corruptCounterSlot(kCtrLine, 1, 999, 0x40);
     EXPECT_TRUE(img.replayLine(0x0, kCtrLine, 0));
     img.clearFaultGroundTruth();
+}
+
+TEST(PersistImage, DrainedLineMacReadsZeroUntilStored)
+{
+    // The MAC word exists from a line's first drain: it reads 0 until
+    // drainMac() stores one, and only a never-drained line has none.
+    PersistImage img;
+    EXPECT_EQ(img.persistedMac(0x0), nullptr);
+    img.drainData(0x0, lineOf(1), 1);
+    ASSERT_NE(img.persistedMac(0x0), nullptr);
+    EXPECT_EQ(*img.persistedMac(0x0), 0u);
+    img.drainMac(0x0, 42);
+    EXPECT_EQ(*img.persistedMac(0x0), 42u);
+
+    // A replay restores the stale word, whether or not a MAC was
+    // stored over it.
+    img.drainCounters(kCtrLine, CounterLine{2});
+    img.drainData(0x0, lineOf(2), 2);
+    img.drainMac(0x0, 43);
+    ASSERT_TRUE(img.replayLine(0x0, kCtrLine, 0));
+    EXPECT_EQ(*img.persistedMac(0x0), 42u);
+
+    img.drainData(0x40, lineOf(1), 1);
+    img.drainCounters(kCtrLine, CounterLine{2, 2});
+    img.drainData(0x40, lineOf(2), 2);
+    img.drainMac(0x40, 44);
+    ASSERT_TRUE(img.replayLine(0x40, kCtrLine, 1));
+    EXPECT_EQ(*img.persistedMac(0x40), 0u);
 }
 
 TEST(PersistImage, CopyIsIndependentOfEveryTable)

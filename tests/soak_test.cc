@@ -244,7 +244,7 @@ TEST(QuarantinePersistence, SurvivesCyclesUntilRewritten)
     for (unsigned cycle = 1; cycle <= 2; ++cycle) {
         cfg.wl.txnTarget = 6 + cycle * 4;
         auto resumed = std::make_unique<System>(cfg, state);
-        LineData live = resumed->live().read(victim);
+        LineData live = resumed->live(0).read(victim);
         for (std::uint8_t b : live)
             ASSERT_EQ(b, 0u) << "cycle " << cycle;
         resumed->crashChannels(); // instant power failure, nothing ran

@@ -203,43 +203,68 @@ TEST(System, CrashAfterCompletionNeverFires)
     }
 }
 
+TEST(System, EachCoreLiveViewStartsAsItsShadow)
+{
+    // Right after build, each core's live view is a copy of its own
+    // shadow: every line the shadow holds reads the same through
+    // live(c), and the other core's view holds none of those bytes.
+    System sys(smallConfig(DesignPoint::SCA, WorkloadKind::RbTree, 2,
+                           30));
+    for (unsigned c = 0; c < 2; ++c) {
+        const ShadowMem &shadow = sys.workload(c).shadowMem();
+        ASSERT_GT(shadow.touchedLines(), 0u) << "core " << c;
+        unsigned mismatches = 0;
+        unsigned foreign = 0;
+        shadow.table().forEach([&](Addr addr, const LineData &expect) {
+            mismatches += sys.live(c).read(addr) != expect;
+            foreign += sys.live(1 - c).read(addr) != LineData{};
+        });
+        EXPECT_EQ(mismatches, 0u) << "core " << c;
+        EXPECT_EQ(foreign, 0u) << "core " << c;
+    }
+}
+
 TEST(System, LiveShadowMatchesLivePlainAfterRun)
 {
-    // The workload's host shadow and the System's live view must agree
-    // byte-for-byte once execution quiesces: every store the cores
-    // retired reached the live view.
-    System sys(smallConfig(DesignPoint::SCA, WorkloadKind::RbTree, 1,
+    // Each core's host shadow and its live view must agree
+    // byte-for-byte once execution quiesces: every store the core
+    // retired reached its live view.
+    System sys(smallConfig(DesignPoint::SCA, WorkloadKind::RbTree, 2,
                            30));
     sys.run();
-    const ShadowMem &shadow = sys.workload(0).shadowMem();
-    bool all_equal = true;
-    shadow.forEachLine([&](Addr addr, const LineData &expect) {
-        if (sys.live().read(addr) != expect)
-            all_equal = false;
-    });
-    EXPECT_TRUE(all_equal);
+    for (unsigned c = 0; c < 2; ++c) {
+        unsigned mismatches = 0;
+        sys.workload(c).shadowMem().table().forEach(
+            [&](Addr addr, const LineData &expect) {
+                mismatches += sys.live(c).read(addr) != expect;
+            });
+        EXPECT_EQ(mismatches, 0u) << "core " << c;
+    }
 }
 
 TEST(System, PowerFailureDropsLiveView)
 {
-    // A power failure persists none of the live view: after it, a line
-    // the run stored reads as zeros there.
-    System sys(smallConfig(DesignPoint::SCA, WorkloadKind::RbTree, 1,
+    // A power failure persists none of any core's live view: after it,
+    // a line each core's run stored reads as zeros there.
+    System sys(smallConfig(DesignPoint::SCA, WorkloadKind::RbTree, 2,
                            30));
     sys.run();
-    Addr stored = 0;
-    bool found = false;
-    sys.workload(0).shadowMem().forEachLine(
-        [&](Addr addr, const LineData &data) {
-            if (!found && data != LineData{}) {
-                stored = addr;
-                found = true;
-            }
-        });
-    ASSERT_TRUE(found);
-    ASSERT_NE(sys.live().read(stored), LineData{});
+    std::vector<Addr> stored;
+    for (unsigned c = 0; c < 2; ++c) {
+        bool found = false;
+        sys.workload(c).shadowMem().table().forEach(
+            [&](Addr addr, const LineData &data) {
+                if (!found && data != LineData{}) {
+                    stored.push_back(addr);
+                    found = true;
+                }
+            });
+        ASSERT_TRUE(found) << "core " << c;
+        ASSERT_NE(sys.live(c).read(stored[c]), LineData{}) << "core " << c;
+    }
     sys.crashChannels();
-    EXPECT_EQ(sys.live().read(stored), LineData{});
+    for (unsigned c = 0; c < 2; ++c)
+        EXPECT_EQ(sys.live(c).read(stored[c]), LineData{}) << "core " << c;
 }
 
 TEST(System, StatsRegistryPopulated)
