@@ -37,12 +37,14 @@ BTreeWorkload::doSetup()
     std::uint64_t pool_nodes = (regionEnd() - pool_base) / nodeBytes;
     std::uint64_t target = static_cast<std::uint64_t>(
         pool_nodes * params.setupFill) * (maxKeys / 2);
-    SetupIo io(shadow,
-               [this](Addr a, std::uint64_t v) { initWriteU64(a, v); },
-               cursorAddr(), regionEnd());
+    SetupIo io(shadow, regionBase(), regionEnd(), cursorAddr(),
+               regionEnd());
     Random setup_rng(params.seed ^ 0xb7ee111ull);
     for (std::uint64_t i = 0; i < target; ++i)
         insert(io, setup_rng.next());
+    io.flush([this](Addr a, const std::uint8_t *d) {
+        initWrite(a, d, lineBytes);
+    });
 }
 
 Addr

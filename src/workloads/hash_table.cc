@@ -3,6 +3,7 @@
 #include "common/hash.hh"
 #include "common/intmath.hh"
 #include "common/logging.hh"
+#include "workloads/mem_io.hh"
 
 namespace cnvm
 {
@@ -45,19 +46,23 @@ HashTableWorkload::doSetup()
         (regionEnd() - pool_base) / lineBytes;
     std::uint64_t target = static_cast<std::uint64_t>(
         pool_nodes * params.setupFill);
+    SetupIo io(shadow, regionBase(), regionEnd(), metaAddr, regionEnd());
     Random setup_rng(params.seed ^ 0x4a54111ull);
     for (std::uint64_t i = 0; i < target; ++i) {
         std::uint64_t key = setup_rng.next();
         Addr bucket = bucketAddr(bucketOf(key));
-        Addr head = shadow.readU64(bucket);
-        Addr cursor = shadow.readU64(metaAddr);
+        Addr head = io.readU64(bucket);
+        Addr cursor = io.readU64(metaAddr);
         if (cursor + lineBytes > regionEnd())
             break;
-        initWriteU64(metaAddr, cursor + lineBytes);
-        initWriteU64(keyAddr(cursor), key);
-        initWriteU64(nextAddr(cursor), head);
-        initWriteU64(bucket, cursor);
+        io.writeU64(metaAddr, cursor + lineBytes);
+        io.writeU64(keyAddr(cursor), key);
+        io.writeU64(nextAddr(cursor), head);
+        io.writeU64(bucket, cursor);
     }
+    io.flush([this](Addr a, const std::uint8_t *d) {
+        initWrite(a, d, lineBytes);
+    });
 }
 
 void

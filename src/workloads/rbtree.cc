@@ -32,14 +32,16 @@ RbTreeWorkload::doSetup()
         (regionEnd() - pool_base) / lineBytes;
     std::uint64_t target = static_cast<std::uint64_t>(
         pool_nodes * params.setupFill);
-    SetupIo io(shadow,
-               [this](Addr a, std::uint64_t v) { initWriteU64(a, v); },
-               cursorAddr(), regionEnd());
+    SetupIo io(shadow, regionBase(), regionEnd(), cursorAddr(),
+               regionEnd());
     Random setup_rng(params.seed ^ 0x5e7f111ull);
     for (std::uint64_t i = 0; i < target; ++i) {
         std::uint64_t key = setup_rng.next();
         insert(io, key);
     }
+    io.flush([this](Addr a, const std::uint8_t *d) {
+        initWrite(a, d, lineBytes);
+    });
 }
 
 void

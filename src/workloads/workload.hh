@@ -98,7 +98,8 @@ struct ValidationResult
 /**
  * Uniform persistent-memory I/O used by structure algorithms so the
  * same insertion code runs both transactionally (during the measured
- * run) and against the shadow (during setup pre-population).
+ * run) and on a copy of the region that setup flushes into the shadow
+ * (during pre-population).
  */
 class MemIo
 {
@@ -124,7 +125,9 @@ class Workload : public OpSource
 
     /**
      * Builds the initial persistent state into the shadow, passing
-     * every byte it writes to @p writer as well. System passes a no-op
+     * what it writes to @p writer as well: a direct setup write as it
+     * happens, and each line a structure builder wrote on its SetupIo
+     * once, whole, when the builder flushes. System passes a no-op
      * writer and installs the finished shadow afterwards — its lines
      * into the persisted image, its table as the core's live view — as
      * a freshly booted system would find them.
@@ -174,7 +177,8 @@ class Workload : public OpSource
     /** Subclass hook: issue the reads/writes of one transaction. */
     virtual void buildTxn(UndoTx &tx) = 0;
 
-    /** Setup-time write: updates the shadow and the simulated NVM. */
+    /** Setup-time write: updates the shadow and passes the bytes to the
+     *  setup writer. */
     void initWrite(Addr addr, const void *data, unsigned size);
     void initWriteU64(Addr addr, std::uint64_t v);
 
