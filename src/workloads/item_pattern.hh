@@ -11,7 +11,6 @@
 #define CNVM_WORKLOADS_ITEM_PATTERN_HH
 
 #include <cstring>
-#include <vector>
 
 #include "common/hash.hh"
 #include "common/types.hh"
@@ -34,14 +33,32 @@ fillItemPattern(std::uint64_t value, unsigned item_bytes, std::uint8_t *out)
     }
 }
 
-/** Checks that @p bytes is exactly fillItemPattern(value). */
+/**
+ * Checks that @p bytes is exactly fillItemPattern(value), comparing each
+ * word as the hash chain generates it; the bytes past the last whole
+ * word, which fillItemPattern leaves alone, must be 0.
+ */
 inline bool
 checkItemPattern(std::uint64_t value, unsigned item_bytes,
                  const std::uint8_t *bytes)
 {
-    std::vector<std::uint8_t> expect(item_bytes);
-    fillItemPattern(value, item_bytes, expect.data());
-    return std::memcmp(bytes, expect.data(), item_bytes) == 0;
+    std::uint64_t word;
+    std::memcpy(&word, bytes, sizeof(word));
+    if (word != value)
+        return false;
+    std::uint64_t state = fnv1aU64(value);
+    unsigned off = 8;
+    for (; off + 8 <= item_bytes; off += 8) {
+        state = fnv1aU64(state);
+        std::memcpy(&word, bytes + off, sizeof(word));
+        if (word != state)
+            return false;
+    }
+    for (; off < item_bytes; ++off) {
+        if (bytes[off] != 0)
+            return false;
+    }
+    return true;
 }
 
 } // namespace cnvm
