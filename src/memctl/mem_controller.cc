@@ -56,9 +56,11 @@ MemController::MemController(EventQueue &eq, NvmDevice &nvm,
       ccFillReads(ctlStatPrefix(cfg) + "cc_fill_reads",
                   "NVM reads issued to fill the counter cache"),
       crashDroppedData(ctlStatPrefix(cfg) + "crash_dropped_data",
-                       "unready data entries dropped at power failure"),
+                       "queued data entries outside the ADR cut at "
+                       "power failure"),
       crashDroppedCtr(ctlStatPrefix(cfg) + "crash_dropped_ctr",
-                      "unready counter entries dropped at power failure"),
+                      "queued counter entries outside the ADR cut at "
+                      "power failure"),
       ctrwbNoops(ctlStatPrefix(cfg) + "ctrwb_noops",
                  "counter_cache_writeback calls that had nothing to do"),
       treeLeafUpdates(ctlStatPrefix(cfg) + "tree_leaf_updates",

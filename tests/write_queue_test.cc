@@ -203,145 +203,145 @@ struct PinnedRow
 
 const PinnedRow pinnedRows[] = {
     {DesignPoint::NoEncryption, Variant::Defaults,
-     {0x658a876e7a6aed3bull, 0x5ed40e426f779f84ull, 0x209cd8702814a524ull,
-      0x60154bf01d625e8full, 0x1e5179d56d69cdafull, 0xe7cc80ee610323efull,
-      0xed003f57c2fe3d80ull, 0x4606c96a832ca646ull, 0xbbaf6c9038a2fea5ull,
-      0x07ba0b5f26c3285aull, 0xcff484da96e45005ull, 0x726085b014202fdfull}},
+     {0xd00498447e57fc59ull, 0x645a8e273d85ac1aull, 0x43d0b8c859c26e36ull,
+      0xd1af358eceb6bb95ull, 0x4f9540601acd9d65ull, 0x23c64c097ba8cf11ull,
+      0xe8e128ca59a23d86ull, 0x5f991de90dddb8c0ull, 0x92694114f5ad8f83ull,
+      0x63bdbdbfc464e238ull, 0x51e5e4094d7288b3ull, 0xe18980a8cb609d59ull}},
     {DesignPoint::NoEncryption, Variant::NoCombining,
-     {0xe00d4442c81ca02bull, 0x7b4b0d84eb47d3c0ull, 0xf01c51aebe4cf813ull,
-      0x5777174bb04fb271ull, 0x70965db9799a2b77ull, 0x76249e4a24e4d329ull,
-      0x49b35abf45bca972ull, 0x440e67023d38cff8ull, 0x49c50c9055f8f263ull,
-      0x5c43d8ff4ce08f35ull, 0xf61f2d79d522021cull, 0x07b274ba2e5e5b3aull}},
+     {0x362e528cc8b84c45ull, 0x9504726f097c9136ull, 0xc09474b1635db2e1ull,
+      0x4f98ddd63bda30a7ull, 0x7fb94594fe1a523dull, 0x68585da28ec1173full,
+      0x3d385879d3c0b680ull, 0x1ae042ba7bcc7e8eull, 0x456b4c7532b40eb1ull,
+      0x4f31f81217c4b8d7ull, 0xf4e9be0bc121825eull, 0x8248da5d56b35080ull}},
     {DesignPoint::NoEncryption, Variant::TinyQueues,
-     {0x241f3a9eb25f5d4dull, 0x73e970145de86c71ull, 0x0a4de384f55e4d2dull,
-      0x69811877540ec232ull, 0xbc6a63b395b0d4f7ull, 0x34991d247e4a74b9ull,
-      0xd3648a9ece30027full, 0xc7ee85bab2c37a1cull, 0x0f984b1c09f5f28aull,
-      0xcd1c63a40ed39540ull, 0x03fbf906a3b72dd7ull, 0x84e40a23f0173ef0ull}},
+     {0x34c8d1dc04d3ef63ull, 0xe7e9a4059297932full, 0xccaac7b3c0afed93ull,
+      0xd6d3e5fe6a4ca400ull, 0x4bc2a8f8ebeae33dull, 0xd9794f5536b5aeb7ull,
+      0xa5860bfa147f2e35ull, 0x97c06340ea5307baull, 0x244f40bdec0bd5e0ull,
+      0xe49a347d50ed636aull, 0x6a2d4c26cdb64b19ull, 0x169b77a3958376caull}},
     {DesignPoint::NoEncryption, Variant::PartialAdrDrop,
-     {0x1eb94cf92337ccb7ull, 0xfe43822d58efac91ull, 0xd0aa98440bb100d6ull,
-      0xbe2eec647a29b148ull, 0xf83091e48673d755ull, 0xa0c864b8c9e39610ull,
-      0xceaebae06de4b7e0ull, 0xfc4f361e18629c56ull, 0xf04c0ce7dcf37989ull,
-      0x831771aca8782a84ull, 0x3549fbae27abba8eull, 0xd0c9cbbcc9c6a794ull}},
+     {0x5e447d586c64cf55ull, 0x8ce5da4805b6c207ull, 0x904519c6cb2d3ce4ull,
+      0xba5795e9a95dff52ull, 0xf4496237bac6fc0bull, 0xa32739d176e98faaull,
+      0x7c2394d1e303d3feull, 0x156350370dfd34e8ull, 0x5a2863fe79b3453full,
+      0xc7b65631309d5062ull, 0x141a9b9c6e7ce51cull, 0x666d774e6d1965eeull}},
     {DesignPoint::Ideal, Variant::Defaults,
-     {0x6bcc7e2266df24fcull, 0x2e35b15c8f0b3ea8ull, 0xd35d991dc54a5019ull,
-      0x7c16f0c1dfabcdceull, 0xa5a19ec76286b460ull, 0xc0d8c72d418bbb67ull,
-      0x2a4dfd6e06bc567cull, 0xd42d6f9e8d8af40bull, 0x32295b73c0ca4026ull,
-      0x1fbf2e5ff6237406ull, 0x2f44ce2507e7db0dull, 0x73674f4deae29c2aull}},
+     {0x78fbb7fcb8331896ull, 0xbd891d37cf58718aull, 0xdc56fe630bad833full,
+      0xfd4932cf545e1014ull, 0xc592f88b834f5fceull, 0xab20668a043b4811ull,
+      0x04ffa4e99e1ca302ull, 0x4095c83abee524fdull, 0x0162c5c592d28708ull,
+      0x9bf5c4e137bf9218ull, 0x31f95db04920632full, 0x4914d63cd9779d44ull}},
     {DesignPoint::Ideal, Variant::NoCombining,
-     {0xb9363ed278e1d977ull, 0x7843c4120a825e67ull, 0xd14edcb8d212d761ull,
-      0x1c14077c80df208cull, 0xae0e638e98a9dfe9ull, 0xfc0121f6dcacba7full,
-      0xde2f3b6c98c1624cull, 0xf4b4064598feabd7ull, 0x4fec53617cbfe090ull,
-      0x9c0c3e3021900e9aull, 0xa2b60ecb78b30a17ull, 0x19efa7b1e12b2a31ull}},
+     {0xde4ae47736167909ull, 0xe5928642b0b49789ull, 0x4ec48ad6d1e95a4full,
+      0x67da877e3216c562ull, 0x8908691435551447ull, 0xfe7bfd1a122cb3a1ull,
+      0x6076558c5b44642aull, 0xe0098341f9f9075dull, 0x92667feb009d9606ull,
+      0x7059202c83bd3684ull, 0x6c75e1e71f02ace5ull, 0x0d6be5d9345346efull}},
     {DesignPoint::Ideal, Variant::TinyQueues,
-     {0x96c1ce6323be9b3full, 0x35d5328bec91ca3dull, 0x30d7a4f34de71026ull,
-      0xed48d9a7cc0180fcull, 0xf5fe0a640b0c9786ull, 0x1ba9bc7d7bec4a9dull,
-      0x1997ec4274ccf320ull, 0x97ff733c9255d1f0ull, 0x7a7b6f31aadd1e7eull,
-      0xded015044d9a962bull, 0xab23f3fcaf666855ull, 0xf39a6a0daed36125ull}},
+     {0x5aa2043d869f6cddull, 0x99516bc80d1fd90full, 0xfc23ebc27e7ebb48ull,
+      0x70abe3764058dcbeull, 0xd0c9e59787c16604ull, 0xfbe82c88407e7923ull,
+      0x97d270067e3a3426ull, 0x6f7f8f521445835aull, 0x472c734e26a89934ull,
+      0x087f7c27623236e9ull, 0xb9c1f63549258e63ull, 0x89f1db0c55fa58c7ull}},
     {DesignPoint::Ideal, Variant::PartialAdrDrop,
-     {0xcc0f6559344bf027ull, 0x010a388a9bfbf3fdull, 0x6f8706f982fb14f4ull,
-      0x170fbb1fee650f7aull, 0x09edad0cbe739e96ull, 0x70bf3d0d70a560a8ull,
-      0x1e723c7ce39c2905ull, 0xc5963021192c12c7ull, 0x07018d286d944c3dull,
-      0x6c45777a46c5e626ull, 0xc0c23dbc0a05491cull, 0x2183daaccae663e5ull}},
+     {0x024f206690424fa5ull, 0xf267a03e35489847ull, 0x8fd288710b93b372ull,
+      0x3a07e320bce018e8ull, 0xbb3c7800492d39f4ull, 0x1d76fe5c19baae3aull,
+      0x301490c68a13edabull, 0x4f61be95411c8de5ull, 0x7dd81f1534983b13ull,
+      0xdc60433e2836ba94ull, 0xcb65172eb67503b2ull, 0x709e4f752aec8b2full}},
     {DesignPoint::Colocated, Variant::Defaults,
-     {0x6e25338f4ce228c9ull, 0x3e29307ec72d59e6ull, 0xb7c9f5b634909bd0ull,
-      0x364c7f1eb64e56cdull, 0x16124e8ab04223fbull, 0xccf5faeaa99c4044ull,
-      0x95802c5e896a8ef2ull, 0x3da78f4d9e3a3a1dull, 0xe9c5b279ade40390ull,
-      0x046c926cd407bdc2ull, 0x3d2f8f467e15f307ull, 0x2a38f83700074641ull}},
+     {0x720b87202dd20b03ull, 0x9cfe87d4232bffecull, 0x9b5d89c464ca754aull,
+      0xd32793e923d9ff7bull, 0xad48c2deefbceb69ull, 0x0a11a5b9b1b9eb4eull,
+      0x457d62af5d875624ull, 0x3afd8b23d0f189bbull, 0x2c7f5107cc512546ull,
+      0x7101944843f2f748ull, 0x225e5d467c380e5dull, 0x8a85b7bd81110577ull}},
     {DesignPoint::Colocated, Variant::NoCombining,
-     {0xf5032d7847fbde3eull, 0x408022ce59bd0525ull, 0xf7a28319fb69f202ull,
-      0xbcffa23a77e6937cull, 0x05593e084c81541bull, 0xcc953ffce2f70f43ull,
-      0xe7e17e68aa730752ull, 0x55445dfc7df67a8bull, 0x43156eebf2c23b91ull,
-      0x68fce4cf60c32197ull, 0xccd8f0a4d450c703ull, 0x993f9461684fb7f5ull}},
+     {0x5644c3684ae5a44cull, 0xba6bb8e9e96e2493ull, 0x6f7280d8640e9a94ull,
+      0xdb89ef2c96e1d5b2ull, 0x2f37e22679adef31ull, 0x980e560f2564b419ull,
+      0xfefbc222fc8dde58ull, 0x92de88774c33e509ull, 0xbd7d63513751445full,
+      0x27c8d5739426b019ull, 0x3d1e3ee134b54cc1ull, 0x507473515df7805full}},
     {DesignPoint::Colocated, Variant::TinyQueues,
-     {0x80c3d20ae6c38545ull, 0x3f799985a3c9aa1cull, 0x9db0eb294cb3babfull,
-      0xd0cb1b632307a550ull, 0x90eb6ecff978624bull, 0xe9ce6bab768e20f4ull,
-      0x6287b5f20194ee03ull, 0xc79e26e3c0a16539ull, 0x42f71fe9ad6c068bull,
-      0xa0b924bf5e0755b5ull, 0x8caac14c917ea1c2ull, 0xcba10df787bfa3a8ull}},
+     {0xf77a6fdca644a9afull, 0x7730841c95a3302aull, 0xaef1bd68d4a222c1ull,
+      0x536d599448a7a66aull, 0x447c254db24c2179ull, 0x7aaee23106b504f2ull,
+      0x276d3b329ca4fc99ull, 0xc0bd9038805a857bull, 0x7f5e64db9473d215ull,
+      0x3f5b2c07ce5e9eefull, 0xd5448a4f39c44fd4ull, 0x2437940c699142caull}},
     {DesignPoint::Colocated, Variant::PartialAdrDrop,
-     {0x0263b88c35655f90ull, 0x8b3400d148428a57ull, 0x4933b5112c1de71aull,
-      0x118d8d57a74f23ceull, 0xec8182d79ed2bb5cull, 0x8a5a65d7f6579ab2ull,
-      0x832ca05f41bf72ebull, 0x51ca5ad9f46a6c20ull, 0x99586e2113bd7beeull,
-      0x7bb513fb376471d0ull, 0xd46c4643f7f46773ull, 0x58e3f168d7e36bf8ull}},
+     {0xcd651c19e6d76f86ull, 0x3279755dc48152e9ull, 0x931bb0e84f285548ull,
+      0xe30a1cbbcafe0250ull, 0x6849c0c11ea2940aull, 0x5a6373bd8d49f3f4ull,
+      0x8be9797b77aa1a39ull, 0xc31f8d2588f7de0aull, 0x0398f3a42be02278ull,
+      0x0f655c92190b6f06ull, 0xcd1c67c543fbd729ull, 0x7b2a64eafd987612ull}},
     {DesignPoint::ColocatedCC, Variant::Defaults,
-     {0xb068cfe57ad23f77ull, 0x1de0f69b6d7c78aeull, 0x07379b5c880561e6ull,
-      0xd4e67900892a05eeull, 0x638450a2ed690428ull, 0xcde6201e61edb5a4ull,
-      0x3aad547f50302588ull, 0x5480bef19dabab72ull, 0xf2f6bd2e4b92e39full,
-      0xae7a5716fc0e86c6ull, 0x2c832d4245424f7dull, 0x2c05dd2eea5928daull}},
+     {0x4ce09d2b5b6df57dull, 0x86401b5e01780fc8ull, 0xfb922467bd27f528ull,
+      0x3e012ca3d93517d4ull, 0xc29ffd0adcb44b02ull, 0x632955ce378937f2ull,
+      0xedb523d3ebaaa442ull, 0x422d626f238b70f8ull, 0x5e1303be9cae7dcdull,
+      0x15dfac5cc1f96e58ull, 0x9871172396933d1bull, 0x8a904d97386eda24ull}},
     {DesignPoint::ColocatedCC, Variant::NoCombining,
-     {0xdde26a7ce1dde70eull, 0xce309891a10b4b40ull, 0x5f2f37cb33407c8eull,
-      0x67d182cdc5a9dad3ull, 0x3a71597e8a4f94caull, 0xe7db27f932ff6f0dull,
-      0x993398e821f019d6ull, 0x955e9be509dba434ull, 0x4ae39273b302385bull,
-      0xe79a83f351375d07ull, 0xf39c735e142f6833ull, 0xc020a9973636b4f8ull}},
+     {0x57786574afbb025cull, 0x6fb51520bf2d2906ull, 0x3101923032f0b640ull,
+      0xca547d1dec5d85b1ull, 0xd3d36c66c4a6f0a4ull, 0x18931e999854ea73ull,
+      0xb03febc9a40e01c4ull, 0x33a00cc778a43a9eull, 0x4edd5d064732e719ull,
+      0x821f1688170c1751ull, 0x85197319ea8f357dull, 0xed53734217f35526ull}},
     {DesignPoint::ColocatedCC, Variant::TinyQueues,
-     {0x562807536df06687ull, 0xe66a95188f7aab02ull, 0x933beeefe5b403bdull,
-      0x825e39a159b74cc6ull, 0xae9fb17b8bf49ad4ull, 0xdf603a29ee2f3eb5ull,
-      0x3dd1f80d739a5f63ull, 0x83bd0daf3e85ab16ull, 0x2a60b67ed40e1df7ull,
-      0xa20aa34766a6a201ull, 0x392d8e2091fc94a0ull, 0x17ee2c3df5411dd4ull}},
+     {0x16d062753a43dc19ull, 0xc18a34c551a070e8ull, 0xf215d68abfa65ec7ull,
+      0x0b329988244f6d90ull, 0x6addd61855779742ull, 0x943d9dc6cf1e1ac7ull,
+      0x32ed21abb888d639ull, 0x74b78cb859ed512cull, 0x40d46805833e49a5ull,
+      0x84c229a47543531full, 0x660aec4975c0c226ull, 0x286dcd60d8fd8a46ull}},
     {DesignPoint::ColocatedCC, Variant::PartialAdrDrop,
-     {0x314b6f76dcd59138ull, 0x5d8417d201141c63ull, 0x3a2926391af1f7f3ull,
-      0x66a3cfcd3fc78ff3ull, 0xdca36930caa8d694ull, 0xdb6ede98b68e29a4ull,
-      0xdf2f16e4cfb465cbull, 0xbb29a9616b1b448full, 0x4d984f2757f99e05ull,
-      0xc1a5c108dde2d985ull, 0x8aabfe70d2ba98b2ull, 0x8be3071f8a8f0db9ull}},
+     {0x8571a668673ac0ceull, 0xad1dee285d789ad5ull, 0x08cf0d4889a951e1ull,
+      0x21642e22b102cb79ull, 0x9cf1745184bf4542ull, 0xeaf0b146286d4cbeull,
+      0x344963a631a1cd89ull, 0x4ac45a41da6b6a85ull, 0x55764d464d1ee9b7ull,
+      0x118c3f447df76173ull, 0x7c12a092de8bbc28ull, 0x95ab5e69dcf257ffull}},
     {DesignPoint::FCA, Variant::Defaults,
-     {0x0dda1d01e48c931bull, 0xdba78a406e373297ull, 0xa0b1da929520c11eull,
-      0xbb7768de377ce62bull, 0xa46cd01dbde7df40ull, 0x36fb9371e1aeae46ull,
-      0x0da3d2bfd1df10aeull, 0xb4587816fabdb6e6ull, 0x75936abd2eb4369eull,
-      0x0dc021f700d76e2eull, 0x6150c304d5969f46ull, 0x64f66fffd2120060ull}},
+     {0x9a1cd71c383435c1ull, 0x163dea9d71210de1ull, 0x4d5f3833302ee310ull,
+      0x68a247a7ec3502ddull, 0xa2556051978f5956ull, 0x6d0495b4ab734830ull,
+      0x17a35cb175b74680ull, 0x9ee8130b5f6e1bacull, 0x90da82389899aa94ull,
+      0x8c1e7564adc487dcull, 0xa3b3296ddd28febcull, 0xa6869d4b97acb75aull}},
     {DesignPoint::FCA, Variant::NoCombining,
-     {0x9517b90208fb7d51ull, 0x1507816204ad86d7ull, 0xf1163735fb86c63full,
-      0x9f1764252a6f92feull, 0x72585518c05b0ab3ull, 0x3d164b04173c4b36ull,
-      0x639e7aac119db273ull, 0x5bb59514b6c834d0ull, 0x8b68102a01edd1c2ull,
-      0xacd264a8519ae0beull, 0xe74a268a7f7c57b2ull, 0x2ea7cf8939f8c1fbull}},
+     {0x4cfe46c8d9dd8ef7ull, 0x0c0350df2d126375ull, 0x404fabe776efeb49ull,
+      0x689335cd7de28a1cull, 0xfc6f367e6c8131c9ull, 0x95cddc1f6b42b2d0ull,
+      0x794fd97e4182a949ull, 0xb704b897628f08deull, 0x4d57356874fd1e7cull,
+      0x2024c5d513e59824ull, 0x69248826d9992ad8ull, 0xabe102e7e8986ca5ull}},
     {DesignPoint::FCA, Variant::TinyQueues,
-     {0xf884316ca6c67824ull, 0x62099ddf89f2ad4cull, 0x21c4d403d30c047cull,
-      0xcb356f5654a3f821ull, 0x9e29d5fdcc87c2d2ull, 0xefe25ba8b283f9bfull,
-      0xcf5f975c3cfa66adull, 0xe9dd16852590f018ull, 0x3d2da1ba80ddc651ull,
-      0xdf44f2a25e3d7ee2ull, 0xe32719acf8469205ull, 0x4dbc8a8603166e06ull}},
+     {0xcd92f6af63cbeb6aull, 0x4b4c92a1c812b2c6ull, 0x6a3a4d7648ccafe2ull,
+      0x19ebded7bc939723ull, 0x6431eb1aa1bade4cull, 0xd4f146372561ba49ull,
+      0x04eb25d8f16eefb7ull, 0x01ce8c696384bea2ull, 0x9bc59b3f47e308a3ull,
+      0x96a0177289520124ull, 0x2c0e8a0cf28a8603ull, 0xe71294d2c33d30d4ull}},
     {DesignPoint::FCA, Variant::PartialAdrDrop,
-     {0x5367330074a3c335ull, 0x802a39b9740ddd01ull, 0x0f5dad6469b07965ull,
-      0x498cc09336bd765aull, 0xe90cb460a37c248aull, 0x91301cc755ebc1c2ull,
-      0x43fe63f4c69eceb6ull, 0x1795021d6b8890a2ull, 0x73daf1c55a47b299ull,
-      0x8bfd8f8c77584f87ull, 0x2d5e5ea007e9bc91ull, 0x4b0914fdd5cb4d7aull}},
+     {0x726631b0cb1743f3ull, 0x5833b7a6c18a3829ull, 0x269275d5a5698d95ull,
+      0x21be7d4eb2561080ull, 0xa3e0cb18f144888cull, 0xc98fca614ee901e8ull,
+      0xe8e11430b45d51daull, 0x5874059155f5f950ull, 0xd37253f47f4f1bafull,
+      0x3e0d1059b72c85a3ull, 0x91891e6cec210ca5ull, 0x9d9b38f5028f761eull}},
     {DesignPoint::SCA, Variant::Defaults,
-     {0xc55cb91d5fc888e6ull, 0x06947c6b91117f20ull, 0x4f1f59f2cb5b2241ull,
-      0x350537c06fad111dull, 0xa2fad6891ffdaf22ull, 0x66374c17677ce7edull,
-      0xae630eae4cf2e84full, 0xd4279f5b92d885b6ull, 0xacce9a8bf545a80full,
-      0x92c693a1aef050d4ull, 0xe38582dc0266f08eull, 0x6d4843f5c0bd2383ull}},
+     {0xd1b4dfa1fd62a160ull, 0x73435444c80a534aull, 0x127b69daf35ab71full,
+      0xa2e0ffbc88108727ull, 0xf5d351e7a049aa18ull, 0x23e3b7aecbdcf15bull,
+      0xcecc903047a128a1ull, 0xeb5f96cb851ba810ull, 0x6735045948e74aa9ull,
+      0x0e66a34b81e6234aull, 0xd0f9c0f9d5cea2f4ull, 0xd68be7fc69b18371ull}},
     {DesignPoint::SCA, Variant::NoCombining,
-     {0x4b12a624f57b5a7bull, 0x45d091fcfbf6367aull, 0x2574f72130feb817ull,
-      0xc64433b55f561812ull, 0xd8c643fc2b75f1c7ull, 0xb0a15ea7264f6a67ull,
-      0x7ffa79393a64dbf3ull, 0x916c3cc83c5644d5ull, 0xfd898072224997f9ull,
-      0x71a61daf05778e82ull, 0x264cf2a5c5a0b557ull, 0x08c1ec956f81bf4cull}},
+     {0x0a6ba5f1aba80045ull, 0x37ba5e2e4370ebe8ull, 0xf897e00417e619edull,
+      0xa52f27373b58de38ull, 0x35b083b7f143e6a1ull, 0x1dfd476cd990e209ull,
+      0x0c5d08b8b4a996c1ull, 0xba3326b8f234b3efull, 0xc79b0cd70dfc8d47ull,
+      0x3ca0a725729b115cull, 0xe1f31422501a32edull, 0xda3d8f206d21baceull}},
     {DesignPoint::SCA, Variant::TinyQueues,
-     {0x555268f8e82f5ab5ull, 0xc8e74c529c2048aeull, 0x64b1f2236cccc432ull,
-      0xf41d6702363dabfdull, 0x79ae297afdde29edull, 0x22679d6148b6d2b9ull,
-      0xaee8247f02e62d75ull, 0xec6d31b4a50f3b04ull, 0x67fdfea9d1cfd9f2ull,
-      0xf13ce65c66aa6c9cull, 0x88569b45cce2e917ull, 0xda50ea820204eee5ull}},
+     {0xd6829ddbb04bc0afull, 0x4109dd3aeee18cfcull, 0x633d75c5697c3714ull,
+      0x864565b4d6bc31ebull, 0x282509cda10c29a3ull, 0x059c3ff7b0896f87ull,
+      0x6e584f51916cde87ull, 0x5a17e357ee9f70beull, 0xb525c5669c1e7630ull,
+      0x5aeae4a03437e53aull, 0x3fe011aeecc057d1ull, 0xf23d9a79f7a3d9b7ull}},
     {DesignPoint::SCA, Variant::PartialAdrDrop,
-     {0x967636103272fa65ull, 0xec81a59c21ac6c25ull, 0x2cb11d7bec584a09ull,
-      0x28fec313c6ee1dddull, 0xccaa5a443f653dfcull, 0x4004d5935e8e680full,
-      0x68a85ee32de13704ull, 0x3e0186768edd86cfull, 0xbe7880af30ef52ecull,
-      0x823313d90deee48dull, 0x9a6241fde66abb82ull, 0x80cad12ae1b58b22ull}},
+     {0x1c070f17b6390f15ull, 0xd06b1f85b0e0b5cfull, 0x6ac200ec878e8ab9ull,
+      0x357ffd928be28847ull, 0xc10551b00b12b932ull, 0xf923b0a0183d04e7ull,
+      0x14dd2eaf34d1cd70ull, 0x0054137b582af10dull, 0x0c372099c83472dcull,
+      0x2226822f08839a53ull, 0xe6e8593a95811bf6ull, 0x9f9ebc9eca527ea8ull}},
     {DesignPoint::Unsafe, Variant::Defaults,
-     {0x18659dc2266ddba0ull, 0xe241b62572f3839cull, 0x7acb66eb119de661ull,
-      0x2da7df64ca38580dull, 0xa71d8b91bb3a54b0ull, 0xba3842fc4cf7ce9aull,
-      0xaabf6d8938cbf415ull, 0xef7e4fa76e5dc84aull, 0xdad8838d522c9eb4ull,
-      0x209b23e8ddb3c11cull, 0x20ef3155cfc63c8dull, 0x107e6fdbc7c6c7b0ull}},
+     {0xf1fb5d45c9a7629aull, 0xc3a3bbd4f6ab1d26ull, 0xccd183a10f03b553ull,
+      0xf97f4847f3023c4bull, 0x75b5bb1978ba392eull, 0x42de24c203ac5470ull,
+      0x1713e7c99587d5a3ull, 0x48681968b7ed872cull, 0x52fd6870b026be62ull,
+      0x5198f8b6c4c15872ull, 0x9aea8c89a610b247ull, 0x5186b8dbacebb96eull}},
     {DesignPoint::Unsafe, Variant::NoCombining,
-     {0x896abeea7767f673ull, 0x3750258741aeedccull, 0x1482bdf153a5cacaull,
-      0x507b1170c5c4d5ebull, 0x7c5a2b4b1fd10b26ull, 0x5da2e9b0981a162bull,
-      0x802a33d5abb9a944ull, 0x575831190b9b6ca7ull, 0xf39eab183fcfac6bull,
-      0xea1edec76748a192ull, 0x82f41ec69acd7510ull, 0x9ae3ba3d0c6e4ce2ull}},
+     {0x1c67b90bbaa5c5cdull, 0x34842657d0edd172ull, 0x4c798c208062dec4ull,
+      0xe74a63ac50da7b2dull, 0x84cc88e565811b04ull, 0x70a2f7c502e5afe9ull,
+      0xcc33571879301256ull, 0x87d73b06692d8d0dull, 0x60bb1f780de9f675ull,
+      0x8584f27cffe045e4ull, 0x4a611bdac2ed6066ull, 0x6015dc4aed12e534ull}},
     {DesignPoint::Unsafe, Variant::TinyQueues,
-     {0xfc1b95a07ef69b94ull, 0xdf4c2187181a4ad8ull, 0xdb22205f3b3fa5acull,
-      0x8dc0507ceadcd0d5ull, 0x68835283b02c96c1ull, 0x5e9780f7fa91da83ull,
-      0xa80d04be4d9bf752ull, 0x9b0ab9e74d2ca5a5ull, 0x45620c181f26ef99ull,
-      0x542d1164bbc0a8efull, 0xe76f99363b6cf9e0ull, 0x824a7c151982a895ull}},
+     {0xfe60f7839f412016ull, 0xc8bf0eb4fba52a8eull, 0xf9c7deb0bd8b1dceull,
+      0x793fa36cc65acd47ull, 0x894df01bec8b67e7ull, 0x54f4e686f1f87231ull,
+      0xf5eefa2b1f7eecc4ull, 0x26982e6fc98d38f3ull, 0x2067af1010fe84cbull,
+      0x5bd6016d53f89391ull, 0x0704447c543af326ull, 0xd44b78b035c70323ull}},
     {DesignPoint::Unsafe, Variant::PartialAdrDrop,
-     {0xfa1f08724fb21819ull, 0xc00c705c97895171ull, 0x431a69e93b1cea71ull,
-      0xf7ac03235dc35535ull, 0x2f1147ac487cd7d9ull, 0x6f96b76b702fe7d6ull,
-      0xa7f3de80432f847bull, 0xb9ea29e7342376f2ull, 0x6d0ca5a0931614cdull,
-      0x8065e882f5dc3a6full, 0x30cf5a84495a0853ull, 0x2224bcbca9532255ull}},
+     {0x37489d5a3d3004fbull, 0x580d35ba676437bdull, 0xf0e5ab9d1515c9fdull,
+      0xec617431f573cfb7ull, 0xe91468e34abba941ull, 0x5673d5e5cd06994aull,
+      0x8c5650afa17e81bbull, 0x3bd5db4d58ba66beull, 0x748bb468855a2e7dull,
+      0x2467eb8ab16eb301ull, 0x3daa6ca6268a6db9ull, 0x51a68053f9f310d1ull}},
 };
 
 /** Runs every pinned configuration of @p design. */
