@@ -45,7 +45,7 @@ pickDataLine(const System &sys, LineData *content = nullptr)
     const LogLayout &log = wl.log();
     Addr found = 0;
     LineData data{};
-    wl.shadowMem().forEachLine([&](Addr a, const LineData &d) {
+    wl.shadowMem().table().forEach([&](Addr a, const LineData &d) {
         bool in_log = a >= log.base && a < log.base + log.sizeBytes();
         if (found == 0 && !in_log) {
             found = a;

@@ -68,7 +68,7 @@ TEST_P(CleanShutdown, RecoveredImageEqualsShadow)
     RecoveredImage image(sys.nvm().persistedState(), sys.controller());
     const ShadowMem &shadow = sys.workload(0).shadowMem();
     std::size_t mismatches = 0;
-    shadow.forEachLine([&](Addr addr, const LineData &expect) {
+    shadow.table().forEach([&](Addr addr, const LineData &expect) {
         if (image.line(addr) != expect)
             ++mismatches;
     });

@@ -41,7 +41,7 @@ TEST(RecoveredImage, ReadsBackInitializedState)
     // The workload's setup state decrypts to the shadow content.
     const ShadowMem &shadow = sys.workload(0).shadowMem();
     bool all_equal = true;
-    shadow.forEachLine([&](Addr addr, const LineData &expect) {
+    shadow.table().forEach([&](Addr addr, const LineData &expect) {
         if (image.line(addr) != expect)
             all_equal = false;
     });
@@ -332,16 +332,19 @@ class IntegrityRepairTest : public ::testing::Test
             line, ctl.engine().lineMac(line, counter, cipher));
     }
 
-    /** First data line of the workload's region. */
+    /** First initialized line of the workload's region that is
+     *  outside its log. */
     Addr
     firstDataLine()
     {
+        const Workload &wl = sys.workload(0);
+        const LogLayout &log = wl.log();
         Addr target = 0;
-        sys.workload(0).shadowMem().forEachLine(
-            [&](Addr a, const LineData &) {
-                if (target == 0)
-                    target = a;
-            });
+        wl.shadowMem().table().forEach([&](Addr a, const LineData &) {
+            bool in_log = a >= log.base && a < log.base + log.sizeBytes();
+            if (target == 0 && !in_log)
+                target = a;
+        });
         return target;
     }
 
