@@ -196,7 +196,7 @@ main()
         [&](Addr a, const LineData &data) { ctl.initLine(a, data); });
     // Warm in a second pass: warming while neighbours are still being
     // installed would capture stale counter lines.
-    store.shadowMem().forEachLine(
+    store.shadowMem().table().forEach(
         [&](Addr a, const LineData &) { ctl.warmCounterLine(a); });
 
     CoreMemPath path(eq, ClockDomain(250), ctl, live, cfg.cache, 0,

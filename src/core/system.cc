@@ -232,19 +232,12 @@ System::build(ResumeState *resume)
         // Separate pass: warming during installation would capture
         // counter lines whose neighbouring slots are not yet
         // initialized, and a later flush of that stale (clean) copy
-        // would regress the persisted counters.
-        //
-        // The warm order is ShadowMem::forEachLine's hash-map bucket
-        // order, and it decides which counter lines the cache holds
-        // when the run starts: warming in ascending address order
-        // instead changes the stats dump of every counter-cache design
-        // (the golden digests catch it). Simulated results therefore
-        // depend on the standard library's unordered_map layout; an
-        // explicit order would be a deliberate timing-model change.
-        // (installFresh installs in ascending order, which moves none
-        // of the golden digests; only the warm order matters.)
+        // would regress the persisted counters. The warm walks each
+        // core's shadow in ascending address order, core by core; when
+        // the footprint's counter lines outnumber the cache, that
+        // order decides which of them are resident when the run starts.
         for (auto &wl : workloads) {
-            wl->shadowMem().forEachLine(
+            wl->shadowMem().table().forEach(
                 [this, &map](Addr addr, const LineData &) {
                     memCtls[map.channelOf(addr)]->warmCounterLine(addr);
                 });

@@ -34,10 +34,7 @@ ShadowMem::write(Addr addr, const void *data, unsigned size)
         Addr line_addr = lineAlign(addr);
         unsigned offset = static_cast<unsigned>(addr - line_addr);
         unsigned chunk = std::min(size, lineBytes - offset);
-        auto [line, inserted] = lines.tryEmplace(line_addr);
-        if (inserted)
-            firstTouch.push_back(line_addr);
-        std::memcpy(line->data() + offset, src, chunk);
+        std::memcpy(lines[line_addr].data() + offset, src, chunk);
         src += chunk;
         addr += chunk;
         size -= chunk;

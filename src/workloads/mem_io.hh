@@ -45,13 +45,11 @@ class TxIo : public MemIo
  * Construction seeds the copy with the lines the shadow already holds
  * inside the region (the log header and whatever doSetup wrote before:
  * allocator cursor, root, buckets). flush() hands each line written
- * since then to the caller once, whole, in first-write order. The
- * builders pass it to Workload::initWrite, so the shadow gains its new
- * lines in the order they were first written and the lines it already
- * held keep their place: its first-touch record, and with it the
- * counter-cache warm order (ShadowMem::forEachLine), is the one direct
- * 8-byte writes would leave. The allocation cursor is the same
- * persistent field the transactional allocator uses.
+ * since then to the caller once, whole, in ascending address order.
+ * The builders pass it to Workload::initWrite, so the shadow ends up
+ * with the lines and bytes direct 8-byte writes would leave. The
+ * allocation cursor is the same persistent field the transactional
+ * allocator uses.
  *
  * Every access must be 8-byte aligned and inside the region. The copy
  * is the size of the region and lives as long as this object.
@@ -81,11 +79,7 @@ class SetupIo : public MemIo
     {
         const std::size_t w = wordOf(addr);
         words[w] = v;
-        const std::size_t line = w / lineWords;
-        if (!written[line]) {
-            written[line] = true;
-            firstWrite.push_back(base + line * lineBytes);
-        }
+        written[w / lineWords] = true;
     }
 
     Addr
@@ -100,15 +94,18 @@ class SetupIo : public MemIo
     }
 
     /** Calls fn(line_addr, bytes) once per line written since
-     *  construction, in first-write order; @p bytes points at the
-     *  line's lineBytes bytes. */
+     *  construction, in ascending address order; @p bytes points at
+     *  the line's lineBytes bytes. */
     template <typename Fn>
     void
     flush(Fn &&fn) const
     {
-        for (Addr line_addr : firstWrite)
-            fn(line_addr, reinterpret_cast<const std::uint8_t *>(
-                              &words[(line_addr - base) / 8]));
+        for (std::size_t line = 0; line < written.size(); ++line) {
+            if (written[line])
+                fn(base + line * lineBytes,
+                   reinterpret_cast<const std::uint8_t *>(
+                       &words[line * lineWords]));
+        }
     }
 
   private:
@@ -131,9 +128,6 @@ class SetupIo : public MemIo
 
     /** Whether writeU64 has written each line of the region. */
     std::vector<bool> written;
-
-    /** Each written line's address, in the order it was first written. */
-    std::vector<Addr> firstWrite;
 };
 
 } // namespace cnvm

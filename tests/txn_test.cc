@@ -7,10 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstring>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "txn/palloc.hh"
@@ -50,63 +47,6 @@ TEST(ShadowMem, CrossLineAccess)
     shadow.read(0x1020, 128, back);
     EXPECT_EQ(std::memcmp(data, back, 128), 0);
     EXPECT_EQ(shadow.touchedLines(), 3u);
-}
-
-TEST(ShadowMem, ForEachLineVisitsAllTouched)
-{
-    ShadowMem shadow;
-    shadow.writeU64(0x1000, 1);
-    shadow.writeU64(0x2000, 2);
-    unsigned visited = 0;
-    shadow.forEachLine([&](Addr, const LineData &) { ++visited; });
-    EXPECT_EQ(visited, 2u);
-}
-
-TEST(ShadowMem, ForEachLineKeepsHashMapOrder)
-{
-    // System::build warms the counter cache in forEachLine order, so it
-    // must stay the order in which a std::unordered_map<Addr, LineData>
-    // fed the same writes iterates. A few thousand lines cross several
-    // rehashes; multi-line writes and rewrites of present lines ride
-    // along.
-    ShadowMem shadow;
-    std::unordered_map<Addr, LineData> reference;
-    std::vector<Addr> written;
-    std::uint8_t bytes[150];
-    for (unsigned i = 0; i < 6000; ++i) {
-        for (unsigned b = 0; b < sizeof(bytes); ++b)
-            bytes[b] = static_cast<std::uint8_t>(i * 31 + b);
-        // Line i * 40503 mod 64K is a permutation of the lines, so
-        // first touches come out of address order; every seventh write
-        // returns to an earlier address, and every fifth spans three
-        // lines from an unaligned start.
-        Addr addr = i % 7 == 6
-            ? written[i * 13 % written.size()]
-            : 0x100000 + Addr(i * 40503u % 65536u) * lineBytes
-                  + (i % 5 == 0 ? 24 : 0);
-        const unsigned size = i % 5 == 0 ? sizeof(bytes) : 8;
-        written.push_back(addr);
-        shadow.write(addr, bytes, size);
-        for (unsigned done = 0; done < size;) {
-            const Addr line_addr = lineAlign(addr + done);
-            const unsigned offset =
-                static_cast<unsigned>(addr + done - line_addr);
-            const unsigned chunk = std::min(size - done, lineBytes - offset);
-            std::memcpy(reference[line_addr].data() + offset,
-                        bytes + done, chunk);
-            done += chunk;
-        }
-    }
-    ASSERT_GT(reference.size(), 5000u);
-
-    std::vector<std::pair<Addr, LineData>> visited;
-    shadow.forEachLine([&visited](Addr addr, const LineData &data) {
-        visited.emplace_back(addr, data);
-    });
-    const std::vector<std::pair<Addr, LineData>> expected(reference.begin(),
-                                                          reference.end());
-    EXPECT_EQ(visited, expected);
-    EXPECT_FALSE(std::is_sorted(visited.begin(), visited.end()));
 }
 
 // --- LogLayout -----------------------------------------------------------
