@@ -15,6 +15,21 @@
 using namespace cnvm;
 using namespace cnvm::bench;
 
+namespace
+{
+
+/** A footprint's row label in MB: "1.5MB" for 1536 KB, "3MB" for 3 MB. */
+std::string
+footprintLabel(std::uint64_t bytes)
+{
+    char label[32];
+    std::snprintf(label, sizeof(label), "%gMB",
+                  static_cast<double>(bytes) / (1 << 20));
+    return label;
+}
+
+} // anonymous namespace
+
 int
 main()
 {
@@ -69,7 +84,7 @@ main()
         std::vector<double> row;
         for (double s : speedup)
             row.push_back(s / workloads.size());
-        printRow(std::to_string(footprint >> 20) + "MB", row);
+        printRow(footprintLabel(footprint), row);
         missrates.push_back(rates);
     }
 
@@ -85,7 +100,7 @@ main()
                 sum += r;
             row.push_back(sum / missrates[f][i].size());
         }
-        printRow(std::to_string(footprints[f] >> 20) + "MB", row);
+        printRow(footprintLabel(footprints[f]), row);
     }
 
     std::printf("\npaper shape: larger caches help; the benefit (and "
