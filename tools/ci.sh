@@ -11,8 +11,9 @@
 # interrupted recoveries, the 4-channel fork capture and parallel soak
 # chains), and a Release build with -Werror, its own
 # full test-suite run, its sweep smokes, one brief run of each
-# micro-benchmark, one run of each ablation and figure harness, a short
-# perfbench run of both workloads and the perfbench tests. Host
+# micro-benchmark, one run of each ablation harness, each figure
+# harness's table checked against its pinned copy, a short perfbench
+# run of both workloads and the perfbench tests. Host
 # parallelism is run-level only: each simulation runs on one thread,
 # every sweep point, soak chain and pool task owns its System, and fork
 # classification reads only the fork's image and the trunk's immutable
@@ -225,9 +226,11 @@ cmake --build "$tsan" -j "$(nproc)" --target cnvm_soak
 # once, briefly, so a
 # benchmark that no longer runs is caught (a smoke run, not a timing
 # gate; google-benchmark 1.7 takes --benchmark_min_time in seconds);
-# each ablation harness and each figure harness (bench/fig12-fig17,
-# about 20 s together) runs once, its table discarded, so one that
-# aborts or exits non-zero fails here;
+# each ablation harness runs once, its table discarded, so one that
+# aborts or exits non-zero fails here; each figure harness
+# (bench/fig12-fig17, about 20 s together) runs once and its table must
+# match bench/expected/<fig>.txt byte for byte, so a change that moves a
+# figure fails here until the same commit updates that file;
 # a 1 s perfbench run of each benchmark workload exits non-zero on
 # any failed op; and perfbench_test checks the benchmark still agrees
 # with the library it is built against.
@@ -246,7 +249,7 @@ for ablation in ablation_controller ablation_lifetime; do
 done
 for fig in fig12_single_core fig13_multicore fig14_write_traffic \
         fig15_counter_cache fig16_txn_size fig17_nvm_latency; do
-    "$release/bench/$fig" > /dev/null
+    "$release/bench/$fig" | diff -u "$repo/bench/expected/$fig.txt" -
 done
 for workload in crash-recovery scale-16c8ch; do
     python3 "$repo/perfbench/run.py" --workload "$workload" --seconds 1
