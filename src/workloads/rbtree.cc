@@ -189,7 +189,9 @@ RbTreeWorkload::buildTxn(UndoTx &tx)
     TxIo io(tx, *alloc);
     for (unsigned k = 0; k < params.batch; ++k) {
         std::uint64_t key = rng.next();
-        if (!poolLow && alloc->remaining(shadow) < 8 * lineBytes)
+        // The shadow's cursor does not yet count the k one-line nodes
+        // this transaction already allocated.
+        if (!poolLow && alloc->remaining(shadow) < (8 + k) * lineBytes)
             poolLow = true;
         if (poolLow)
             searchOnly(io, key);

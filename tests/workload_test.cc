@@ -468,6 +468,28 @@ TEST(RbTree, InvariantsHoldThroughRotations)
     EXPECT_TRUE(result.ok) << result.why;
 }
 
+TEST(WorkloadRun, RbTreeBatchStopsBeforeThePoolRunsDry)
+{
+    // 6400 inserts cannot fit a 256 KB pool, so every run reaches the
+    // pool's end with up to 31 of a batch's nodes not yet committed.
+    for (std::uint64_t seed : {1u, 1009u}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        WorkloadParams p = smallParams(200);
+        p.logLines = 512;
+        p.batch = 32;
+        p.seed = seed;
+        RbTreeWorkload wl(p);
+        wl.setup([](Addr, const void *, unsigned) {});
+        std::vector<Op> ops;
+        for (unsigned t = 0; t < p.txnTarget; ++t) {
+            ASSERT_TRUE(wl.next(ops)) << "txn " << t;
+            ops.clear();
+            ValidationResult result = wl.validate(wl.shadowMem());
+            ASSERT_TRUE(result.ok) << "txn " << t << ": " << result.why;
+        }
+    }
+}
+
 TEST(RbTree, DetectsCorruptedColor)
 {
     WorkloadParams p = smallParams(50);
