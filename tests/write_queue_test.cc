@@ -6,9 +6,10 @@
  * counter writebacks, event steps and crashes over a small footprint
  * that keeps both queues hot: writes coalesce, pair-block, wait for
  * slots and drain in age order. Every accept/refuse result and the
- * final externally visible state (stats, occupancies, device traffic,
- * the persisted image and counter store, simulated time) fold into one
- * FNV-1a digest per run, compared against a pinned value. The queues
+ * final externally visible state (stat values, occupancies, device
+ * traffic, the persisted image and counter store, simulated time) fold
+ * into one FNV-1a digest per run, compared against a pinned value. Stat
+ * descriptions are left out, so rewording one moves no digest. The queues
  * are private, so the public API is the only way to observe them; a
  * change to read forwarding, write combining, pair blocking, drain
  * selection or the ADR drain that anything outside the controller can
@@ -98,7 +99,13 @@ observableState(Rig &rig, const std::vector<Addr> &lines)
 {
     const PersistImage &img = rig.nvm->persistedState();
     std::ostringstream os;
-    rig.registry.dump(os);
+    // Every dumped value, without the " # ..." description text: a
+    // reworded description is not queue behaviour.
+    std::ostringstream dump;
+    rig.registry.dump(dump);
+    std::istringstream dumped(dump.str());
+    for (std::string line; std::getline(dumped, line);)
+        os << line.substr(0, line.find(" # ")) << "\n";
     os << "tick=" << rig.eq.curTick() << "\n"
        << "dataQ=" << rig.ctl->dataQueueOccupancy()
        << " ctrQ=" << rig.ctl->ctrQueueOccupancy()
@@ -203,145 +210,145 @@ struct PinnedRow
 
 const PinnedRow pinnedRows[] = {
     {DesignPoint::NoEncryption, Variant::Defaults,
-     {0xd00498447e57fc59ull, 0x645a8e273d85ac1aull, 0x43d0b8c859c26e36ull,
-      0xd1af358eceb6bb95ull, 0x4f9540601acd9d65ull, 0x23c64c097ba8cf11ull,
-      0xe8e128ca59a23d86ull, 0x5f991de90dddb8c0ull, 0x92694114f5ad8f83ull,
-      0x63bdbdbfc464e238ull, 0x51e5e4094d7288b3ull, 0xe18980a8cb609d59ull}},
+     {0x8aa9aabb4382ce0cull, 0x7619c9bfc82b8493ull, 0x0b3bf98822bf8cb7ull,
+      0xcc4568e2fc0ece20ull, 0x26e50f11f32f1a32ull, 0x06f99144b2111c56ull,
+      0x9fde59dc80710bb5ull, 0xa73dcc3811018ba1ull, 0x3612c1f7a27d4ba2ull,
+      0x7bcec8f3225ebe9dull, 0x7bfa7beaea1168baull, 0xecc93fd24ee0e830ull}},
     {DesignPoint::NoEncryption, Variant::NoCombining,
-     {0x362e528cc8b84c45ull, 0x9504726f097c9136ull, 0xc09474b1635db2e1ull,
-      0x4f98ddd63bda30a7ull, 0x7fb94594fe1a523dull, 0x68585da28ec1173full,
-      0x3d385879d3c0b680ull, 0x1ae042ba7bcc7e8eull, 0x456b4c7532b40eb1ull,
-      0x4f31f81217c4b8d7ull, 0xf4e9be0bc121825eull, 0x8248da5d56b35080ull}},
+     {0xb30ac5b627b0f682ull, 0x15f33e5fea37eef1ull, 0xef742dc5e86188daull,
+      0x464dffc97554fe2aull, 0x3d1d05fcc6978116ull, 0x109cdf979b7e60acull,
+      0x29e54df0c224e87full, 0xa56e308337737555ull, 0x1ee4e716f7843e32ull,
+      0xba59ec3921bf1bf2ull, 0xe2c1446e725b7557ull, 0x11b393456dcb3fbfull}},
     {DesignPoint::NoEncryption, Variant::TinyQueues,
-     {0x34c8d1dc04d3ef63ull, 0xe7e9a4059297932full, 0xccaac7b3c0afed93ull,
-      0xd6d3e5fe6a4ca400ull, 0x4bc2a8f8ebeae33dull, 0xd9794f5536b5aeb7ull,
-      0xa5860bfa147f2e35ull, 0x97c06340ea5307baull, 0x244f40bdec0bd5e0ull,
-      0xe49a347d50ed636aull, 0x6a2d4c26cdb64b19ull, 0x169b77a3958376caull}},
+     {0xa58ee41d2e789a40ull, 0xb29bb47b86559650ull, 0xbce00ba4a5389facull,
+      0xcdccaeb36d4c1d27ull, 0xbc92bbb7cab104b0ull, 0x626023e03c8c7512ull,
+      0x25ccbdba1b746f66ull, 0xbccb0895168df5b5ull, 0x02d830e8700946c3ull,
+      0x2f18b4f0bf8c5783ull, 0xd57c141d15aba3bcull, 0x2dac3484f12d06d5ull}},
     {DesignPoint::NoEncryption, Variant::PartialAdrDrop,
-     {0x5e447d586c64cf55ull, 0x8ce5da4805b6c207ull, 0x904519c6cb2d3ce4ull,
-      0xba5795e9a95dff52ull, 0xf4496237bac6fc0bull, 0xa32739d176e98faaull,
-      0x7c2394d1e303d3feull, 0x156350370dfd34e8ull, 0x5a2863fe79b3453full,
-      0xc7b65631309d5062ull, 0x141a9b9c6e7ce51cull, 0x666d774e6d1965eeull}},
+     {0x4d3f2d37c7c2145cull, 0xd5368e67f1682258ull, 0x50662dbd3a2a3143ull,
+      0x3680e412b31ff2d5ull, 0xd5027a5a46ea02e2ull, 0x7e71fd2507a969e3ull,
+      0xda9d0da16d31637full, 0x47b1c84332243a67ull, 0xf9f5efb67979c9caull,
+      0x3c1993a85143240bull, 0xc5877d8b9254d663ull, 0xdba00e69001fa8d3ull}},
     {DesignPoint::Ideal, Variant::Defaults,
-     {0x78fbb7fcb8331896ull, 0xbd891d37cf58718aull, 0xdc56fe630bad833full,
-      0xfd4932cf545e1014ull, 0xc592f88b834f5fceull, 0xab20668a043b4811ull,
-      0x04ffa4e99e1ca302ull, 0x4095c83abee524fdull, 0x0162c5c592d28708ull,
-      0x9bf5c4e137bf9218ull, 0x31f95db04920632full, 0x4914d63cd9779d44ull}},
+     {0xe6f573d6917ef230ull, 0x97bca6f2d295e5eaull, 0xe38d54fc1902a231ull,
+      0xc7c5adf011a0f460ull, 0x96b02cf452feade8ull, 0x60979b0aa5fc1a63ull,
+      0x5394f5ed2f52a7aeull, 0x82b7540fd2bdc95full, 0xec66955fd46771acull,
+      0xd5e508011a45ecdaull, 0xfd7b04d1ee9d6f19ull, 0xce009029292631c6ull}},
     {DesignPoint::Ideal, Variant::NoCombining,
-     {0xde4ae47736167909ull, 0xe5928642b0b49789ull, 0x4ec48ad6d1e95a4full,
-      0x67da877e3216c562ull, 0x8908691435551447ull, 0xfe7bfd1a122cb3a1ull,
-      0x6076558c5b44642aull, 0xe0098341f9f9075dull, 0x92667feb009d9606ull,
-      0x7059202c83bd3684ull, 0x6c75e1e71f02ace5ull, 0x0d6be5d9345346efull}},
+     {0xd575f9f46d353485ull, 0x93b8d5337be345b3ull, 0x576b3a8edd106adbull,
+      0xa8b6a3f3d813ab2aull, 0x9830f469a5370de9ull, 0x218a85b79f953085ull,
+      0x093b724547c6a4b6ull, 0x6cca3c8d5d41dc0bull, 0x974d47cf28215b38ull,
+      0x4eed5a4131a495bcull, 0x7a116ecd49df60b3ull, 0xec409dd4ff965dedull}},
     {DesignPoint::Ideal, Variant::TinyQueues,
-     {0x5aa2043d869f6cddull, 0x99516bc80d1fd90full, 0xfc23ebc27e7ebb48ull,
-      0x70abe3764058dcbeull, 0xd0c9e59787c16604ull, 0xfbe82c88407e7923ull,
-      0x97d270067e3a3426ull, 0x6f7f8f521445835aull, 0x472c734e26a89934ull,
-      0x087f7c27623236e9ull, 0xb9c1f63549258e63ull, 0x89f1db0c55fa58c7ull}},
+     {0x918c31cd4433bf73ull, 0x30a43741899e922full, 0xa6ec1077571988acull,
+      0x5897918396a65a56ull, 0xde6b0fc7848ad0b0ull, 0x1d60540afa6d43adull,
+      0x68f60960de247550ull, 0xc5b83408fa4040f8ull, 0xe6de961db2424af2ull,
+      0x2687f514800bc57full, 0x0ad48fa564042b7dull, 0x8388d97e2049d3f9ull}},
     {DesignPoint::Ideal, Variant::PartialAdrDrop,
-     {0x024f206690424fa5ull, 0xf267a03e35489847ull, 0x8fd288710b93b372ull,
-      0x3a07e320bce018e8ull, 0xbb3c7800492d39f4ull, 0x1d76fe5c19baae3aull,
-      0x301490c68a13edabull, 0x4f61be95411c8de5ull, 0x7dd81f1534983b13ull,
-      0xdc60433e2836ba94ull, 0xcb65172eb67503b2ull, 0x709e4f752aec8b2full}},
+     {0x83520b7dd6d37c95ull, 0xa43065ac5377a3dfull, 0x17981dc5815d3fb0ull,
+      0x6c3117ecf9b0bcc0ull, 0x1b546f95766ec782ull, 0x4426adf7e1030960ull,
+      0x56cc139410a58df5ull, 0xcc64e994befab545ull, 0x46dcad192c75ce95ull,
+      0x5f4153202de7fed6ull, 0xaa85d18f5cbdfc58ull, 0xaa8b0403ee5ade33ull}},
     {DesignPoint::Colocated, Variant::Defaults,
-     {0x720b87202dd20b03ull, 0x9cfe87d4232bffecull, 0x9b5d89c464ca754aull,
-      0xd32793e923d9ff7bull, 0xad48c2deefbceb69ull, 0x0a11a5b9b1b9eb4eull,
-      0x457d62af5d875624ull, 0x3afd8b23d0f189bbull, 0x2c7f5107cc512546ull,
-      0x7101944843f2f748ull, 0x225e5d467c380e5dull, 0x8a85b7bd81110577ull}},
+     {0x99012b711dc820ceull, 0x8f6b52abf0c53417ull, 0x62aaec8e0b04542dull,
+      0x1755f289d3ec7960ull, 0x0cdd71f710a16b8eull, 0x926760fee8694675ull,
+      0x336f5f0b239624fbull, 0x3e0f0e24ef2f6594ull, 0x9613308c77e91a67ull,
+      0x900cbe9e13ddaa71ull, 0x3e5fb333760d17ceull, 0x8f6683f603109e74ull}},
     {DesignPoint::Colocated, Variant::NoCombining,
-     {0x5644c3684ae5a44cull, 0xba6bb8e9e96e2493ull, 0x6f7280d8640e9a94ull,
-      0xdb89ef2c96e1d5b2ull, 0x2f37e22679adef31ull, 0x980e560f2564b419ull,
-      0xfefbc222fc8dde58ull, 0x92de88774c33e509ull, 0xbd7d63513751445full,
-      0x27c8d5739426b019ull, 0x3d1e3ee134b54cc1ull, 0x507473515df7805full}},
+     {0x0dbf32a71d654de7ull, 0x5b23ae82ca37845cull, 0x5e5aad6c965890ebull,
+      0xa70652221861def9ull, 0x5ba027e169621554ull, 0xa454237dbc1d95fcull,
+      0x36cc3b48abb85a4full, 0x9b66058b35880d12ull, 0x6949a96032c2f57eull,
+      0x5fa72ccfccde261cull, 0xf04f4f72b04609deull, 0x5084bde44451ade6ull}},
     {DesignPoint::Colocated, Variant::TinyQueues,
-     {0xf77a6fdca644a9afull, 0x7730841c95a3302aull, 0xaef1bd68d4a222c1ull,
-      0x536d599448a7a66aull, 0x447c254db24c2179ull, 0x7aaee23106b504f2ull,
-      0x276d3b329ca4fc99ull, 0xc0bd9038805a857bull, 0x7f5e64db9473d215ull,
-      0x3f5b2c07ce5e9eefull, 0xd5448a4f39c44fd4ull, 0x2437940c699142caull}},
+     {0xa400ada762e6fa64ull, 0x83f558c9b8dfe23dull, 0xe416db686a924aa2ull,
+      0xf9c81e7dce56ae67ull, 0x242bbe1a99202ff6ull, 0xcd7ef5c594d856c1ull,
+      0x9fab551da948e2faull, 0x09c22045062040acull, 0x720ee6fbca836266ull,
+      0xe9d50854ef091abeull, 0xd707e499a71b0dabull, 0xdae79eb8cbe544a7ull}},
     {DesignPoint::Colocated, Variant::PartialAdrDrop,
-     {0xcd651c19e6d76f86ull, 0x3279755dc48152e9ull, 0x931bb0e84f285548ull,
-      0xe30a1cbbcafe0250ull, 0x6849c0c11ea2940aull, 0x5a6373bd8d49f3f4ull,
-      0x8be9797b77aa1a39ull, 0xc31f8d2588f7de0aull, 0x0398f3a42be02278ull,
-      0x0f655c92190b6f06ull, 0xcd1c67c543fbd729ull, 0x7b2a64eafd987612ull}},
+     {0x67bad1704f934455ull, 0xda55cd1bb0ac52a2ull, 0x30861b9f8277edc7ull,
+      0x287f225042c175dfull, 0x8853c183244ef811ull, 0xc0d1232b866d06a3ull,
+      0xf14d692b98d11236ull, 0xecb2cb6418b666a9ull, 0x3157ef9aaa91d4d9ull,
+      0x263c870fa77fd955ull, 0xef7a8ccf15d33f72ull, 0xe28dc635aa13b14dull}},
     {DesignPoint::ColocatedCC, Variant::Defaults,
-     {0x4ce09d2b5b6df57dull, 0x86401b5e01780fc8ull, 0xfb922467bd27f528ull,
-      0x3e012ca3d93517d4ull, 0xc29ffd0adcb44b02ull, 0x632955ce378937f2ull,
-      0xedb523d3ebaaa442ull, 0x422d626f238b70f8ull, 0x5e1303be9cae7dcdull,
-      0x15dfac5cc1f96e58ull, 0x9871172396933d1bull, 0x8a904d97386eda24ull}},
+     {0xd0a26460697e9f89ull, 0xf8c1a6a51194d50eull, 0xc0c6faa988ed78baull,
+      0x0254036849c10082ull, 0xd207bc6a2f528434ull, 0x2e856cf5ec394392ull,
+      0x50bc4739f9d490baull, 0xcc6dce099a707cf2ull, 0x2b0094254e119db9ull,
+      0xaf6be39aef56cd0cull, 0x4be88bedcd7e1f0bull, 0x6f6ecb040148161cull}},
     {DesignPoint::ColocatedCC, Variant::NoCombining,
-     {0x57786574afbb025cull, 0x6fb51520bf2d2906ull, 0x3101923032f0b640ull,
-      0xca547d1dec5d85b1ull, 0xd3d36c66c4a6f0a4ull, 0x18931e999854ea73ull,
-      0xb03febc9a40e01c4ull, 0x33a00cc778a43a9eull, 0x4edd5d064732e719ull,
-      0x821f1688170c1751ull, 0x85197319ea8f357dull, 0xed53734217f35526ull}},
+     {0xa2156507b73089e4ull, 0x89659aa410fa491eull, 0x084831d5145cfa82ull,
+      0x5469b6edddf0e1f9ull, 0xaf4c0c658afddce0ull, 0x1365e42f9543e0cdull,
+      0x0a3e397edb49f7d2ull, 0x08e046f14a6fc024ull, 0xaa0346d2c6a328e3ull,
+      0x0a2731c468c5f823ull, 0x3b663dcc0186ce97ull, 0x949b751f965542c2ull}},
     {DesignPoint::ColocatedCC, Variant::TinyQueues,
-     {0x16d062753a43dc19ull, 0xc18a34c551a070e8ull, 0xf215d68abfa65ec7ull,
-      0x0b329988244f6d90ull, 0x6addd61855779742ull, 0x943d9dc6cf1e1ac7ull,
-      0x32ed21abb888d639ull, 0x74b78cb859ed512cull, 0x40d46805833e49a5ull,
-      0x84c229a47543531full, 0x660aec4975c0c226ull, 0x286dcd60d8fd8a46ull}},
+     {0xe9252857447cddddull, 0xfb03b7364dc3547cull, 0x50abcdf4b4eda455ull,
+      0xb455b49719d82af6ull, 0x250af7e75a09a1eeull, 0x3867d28f6f694209ull,
+      0x8be8786579c00559ull, 0xfa54fc36cebd8a32ull, 0xf5610d44fb6e455full,
+      0x38264e2d369a07e3ull, 0x414f505e564fcfccull, 0xba0d89d009598456ull}},
     {DesignPoint::ColocatedCC, Variant::PartialAdrDrop,
-     {0x8571a668673ac0ceull, 0xad1dee285d789ad5ull, 0x08cf0d4889a951e1ull,
-      0x21642e22b102cb79ull, 0x9cf1745184bf4542ull, 0xeaf0b146286d4cbeull,
-      0x344963a631a1cd89ull, 0x4ac45a41da6b6a85ull, 0x55764d464d1ee9b7ull,
-      0x118c3f447df76173ull, 0x7c12a092de8bbc28ull, 0x95ab5e69dcf257ffull}},
+     {0xf2c2e9b44b101e8cull, 0x62680098a917f327ull, 0xd887c81bef7e1ce1ull,
+      0x37a1fb0dcaa187d3ull, 0xfb515f860a43e136ull, 0xb758655861c2447aull,
+      0xee974605803091e7ull, 0x1cec1238283d93ebull, 0x44c7af0bbfebb4b5ull,
+      0x28299eb07a8a0a3full, 0x0c4eb48b7e224bf0ull, 0xb792dd05b653e6fbull}},
     {DesignPoint::FCA, Variant::Defaults,
-     {0x9a1cd71c383435c1ull, 0x163dea9d71210de1ull, 0x4d5f3833302ee310ull,
-      0x68a247a7ec3502ddull, 0xa2556051978f5956ull, 0x6d0495b4ab734830ull,
-      0x17a35cb175b74680ull, 0x9ee8130b5f6e1bacull, 0x90da82389899aa94ull,
-      0x8c1e7564adc487dcull, 0xa3b3296ddd28febcull, 0xa6869d4b97acb75aull}},
+     {0xd6994a46cdcedb81ull, 0x3599367d2360b3edull, 0x6903e35b8c5226deull,
+      0xc9ce8a8fa7717b7dull, 0x08e05da0382299fcull, 0x1b35b50014753c3aull,
+      0x142cc4929e6665eaull, 0x15d1a053fb889fe6ull, 0x9c721dd36c5d73b0ull,
+      0xe75432a053d952beull, 0xedeb3deaf3bba186ull, 0x7130986c635e8e18ull}},
     {DesignPoint::FCA, Variant::NoCombining,
-     {0x4cfe46c8d9dd8ef7ull, 0x0c0350df2d126375ull, 0x404fabe776efeb49ull,
-      0x689335cd7de28a1cull, 0xfc6f367e6c8131c9ull, 0x95cddc1f6b42b2d0ull,
-      0x794fd97e4182a949ull, 0xb704b897628f08deull, 0x4d57356874fd1e7cull,
-      0x2024c5d513e59824ull, 0x69248826d9992ad8ull, 0xabe102e7e8986ca5ull}},
+     {0x63b3e55ee2381a65ull, 0xd5fa62035c2046d1ull, 0x38110f8d96072f7dull,
+      0xe92c4e14cf358198ull, 0xc9e63a75257c58f9ull, 0x23a768e657ea1a48ull,
+      0x8ca5517e39b1e8ebull, 0x5dab28457871cc3aull, 0x304f0e2e0dd540d4ull,
+      0x45724ba90fbf2aeeull, 0xc19824296a88b886ull, 0x8bceb274f65ea6b9ull}},
     {DesignPoint::FCA, Variant::TinyQueues,
-     {0xcd92f6af63cbeb6aull, 0x4b4c92a1c812b2c6ull, 0x6a3a4d7648ccafe2ull,
-      0x19ebded7bc939723ull, 0x6431eb1aa1bade4cull, 0xd4f146372561ba49ull,
-      0x04eb25d8f16eefb7ull, 0x01ce8c696384bea2ull, 0x9bc59b3f47e308a3ull,
-      0x96a0177289520124ull, 0x2c0e8a0cf28a8603ull, 0xe71294d2c33d30d4ull}},
+     {0x92a73098ca7b78b0ull, 0x9f5f6517c3107c46ull, 0xe601fbb0b10fb4ccull,
+      0xf2b63568c7637cbbull, 0xc15b8d0c85c356e8ull, 0x304e9f2637aeaf6dull,
+      0xec2640f8202dc9ebull, 0x339bdabe573c3f20ull, 0xc9f492781c871947ull,
+      0x2513636c3aeca618ull, 0xf191890218ce063bull, 0x1c9721ae20c57ec4ull}},
     {DesignPoint::FCA, Variant::PartialAdrDrop,
-     {0x726631b0cb1743f3ull, 0x5833b7a6c18a3829ull, 0x269275d5a5698d95ull,
-      0x21be7d4eb2561080ull, 0xa3e0cb18f144888cull, 0xc98fca614ee901e8ull,
-      0xe8e11430b45d51daull, 0x5874059155f5f950ull, 0xd37253f47f4f1bafull,
-      0x3e0d1059b72c85a3ull, 0x91891e6cec210ca5ull, 0x9d9b38f5028f761eull}},
+     {0x52540d98400d437bull, 0x0d4f6719ac18a007ull, 0x46d4aaa78d9d2377ull,
+      0xa5a6d1d759b1bf9aull, 0x708e9ee3be866c14ull, 0xe26c0dedb2ec3a94ull,
+      0x30a68b6366714a8eull, 0x820541da5769edccull, 0x3a3cca309191cc87ull,
+      0x6272b8c30e6a6195ull, 0xcf5e3709030558a3ull, 0x7400f5d40a54731cull}},
     {DesignPoint::SCA, Variant::Defaults,
-     {0xd1b4dfa1fd62a160ull, 0x73435444c80a534aull, 0x127b69daf35ab71full,
-      0xa2e0ffbc88108727ull, 0xf5d351e7a049aa18ull, 0x23e3b7aecbdcf15bull,
-      0xcecc903047a128a1ull, 0xeb5f96cb851ba810ull, 0x6735045948e74aa9ull,
-      0x0e66a34b81e6234aull, 0xd0f9c0f9d5cea2f4ull, 0xd68be7fc69b18371ull}},
+     {0x43294682a97511f2ull, 0x80eeb1f923bfe97eull, 0xb0e330ec5f9ce935ull,
+      0x1fdd2f5a578fc8afull, 0xdbe4778757b800b2ull, 0x803685661faaaca5ull,
+      0x120eb1671a630987ull, 0xa4e7cfd45b40a700ull, 0x4554c4d57d4a7c7bull,
+      0x5bd3561b82b3fa24ull, 0xb16e1bd639a0570cull, 0xf65c3d5577d9b635ull}},
     {DesignPoint::SCA, Variant::NoCombining,
-     {0x0a6ba5f1aba80045ull, 0x37ba5e2e4370ebe8ull, 0xf897e00417e619edull,
-      0xa52f27373b58de38ull, 0x35b083b7f143e6a1ull, 0x1dfd476cd990e209ull,
-      0x0c5d08b8b4a996c1ull, 0xba3326b8f234b3efull, 0xc79b0cd70dfc8d47ull,
-      0x3ca0a725729b115cull, 0xe1f31422501a32edull, 0xda3d8f206d21baceull}},
+     {0x11bf71f5e9e75f97ull, 0xbee539406b153c80ull, 0xdb3bc22d42bbf849ull,
+      0x557504ed84436360ull, 0x5bc521f9832b1347ull, 0xe13d557aab7313dbull,
+      0xe2469fa1537540fbull, 0xb683feca9f383f37ull, 0xdaf57a162231710full,
+      0x516fe5340d54bb84ull, 0xe60efee30708d5bdull, 0x85536e6b49265466ull}},
     {DesignPoint::SCA, Variant::TinyQueues,
-     {0xd6829ddbb04bc0afull, 0x4109dd3aeee18cfcull, 0x633d75c5697c3714ull,
-      0x864565b4d6bc31ebull, 0x282509cda10c29a3ull, 0x059c3ff7b0896f87ull,
-      0x6e584f51916cde87ull, 0x5a17e357ee9f70beull, 0xb525c5669c1e7630ull,
-      0x5aeae4a03437e53aull, 0x3fe011aeecc057d1ull, 0xf23d9a79f7a3d9b7ull}},
+     {0xb6f95e813bd020dfull, 0xcc49b274523469f6ull, 0xc4a80f5a2ed8c122ull,
+      0xd7f1f71cab1d37b9ull, 0x1a81ff2b22124351ull, 0xbb28e9c8c0f6896dull,
+      0x92139563960a6783ull, 0xa54e055377a81edcull, 0xbb1dfab5215bfff2ull,
+      0x8710f32cf3159402ull, 0xa31e2b1239124eedull, 0x4e54412578f99899ull}},
     {DesignPoint::SCA, Variant::PartialAdrDrop,
-     {0x1c070f17b6390f15ull, 0xd06b1f85b0e0b5cfull, 0x6ac200ec878e8ab9ull,
-      0x357ffd928be28847ull, 0xc10551b00b12b932ull, 0xf923b0a0183d04e7ull,
-      0x14dd2eaf34d1cd70ull, 0x0054137b582af10dull, 0x0c372099c83472dcull,
-      0x2226822f08839a53ull, 0xe6e8593a95811bf6ull, 0x9f9ebc9eca527ea8ull}},
+     {0x067bc9b38a77a3c1ull, 0x612c47c82b5627b7ull, 0x861e98175c8a2d4dull,
+      0x62a2fabcad33c347ull, 0x4554538b6799390aull, 0x5da959eafad941edull,
+      0xd5ed1d5758e37254ull, 0x44a98091c8935059ull, 0xd2ea718a356304b4ull,
+      0xe5419aa76d18d5afull, 0x4e98655f4320df7cull, 0x53541f49a4144a42ull}},
     {DesignPoint::Unsafe, Variant::Defaults,
-     {0xf1fb5d45c9a7629aull, 0xc3a3bbd4f6ab1d26ull, 0xccd183a10f03b553ull,
-      0xf97f4847f3023c4bull, 0x75b5bb1978ba392eull, 0x42de24c203ac5470ull,
-      0x1713e7c99587d5a3ull, 0x48681968b7ed872cull, 0x52fd6870b026be62ull,
-      0x5198f8b6c4c15872ull, 0x9aea8c89a610b247ull, 0x5186b8dbacebb96eull}},
+     {0x74d6bb9297ef4278ull, 0xfed35b360d195110ull, 0x222f65280497e323ull,
+      0x74d147b2b585afb9ull, 0xe5b6c911919be9b4ull, 0x84db47bba3fc76a2ull,
+      0x746c7b4fb7ec6261ull, 0xc285760c5c112d88ull, 0x03744d1c8c01de64ull,
+      0x3db5736c594259deull, 0xb95571bfef6b2735ull, 0xc3d1a890c3ae5f3eull}},
     {DesignPoint::Unsafe, Variant::NoCombining,
-     {0x1c67b90bbaa5c5cdull, 0x34842657d0edd172ull, 0x4c798c208062dec4ull,
-      0xe74a63ac50da7b2dull, 0x84cc88e565811b04ull, 0x70a2f7c502e5afe9ull,
-      0xcc33571879301256ull, 0x87d73b06692d8d0dull, 0x60bb1f780de9f675ull,
-      0x8584f27cffe045e4ull, 0x4a611bdac2ed6066ull, 0x6015dc4aed12e534ull}},
+     {0x3c9fa2e36385c5c7ull, 0xf2699bae4edbf03aull, 0x0b547c73dacff7eaull,
+      0x3a44205e5da82855ull, 0x87761ddd58aab616ull, 0x44060a32148ea447ull,
+      0x8eeb4cbd002ee6d6ull, 0xd5900dc6770e419full, 0xc57551f309ec90fbull,
+      0x96f437a6ba3ca160ull, 0xfd17b7686d9dbe26ull, 0xfe148065f60a7338ull}},
     {DesignPoint::Unsafe, Variant::TinyQueues,
-     {0xfe60f7839f412016ull, 0xc8bf0eb4fba52a8eull, 0xf9c7deb0bd8b1dceull,
-      0x793fa36cc65acd47ull, 0x894df01bec8b67e7ull, 0x54f4e686f1f87231ull,
-      0xf5eefa2b1f7eecc4ull, 0x26982e6fc98d38f3ull, 0x2067af1010fe84cbull,
-      0x5bd6016d53f89391ull, 0x0704447c543af326ull, 0xd44b78b035c70323ull}},
+     {0x657844601ab8c11cull, 0xee38efb125aafe02ull, 0x14416b57228b92a6ull,
+      0x6a1abacf0d8cd21full, 0x74ba65101b04808dull, 0xb028cd08466afecfull,
+      0x43e5ed17ff9549faull, 0x93aa19e551d4e1e1ull, 0xaf2a4877cb5776b1ull,
+      0x679701f5281288afull, 0x03619d494af82cdaull, 0x1a6e1dc3a84f3e63ull}},
     {DesignPoint::Unsafe, Variant::PartialAdrDrop,
-     {0x37489d5a3d3004fbull, 0x580d35ba676437bdull, 0xf0e5ab9d1515c9fdull,
-      0xec617431f573cfb7ull, 0xe91468e34abba941ull, 0x5673d5e5cd06994aull,
-      0x8c5650afa17e81bbull, 0x3bd5db4d58ba66beull, 0x748bb468855a2e7dull,
-      0x2467eb8ab16eb301ull, 0x3daa6ca6268a6db9ull, 0x51a68053f9f310d1ull}},
+     {0xfccee54d3b94e11full, 0x22ad32b46dafeeddull, 0x6bd7a7152e85016bull,
+      0xd782c8c06f328a9full, 0x05024df34a9b272full, 0x1200624f4c86f11cull,
+      0x2b1df99a9ec5f3dfull, 0x15c65c04d62326a6ull, 0x4a9eeb7ff3552da5ull,
+      0x3aed6363e69b3319ull, 0xd9303b987c374d67ull, 0x7dcc6220c6d31491ull}},
 };
 
 /** Runs every pinned configuration of @p design. */
