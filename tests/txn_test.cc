@@ -98,6 +98,21 @@ class UndoTxTest : public ::testing::Test
         return n;
     }
 
+    /** The mutate stage's stores: those between the first and the
+     *  second fence. */
+    static std::vector<Op>
+    mutateStores(const std::vector<Op> &ops)
+    {
+        std::vector<Op> stores;
+        unsigned fences = 0;
+        for (const Op &op : ops) {
+            fences += op.type == OpType::Fence ? 1 : 0;
+            if (fences == 1 && op.type == OpType::Store)
+                stores.push_back(op);
+        }
+        return stores;
+    }
+
     ShadowMem shadow;
     LogLayout log;
     UndoTx tx;
@@ -312,6 +327,108 @@ TEST_F(UndoTxTest, SequentialTransactionsReuseLog)
         EXPECT_EQ(shadow.readU64(log.txnIdAddr()), id);
         EXPECT_EQ(shadow.readU64(log.validAddr()), LogLayout::kInvalid);
     }
+}
+
+TEST_F(UndoTxTest, MutateStoreCoversWrittenSpan)
+{
+    LineData before;
+    for (unsigned i = 0; i < lineBytes; ++i)
+        before[i] = static_cast<std::uint8_t>(0x80 + i);
+    shadow.write(0x20000, before.data(), lineBytes);
+    tx.begin(1);
+    const std::uint8_t lo[3] = {1, 2, 3}, hi[4] = {4, 5, 6, 7};
+    tx.write(0x20003, lo, sizeof(lo));
+    tx.write(0x2003c, hi, sizeof(hi));
+    std::vector<Op> ops;
+    tx.commit(ops);
+
+    // One store from the first written byte to the last; the bytes in
+    // between are the shadow's.
+    LineData after = before;
+    std::memcpy(after.data() + 3, lo, sizeof(lo));
+    std::memcpy(after.data() + 60, hi, sizeof(hi));
+    std::vector<Op> stores = mutateStores(ops);
+    ASSERT_EQ(stores.size(), 1u);
+    EXPECT_EQ(stores[0].addr, 0x20003u);
+    ASSERT_EQ(stores[0].size, 61u);
+    EXPECT_EQ(std::memcmp(stores[0].bytes.data(), after.data() + 3, 61), 0);
+    EXPECT_EQ(shadow.line(0x20000), after);
+}
+
+TEST_F(UndoTxTest, WriteAcrossLinesTouchesBoth)
+{
+    auto old_byte = [](Addr a) {
+        return static_cast<std::uint8_t>(a ^ 0xa5);
+    };
+    for (Addr a = 0x20000; a < 0x20080; ++a) {
+        std::uint8_t b = old_byte(a);
+        shadow.write(a, &b, 1);
+    }
+    std::uint8_t data[16];
+    for (unsigned i = 0; i < sizeof(data); ++i)
+        data[i] = static_cast<std::uint8_t>(0x40 + i);
+    tx.begin(1);
+    tx.write(0x2003c, data, sizeof(data));
+    EXPECT_EQ(tx.touchedLines(), 2u);
+
+    // 0x20038..0x2004f: four shadow bytes, the sixteen written, four
+    // shadow bytes.
+    std::uint8_t got[24];
+    tx.read(0x20038, sizeof(got), got);
+    for (unsigned i = 0; i < sizeof(got); ++i) {
+        Addr a = 0x20038 + i;
+        bool written = a >= 0x2003c && a < 0x2004c;
+        EXPECT_EQ(got[i], written ? data[a - 0x2003c] : old_byte(a))
+            << "byte " << i;
+    }
+
+    std::vector<Op> ops;
+    tx.commit(ops);
+    std::vector<Op> stores = mutateStores(ops);
+    ASSERT_EQ(stores.size(), 2u);
+    EXPECT_EQ(stores[0].addr, 0x2003cu);
+    EXPECT_EQ(stores[0].size, 4u);
+    EXPECT_EQ(std::memcmp(stores[0].bytes.data(), data, 4), 0);
+    EXPECT_EQ(stores[1].addr, 0x20040u);
+    EXPECT_EQ(stores[1].size, 12u);
+    EXPECT_EQ(std::memcmp(stores[1].bytes.data(), data + 4, 12), 0);
+}
+
+TEST_F(UndoTxTest, DescriptorsFollowFirstWriteOrder)
+{
+    // A is read first but written after B: the log follows the writes.
+    const Addr a = 0x20000, b = 0x30000;
+    shadow.writeU64(a, 0xaaaa);
+    shadow.writeU64(b, 0xbbbb);
+    tx.begin(1);
+    EXPECT_EQ(tx.readU64(a), 0xaaaau);
+    tx.writeU64(b, 1);
+    tx.writeU64(a, 2);
+    std::vector<Op> ops;
+    tx.commit(ops);
+
+    EXPECT_EQ(shadow.readU64(log.descAddr(0)), b);
+    EXPECT_EQ(shadow.readU64(log.descAddr(1)), a);
+    EXPECT_EQ(shadow.readU64(log.backupAddr(0)), 0xbbbbu);
+    EXPECT_EQ(shadow.readU64(log.backupAddr(1)), 0xaaaau);
+    std::vector<Addr> backup_stores;
+    for (const Op &op : ops)
+        if (op.type == OpType::Store && op.addr >= log.backupBase()
+            && op.addr < log.backupAddr(log.maxLines))
+            backup_stores.push_back(op.addr);
+    EXPECT_EQ(backup_stores,
+              (std::vector<Addr>{log.backupAddr(0), log.backupAddr(1)}));
+}
+
+TEST_F(UndoTxTest, OverCapacityIsFatal)
+{
+    tx.begin(1);
+    for (unsigned i = 0; i < log.maxLines; ++i)
+        tx.writeU64(0x20000 + i * lineBytes, i);
+    tx.writeU64(0x20008, 1); // a line already held still fits
+    EXPECT_EQ(tx.touchedLines(), log.maxLines);
+    EXPECT_EXIT(tx.writeU64(0x20000 + log.maxLines * lineBytes, 1),
+                ::testing::ExitedWithCode(1), "undo log capacity");
 }
 
 // --- PersistentAllocator ---------------------------------------------------

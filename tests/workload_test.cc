@@ -281,6 +281,85 @@ TEST(WorkloadSetup, ShadowMatchesPinnedDigests)
     }
 }
 
+// --- a run's op stream ------------------------------------------------------
+
+/** Sets @p wl up, then folds every field of every op its transactions
+ *  emit, its digest log and its post-run shadow table. */
+std::uint64_t
+runDigest(Workload &wl)
+{
+    wl.setup([](Addr, const void *, unsigned) {});
+    std::uint64_t state = fnvOffsetBasis;
+    std::vector<Op> ops;
+    while (wl.next(ops)) {
+        for (const Op &op : ops) {
+            state = fnv1aU64(static_cast<std::uint64_t>(op.type), state);
+            state = fnv1aU64(op.addr, state);
+            state = fnv1aU64(op.size, state);
+            state = fnv1aU64(op.counterAtomic, state);
+            state = fnv1aU64(op.cycles, state);
+            state = fnv1a(op.bytes.data(), op.bytes.size(), state);
+        }
+        ops.clear();
+    }
+    for (std::uint64_t d : wl.digests())
+        state = fnv1aU64(d, state);
+    return fnv1aU64(tableDigest(wl.shadowMem()), state);
+}
+
+TEST(WorkloadRun, OpStreamMatchesPinnedDigests)
+{
+    // The op stream is what the timing model runs and the shadow is
+    // what recovery is checked against, so a change to how a
+    // transaction records, logs and applies its writes must leave both
+    // as they were.
+    struct Pin
+    {
+        WorkloadKind kind;
+        unsigned batch;
+        std::uint64_t seed;
+        std::uint64_t digest;
+    };
+    const Pin pins[] = {
+        {WorkloadKind::ArraySwap, 1, 1, 0x1f472171dd106a1full},
+        {WorkloadKind::ArraySwap, 1, 1009, 0x0cf252ed58d7e55full},
+        {WorkloadKind::ArraySwap, 32, 1, 0xc2c10bf8855c73aaull},
+        {WorkloadKind::ArraySwap, 32, 1009, 0x7591fa620224902eull},
+        {WorkloadKind::Queue, 1, 1, 0x475260be77cb72ccull},
+        {WorkloadKind::Queue, 1, 1009, 0x2973b0373900e83full},
+        {WorkloadKind::Queue, 32, 1, 0x1beac5f940a05729ull},
+        {WorkloadKind::Queue, 32, 1009, 0xf078edef0401e80dull},
+        {WorkloadKind::HashTable, 1, 1, 0x8e4314705c59bb43ull},
+        {WorkloadKind::HashTable, 1, 1009, 0x4bdf92d95f7a952full},
+        {WorkloadKind::HashTable, 32, 1, 0x441f7dec9d0a5edbull},
+        {WorkloadKind::HashTable, 32, 1009, 0x8701cea36f8f8c3eull},
+        {WorkloadKind::BTree, 1, 1, 0x5eb420c0113753c5ull},
+        {WorkloadKind::BTree, 1, 1009, 0xe14f19e99b957af6ull},
+        {WorkloadKind::BTree, 32, 1, 0x654059b0d4af9be1ull},
+        {WorkloadKind::BTree, 32, 1009, 0xb1abf5ba72f624ddull},
+        {WorkloadKind::RbTree, 1, 1, 0xa92f29b0605b69e2ull},
+        {WorkloadKind::RbTree, 1, 1009, 0x0b530c83e3903a9cull},
+        {WorkloadKind::RbTree, 32, 1, 0x73880fb922e79f68ull},
+        {WorkloadKind::RbTree, 32, 1009, 0x8778b500c32da907ull},
+    };
+    for (const Pin &pin : pins) {
+        // 1 MB keeps RB-Tree's batch-32 runs clear of the pool's end.
+        WorkloadParams p = smallParams(100);
+        p.regionBytes = 1 << 20;
+        p.computePerTxn = 1000;
+        p.logLines = 512;
+        p.batch = pin.batch;
+        p.seed = pin.seed;
+        p.recordDigests = true;
+        auto wl = makeWorkload(pin.kind, p);
+        SCOPED_TRACE(std::string(workloadKindName(pin.kind)) + " batch "
+                     + std::to_string(pin.batch) + " seed "
+                     + std::to_string(pin.seed));
+        std::uint64_t got = runDigest(*wl);
+        EXPECT_EQ(got, pin.digest) << "0x" << std::hex << got;
+    }
+}
+
 // --- SetupIo ----------------------------------------------------------------
 
 constexpr Addr ioBase = Addr(1) << 20;
