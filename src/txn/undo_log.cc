@@ -1,6 +1,8 @@
 #include "txn/undo_log.hh"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 #include "common/hash.hh"
 #include "common/logging.hh"
@@ -22,37 +24,48 @@ UndoTx::begin(std::uint64_t txn_id)
     cnvm_assert(!active);
     active = true;
     txnId = txn_id;
-    pendingBytes.clear();
     lines.clear();
-    lineSet.clear();
     loadedLines.clear();
     preOps.clear();
 }
 
-void
-UndoTx::emitLoad(Addr addr)
+UndoTx::TxLine *
+UndoTx::find(Addr line_addr)
 {
-    Addr line_addr = lineAlign(addr);
-    if (loadedLines.insert(line_addr).second)
+    for (TxLine &line : lines)
+        if (line.addr == line_addr)
+            return &line;
+    return nullptr;
+}
+
+void
+UndoTx::emitLoad(Addr line_addr)
+{
+    if (std::find(loadedLines.begin(), loadedLines.end(), line_addr)
+        == loadedLines.end()) {
+        loadedLines.push_back(line_addr);
         preOps.push_back(Op::load(line_addr));
+    }
 }
 
 void
 UndoTx::read(Addr addr, unsigned size, void *out)
 {
     cnvm_assert(active);
-    shadow.read(addr, size, out);
-    // Read-your-writes: overlay deferred bytes.
     auto *dst = static_cast<std::uint8_t *>(out);
-    for (unsigned i = 0; i < size; ++i) {
-        auto it = pendingBytes.find(addr + i);
-        if (it != pendingBytes.end())
-            dst[i] = it->second;
-    }
-    // Timing: one load per line per transaction.
     for (Addr a = lineAlign(addr); a <= lineAlign(addr + size - 1);
-         a += lineBytes)
+         a += lineBytes) {
+        Addr lo = std::max(a, addr);
+        unsigned n = static_cast<unsigned>(
+            std::min(a + lineBytes, addr + size) - lo);
+        // Read-your-writes: a written line reads from its record.
+        if (const TxLine *line = find(a))
+            std::memcpy(dst + (lo - addr), line->data.data() + (lo - a), n);
+        else
+            shadow.read(lo, n, dst + (lo - addr));
+        // Timing: one load per line per transaction.
         emitLoad(a);
+    }
 }
 
 std::uint64_t
@@ -64,26 +77,27 @@ UndoTx::readU64(Addr addr)
 }
 
 void
-UndoTx::touchLine(Addr line_addr)
-{
-    if (lineSet.insert(line_addr).second) {
-        lines.push_back(line_addr);
-        if (lines.size() > log.maxLines)
-            cnvm_fatal("transaction exceeds the undo log capacity "
-                       "(%u lines)", log.maxLines);
-    }
-}
-
-void
 UndoTx::write(Addr addr, const void *data, unsigned size)
 {
     cnvm_assert(active);
     const auto *src = static_cast<const std::uint8_t *>(data);
-    for (unsigned i = 0; i < size; ++i)
-        pendingBytes[addr + i] = src[i];
     for (Addr a = lineAlign(addr); a <= lineAlign(addr + size - 1);
-         a += lineBytes)
-        touchLine(a);
+         a += lineBytes) {
+        TxLine *line = find(a);
+        if (line == nullptr) {
+            if (lines.size() == log.maxLines)
+                cnvm_fatal("transaction exceeds the undo log capacity "
+                           "(%u lines)", log.maxLines);
+            line = &lines.emplace_back(TxLine{a, shadow.line(a), 0});
+        }
+        Addr lo = std::max(a, addr);
+        unsigned offset = static_cast<unsigned>(lo - a);
+        unsigned n = static_cast<unsigned>(
+            std::min(a + lineBytes, addr + size) - lo);
+        std::memcpy(line->data.data() + offset, src + (lo - addr), n);
+        line->written |= (n == lineBytes ? ~0ull : (1ull << n) - 1)
+                         << offset;
+    }
 }
 
 void
@@ -97,18 +111,6 @@ UndoTx::compute(Cycles cycles)
 {
     cnvm_assert(active);
     preOps.push_back(Op::compute(cycles));
-}
-
-LineData
-UndoTx::mergedLine(Addr line_addr) const
-{
-    LineData data = shadow.line(line_addr);
-    auto it = pendingBytes.lower_bound(line_addr);
-    while (it != pendingBytes.end() && it->first < line_addr + lineBytes) {
-        data[it->first - line_addr] = it->second;
-        ++it;
-    }
-    return data;
 }
 
 void
@@ -129,28 +131,27 @@ UndoTx::commit(std::vector<Op> &out)
     // so no write here needs counter-atomicity except the header line
     // carrying the CounterAtomic `valid` field).
     // ------------------------------------------------------------------
-    std::vector<Addr> log_lines;
-    log_lines.push_back(log.headerAddr());
+    std::vector<Addr> flushed{log.headerAddr()};
 
     // Descriptors, grouped into line-sized stores.
     for (unsigned i = 0; i < count; ++i)
-        shadow.writeU64(log.descAddr(i), lines[i]);
+        shadow.writeU64(log.descAddr(i), lines[i].addr);
     for (Addr a = lineAlign(log.descBase());
          a < log.descBase() + count * 8; a += lineBytes) {
         unsigned span = static_cast<unsigned>(
             std::min<Addr>(lineBytes, log.descBase() + count * 8 - a));
         LineData content = shadow.line(a);
         out.push_back(Op::store(a, content.data(), span));
-        log_lines.push_back(a);
+        flushed.push_back(a);
     }
 
     // Whole-line backups of the pre-transaction content.
     for (unsigned i = 0; i < count; ++i) {
-        LineData backup = shadow.line(lines[i]);
+        LineData backup = shadow.line(lines[i].addr);
         Addr dst = log.backupAddr(i);
         shadow.write(dst, backup.data(), lineBytes);
         out.push_back(Op::store(dst, backup.data(), lineBytes));
-        log_lines.push_back(dst);
+        flushed.push_back(dst);
     }
 
     // Header: magic | valid | txnId | count | checksum. The store is
@@ -164,32 +165,25 @@ UndoTx::commit(std::vector<Op> &out)
     out.push_back(Op::store(log.headerAddr(), &header, sizeof(header),
                             /*ca=*/true));
 
-    persist::selectiveBarrier(out, log_lines);
+    persist::selectiveBarrier(out, flushed);
 
     // ------------------------------------------------------------------
     // Stage 2 — Mutate: apply the deferred writes in place. The log
     // holds the consistent version; these writes never need strict
     // counter-atomicity.
     // ------------------------------------------------------------------
-    for (Addr line_addr : lines) {
-        LineData merged = mergedLine(line_addr);
-        // Store only the modified span of the line.
-        auto first = pendingBytes.lower_bound(line_addr);
-        cnvm_assert(first != pendingBytes.end()
-                    && first->first < line_addr + lineBytes);
-        Addr lo = first->first;
-        Addr hi = lo;
-        for (auto it = first;
-             it != pendingBytes.end() && it->first < line_addr + lineBytes;
-             ++it)
-            hi = it->first;
-        unsigned offset = static_cast<unsigned>(lo - line_addr);
-        unsigned span = static_cast<unsigned>(hi - lo + 1);
-        out.push_back(Op::store(lo, merged.data() + offset, span));
-        shadow.write(line_addr, merged.data(), lineBytes);
+    flushed.clear();
+    for (const TxLine &line : lines) {
+        // Store the line from its first written byte to its last.
+        unsigned lo = static_cast<unsigned>(std::countr_zero(line.written));
+        unsigned hi = 63u - std::countl_zero(line.written);
+        out.push_back(Op::store(line.addr + lo, line.data.data() + lo,
+                                hi - lo + 1));
+        shadow.write(line.addr, line.data.data(), lineBytes);
+        flushed.push_back(line.addr);
     }
 
-    persist::selectiveBarrier(out, lines);
+    persist::selectiveBarrier(out, flushed);
 
     // ------------------------------------------------------------------
     // Stage 3 — Commit: one CounterAtomic store invalidates the backup,
@@ -201,8 +195,6 @@ UndoTx::commit(std::vector<Op> &out)
     out.push_back(Op::store(log.validAddr(), &invalid, sizeof(invalid),
                             /*ca=*/true));
     persist::persistBarrier(out, {log.headerAddr()});
-
-    pendingBytes.clear();
 }
 
 std::uint64_t

@@ -26,8 +26,6 @@
 #define CNVM_TXN_UNDO_LOG_HH
 
 #include <cstdint>
-#include <map>
-#include <set>
 #include <vector>
 
 #include "common/intmath.hh"
@@ -87,8 +85,9 @@ struct LogLayout
 };
 
 /**
- * One undo-logging transaction: collects reads (for timing), deferred
- * writes, then emits the staged operation stream at commit().
+ * One undo-logging transaction: collects reads (for timing) and
+ * deferred writes, one record per written line, then emits the staged
+ * operation stream at commit().
  */
 class UndoTx
 {
@@ -125,31 +124,36 @@ class UndoTx
     { return static_cast<unsigned>(lines.size()); }
 
   private:
+    /** One line the transaction writes. */
+    struct TxLine
+    {
+        Addr addr;
+        /** The shadow's content at the first write, with every write
+         *  since applied. Nothing writes the shadow before commit(),
+         *  so this is also what a read of the line sees. */
+        LineData data;
+        /** Bit i set: byte i was written. */
+        std::uint64_t written;
+    };
+
     ShadowMem &shadow;
     LogLayout log;
 
     std::uint64_t txnId = 0;
     bool active = false;
 
-    /** Deferred byte-granularity writes, program order preserved by
-     *  last-writer-wins per byte. */
-    std::map<Addr, std::uint8_t> pendingBytes;
-
-    /** Touched (to-be-logged) data lines in first-touch order. */
-    std::vector<Addr> lines;
-    std::set<Addr> lineSet;
+    /** Written lines in first-write order, the log's descriptor order. */
+    std::vector<TxLine> lines;
 
     /** Lines already charged with a timing load this transaction. */
-    std::set<Addr> loadedLines;
+    std::vector<Addr> loadedLines;
 
     /** Ops accumulated before commit (loads, compute). */
     std::vector<Op> preOps;
 
-    void touchLine(Addr line_addr);
-    void emitLoad(Addr addr);
-
-    /** Merged (shadow + pending) content of a touched line. */
-    LineData mergedLine(Addr line_addr) const;
+    /** The record of @p line_addr, or nullptr if it was not written. */
+    TxLine *find(Addr line_addr);
+    void emitLoad(Addr line_addr);
 };
 
 /**

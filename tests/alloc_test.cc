@@ -16,6 +16,7 @@
 
 #include "core/system.hh"
 #include "sim/eventq.hh"
+#include "txn/undo_log.hh"
 
 namespace
 {
@@ -67,7 +68,21 @@ TEST(Alloc, WideOneShotsAllocateNothingOnceThePoolIsWarm)
     EXPECT_GT(sum, 0u);
 }
 
-TEST(Alloc, SystemRunMakesAtMostOneAllocationPerEvent)
+TEST(Alloc, TransactionWritesAllocatePerLineNotPerByte)
+{
+    ShadowMem shadow;
+    UndoTx tx(shadow, LogLayout{0x10000, 16});
+    tx.begin(1);
+    const std::uint64_t before = heapAllocations.load();
+    for (unsigned i = 0; i < lineBytes; ++i) {
+        std::uint8_t byte = static_cast<std::uint8_t>(i);
+        tx.write(0x20000 + i, &byte, 1);
+    }
+    EXPECT_LE(heapAllocations.load() - before, 1u);
+    EXPECT_EQ(tx.touchedLines(), 1u);
+}
+
+TEST(Alloc, SystemRunMakesAtMostHalfAnAllocationPerEvent)
 {
     SystemConfig cfg;
     cfg.design = DesignPoint::SCA;
@@ -89,7 +104,7 @@ TEST(Alloc, SystemRunMakesAtMostOneAllocationPerEvent)
     ASSERT_GT(events, 10000u);
     const double per_event = static_cast<double>(allocs) / events;
     RecordProperty("allocations_per_event", std::to_string(per_event));
-    EXPECT_LE(per_event, 1.0) << allocs << " allocations over " << events
+    EXPECT_LE(per_event, 0.5) << allocs << " allocations over " << events
                               << " events";
 }
 
