@@ -84,7 +84,7 @@ Core::persistDone()
 void
 Core::maybeFinish()
 {
-    if (!isFinished && sourceDone && pending.empty()
+    if (!isFinished && sourceDone && nextOp == batch.size()
         && outstandingPersists == 0) {
         isFinished = true;
         finishTick = curTick();
@@ -99,19 +99,18 @@ Core::step()
     if (halted || isFinished)
         return;
 
-    if (pending.empty()) {
-        std::vector<Op> batch;
+    if (nextOp == batch.size()) {
+        batch.clear();
+        nextOp = 0;
         if (!source.next(batch)) {
             sourceDone = true;
             maybeFinish();
             return;
         }
         cnvm_assert(!batch.empty());
-        pending.insert(pending.end(), batch.begin(), batch.end());
     }
 
-    Op op = pending.front();
-    pending.pop_front();
+    const Op &op = batch[nextOp++];
 
     switch (op.type) {
       case OpType::Load:

@@ -12,8 +12,8 @@
 #ifndef CNVM_CPU_CORE_HH
 #define CNVM_CPU_CORE_HH
 
-#include <deque>
 #include <functional>
+#include <vector>
 
 #include "cpu/op.hh"
 #include "mem/core_mem_path.hh"
@@ -57,7 +57,10 @@ class Core : public Clocked
     CoreMemPath &mem;
     OpSource &source;
 
-    std::deque<Op> pending;
+    /** The source's current batch, run in place; ops before nextOp
+     *  have been issued. */
+    std::vector<Op> batch;
+    std::size_t nextOp = 0;
     unsigned outstandingPersists = 0;
     bool fenceBlocked = false;
     Tick fenceStallStart = 0;
