@@ -190,7 +190,7 @@ main()
     KvStoreWorkload store(wl);
     // Setup fills the workload's shadow; the live view starts as a copy
     // of it that shares its pages, and the image is installed from it.
-    store.setup([](Addr, const void *, unsigned) {});
+    store.setup();
     LiveView live(store.shadowMem().table());
     store.shadowMem().table().forEach(
         [&](Addr a, const LineData &data) { ctl.initLine(a, data); });

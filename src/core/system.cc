@@ -165,14 +165,13 @@ System::build(ResumeState *resume)
     } else {
         // Resume-after-recovery: the recovered image is the persisted
         // truth — nothing is re-initialized on media. Each workload
-        // replays its deterministic history host-side (setup with a
-        // no-op writer, then fast-forward to the committed count),
-        // which regenerates its shadow, RNG, allocator state and
-        // digest log byte-identically to the pre-crash run's — the
-        // digest log in particular must cover [0, K] so the *next*
-        // recovery can match any prefix. Only the device's image is
-        // replaced: its banks and bus start cold at tick 0, as in a
-        // freshly built system.
+        // replays its deterministic history host-side (setup, then
+        // fast-forward to the committed count), which regenerates its
+        // shadow, RNG, allocator state and digest log byte-identically
+        // to the pre-crash run's — the digest log in particular must
+        // cover [0, K] so the *next* recovery can match any prefix.
+        // Only the device's image is replaced: its banks and bus start
+        // cold at tick 0, as in a freshly built system.
         nvmDev.persistedState() = std::move(resume->image);
         // Channel counter state rebuilds from the persisted store
         // first, exactly as a crash leaves it — the re-seed
@@ -194,7 +193,7 @@ System::build(ResumeState *resume)
                 installFresh(i);
                 continue;
             }
-            wl.setup([](Addr, const void *, unsigned) {});
+            wl.setup();
             if (resume->committedTxns[i] >= cfg.wl.txnTarget) {
                 cnvm_fatal("resume: core %u committed %llu txns but "
                            "txnTarget is %u — nothing left to run",
@@ -251,7 +250,7 @@ System::installFresh(unsigned core)
     // Setup writes only the shadow (Workload::initWrite): the live view
     // and the image are both built from it afterwards.
     Workload &wl = *workloads[core];
-    wl.setup([](Addr, const void *, unsigned) {});
+    wl.setup();
     const ShadowMem &shadow = wl.shadowMem();
     liveViews[core] = LiveView(shadow.table());
 

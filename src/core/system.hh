@@ -280,10 +280,10 @@ class System
 
     /**
      * Boots core @p core's workload as a first boot would: runs its
-     * setup into the shadow (with a no-op writer), makes the core's
-     * live view a copy of the shadow's table — one shared set of pages
-     * — and installs every line setup touched into the persisted
-     * image, in ascending address order.
+     * setup into the shadow, makes the core's live view a copy of the
+     * shadow's table — one shared set of pages — and installs every
+     * line setup touched into the persisted image, in ascending
+     * address order.
      */
     void installFresh(unsigned core);
 

@@ -34,9 +34,7 @@ Workload::classifyAddr(Addr addr) const
 void
 Workload::initWrite(Addr addr, const void *data, unsigned size)
 {
-    cnvm_assert(writer != nullptr);
     shadow.write(addr, data, size);
-    writer(addr, data, size);
 }
 
 void
@@ -59,10 +57,8 @@ Workload::allocStatic(std::uint64_t bytes, std::uint64_t align)
 }
 
 void
-Workload::setup(InitWriter init_writer)
+Workload::setup(InitWriter)
 {
-    writer = std::move(init_writer);
-
     // Initialize the undo log header: present but holding no live
     // backup, as after a clean shutdown.
     struct

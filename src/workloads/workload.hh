@@ -124,15 +124,15 @@ class Workload : public OpSource
     virtual const char *name() const = 0;
 
     /**
-     * Builds the initial persistent state into the shadow, passing
-     * what it writes to @p writer as well: a direct setup write as it
-     * happens, and each line a structure builder wrote on its SetupIo
-     * once, whole, when the builder flushes. System passes a no-op
-     * writer and installs the finished shadow afterwards — its lines
-     * into the persisted image, its table as the core's live view — as
-     * a freshly booted system would find them.
+     * Builds the initial persistent state into the shadow. System
+     * installs the finished shadow afterwards — its lines into the
+     * persisted image, its table as the core's live view — as a
+     * freshly booted system would find them. The InitWriter parameter
+     * is unused; it stays only so that perfbench/, which passes a
+     * no-op writer, compiles unchanged until a benchmark change drops
+     * it.
      */
-    void setup(InitWriter writer);
+    void setup(InitWriter = {});
 
     /** OpSource: emits one transaction per call. */
     bool next(std::vector<Op> &out) final;
@@ -177,8 +177,7 @@ class Workload : public OpSource
     /** Subclass hook: issue the reads/writes of one transaction. */
     virtual void buildTxn(UndoTx &tx) = 0;
 
-    /** Setup-time write: updates the shadow and passes the bytes to the
-     *  setup writer. */
+    /** Setup-time write into the shadow. */
     void initWrite(Addr addr, const void *data, unsigned size);
     void initWriteU64(Addr addr, std::uint64_t v);
 
@@ -192,7 +191,6 @@ class Workload : public OpSource
     Random rng;
 
   private:
-    InitWriter writer;
     Addr staticCursor = 0;
     std::uint64_t issued = 0;
     std::uint64_t linesLogged = 0;

@@ -36,12 +36,12 @@ smallParams(unsigned txns = 50)
     return p;
 }
 
-/** Sets up a workload against a discard init-writer and runs all txns
- *  host-side (the op streams are generated but not simulated). */
+/** Sets up a workload and runs all txns host-side (the op streams are
+ *  generated but not simulated). */
 void
 runAll(Workload &wl)
 {
-    wl.setup([](Addr, const void *, unsigned) {});
+    wl.setup();
     std::vector<Op> ops;
     while (wl.next(ops))
         ops.clear();
@@ -119,7 +119,7 @@ class WorkloadParam : public ::testing::TestWithParam<WorkloadKind>
 TEST_P(WorkloadParam, ValidatesCleanAfterSetup)
 {
     auto wl = makeWorkload(GetParam(), smallParams());
-    wl->setup([](Addr, const void *, unsigned) {});
+    wl->setup();
     ValidationResult result = wl->validate(wl->shadowMem());
     EXPECT_TRUE(result.ok) << result.why;
 }
@@ -171,7 +171,7 @@ TEST_P(WorkloadParam, DigestEvolvesAcrossCommits)
 TEST_P(WorkloadParam, TransactionsEmitStagedOps)
 {
     auto wl = makeWorkload(GetParam(), smallParams(5));
-    wl->setup([](Addr, const void *, unsigned) {});
+    wl->setup();
     std::vector<Op> ops;
     ASSERT_TRUE(wl->next(ops));
     unsigned fences = 0, stores = 0, ca_stores = 0;
@@ -190,7 +190,7 @@ TEST_P(WorkloadParam, TransactionsEmitStagedOps)
 TEST_P(WorkloadParam, StopsAtTarget)
 {
     auto wl = makeWorkload(GetParam(), smallParams(7));
-    wl->setup([](Addr, const void *, unsigned) {});
+    wl->setup();
     std::vector<Op> ops;
     unsigned batches = 0;
     while (wl->next(ops)) {
@@ -204,7 +204,7 @@ TEST_P(WorkloadParam, StopsAtTarget)
 TEST_P(WorkloadParam, AllWritesStayInRegion)
 {
     auto wl = makeWorkload(GetParam(), smallParams(20));
-    wl->setup([](Addr, const void *, unsigned) {});
+    wl->setup();
     std::vector<Op> ops;
     while (wl->next(ops)) {
         for (const Op &op : ops) {
@@ -274,7 +274,7 @@ TEST(WorkloadSetup, ShadowMatchesPinnedDigests)
         p.seed = pin.seed;
         p.setupFill = 0.5;
         auto wl = makeWorkload(pin.kind, p);
-        wl->setup([](Addr, const void *, unsigned) {});
+        wl->setup();
         SCOPED_TRACE(std::string(workloadKindName(pin.kind)) + " seed "
                      + std::to_string(pin.seed));
         EXPECT_EQ(tableDigest(wl->shadowMem()), pin.table);
@@ -288,7 +288,7 @@ TEST(WorkloadSetup, ShadowMatchesPinnedDigests)
 std::uint64_t
 runDigest(Workload &wl)
 {
-    wl.setup([](Addr, const void *, unsigned) {});
+    wl.setup();
     std::uint64_t state = fnvOffsetBasis;
     std::vector<Op> ops;
     while (wl.next(ops)) {
@@ -479,7 +479,7 @@ TEST(ArraySwap, ItemLinesScaleItemSize)
     WorkloadParams p = smallParams(10);
     p.itemLines = 4;
     ArraySwapWorkload wl(p);
-    wl.setup([](Addr, const void *, unsigned) {});
+    wl.setup();
     EXPECT_EQ(wl.itemAddr(1) - wl.itemAddr(0), 4u * lineBytes);
 }
 
@@ -488,7 +488,7 @@ TEST(Queue, PrefilledToSetupFill)
     WorkloadParams p = smallParams(0);
     p.setupFill = 0.5;
     QueueWorkload wl(p);
-    wl.setup([](Addr, const void *, unsigned) {});
+    wl.setup();
     // The validator checks item content against the FIFO contract.
     EXPECT_TRUE(wl.validate(wl.shadowMem()).ok);
     EXPECT_GT(wl.capacity(), 0u);
@@ -529,7 +529,7 @@ TEST(BTree, KeyCountGrowsWithInserts)
     WorkloadParams p = smallParams(50);
     p.setupFill = 0.1;
     BTreeWorkload wl(p);
-    wl.setup([](Addr, const void *, unsigned) {});
+    wl.setup();
     std::uint64_t before = wl.keyCount(wl.shadowMem());
     std::vector<Op> ops;
     while (wl.next(ops))
@@ -558,7 +558,7 @@ TEST(WorkloadRun, RbTreeBatchStopsBeforeThePoolRunsDry)
         p.batch = 32;
         p.seed = seed;
         RbTreeWorkload wl(p);
-        wl.setup([](Addr, const void *, unsigned) {});
+        wl.setup();
         std::vector<Op> ops;
         for (unsigned t = 0; t < p.txnTarget; ++t) {
             ASSERT_TRUE(wl.next(ops)) << "txn " << t;
