@@ -13,13 +13,15 @@
  * 1 job Replay and Fork differ only in work done; 4 jobs adds the
  * pool's fan-out.
  *
- * Four more rows ride along: fault-dosed soak chains fanned over 1
+ * Five more rows ride along: fault-dosed soak chains fanned over 1
  * and 4 jobs, crash recovery of growing MAC-armed regions on one
  * thread, fork capture from a trunk over growing regions — a fork
  * shares the trunk's image pages, so only the pages the ADR drain and
- * the integrity-tree flush write should grow a capture's cost — and
- * the build of the 16-core, 8-channel machine: each core's setup,
- * live view and install, then the counter-cache warm.
+ * the integrity-tree flush write should grow a capture's cost — the
+ * build of the 16-core, 8-channel machine: each core's setup, live
+ * view and install, then the counter-cache warm — and one of that
+ * machine's cores generating its transactions without simulating
+ * them, the workload and undo-log layer alone.
  */
 
 #include <benchmark/benchmark.h>
@@ -30,6 +32,7 @@
 #include "core/crash_sweep.hh"
 #include "core/soak.hh"
 #include "core/system.hh"
+#include "workloads/factory.hh"
 
 using namespace cnvm;
 
@@ -189,6 +192,41 @@ BM_SystemBuild(benchmark::State &state, WorkloadKind kind)
 BENCHMARK_CAPTURE(BM_SystemBuild, kind:hash, WorkloadKind::HashTable)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_SystemBuild, kind:btree, WorkloadKind::BTree)
+    ->Unit(benchmark::kMillisecond);
+
+/** Generates the 1000 transactions of core 0 of the same machine on
+ *  @p kind, op streams only; setup is paused. Items are the
+ *  transactions generated. */
+void
+BM_WorkloadNext(benchmark::State &state, WorkloadKind kind)
+{
+    SystemConfig cfg = bench::paperConfig(kind, DesignPoint::SCA, 16, 1000);
+    cfg.wl.regionBytes = 2ull << 20;
+    WorkloadParams params = cfg.wl;
+    params.regionBase = cfg.dataRegionBase;
+    params.seed = cfg.coreSeed(0);
+
+    std::vector<Op> ops;
+    std::uint64_t txns = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        std::unique_ptr<Workload> wl = makeWorkload(kind, params);
+        wl->setup();
+        state.ResumeTiming();
+        while (wl->next(ops)) {
+            benchmark::DoNotOptimize(ops.data());
+            ops.clear();
+            ++txns;
+        }
+        state.PauseTiming();
+        wl.reset();
+        state.ResumeTiming();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(txns));
+}
+BENCHMARK_CAPTURE(BM_WorkloadNext, kind:hash, WorkloadKind::HashTable)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_WorkloadNext, kind:btree, WorkloadKind::BTree)
     ->Unit(benchmark::kMillisecond);
 
 } // anonymous namespace
