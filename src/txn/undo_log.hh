@@ -129,8 +129,8 @@ class UndoTx
     {
         Addr addr;
         /** The shadow's content at the first write, with every write
-         *  since applied. Nothing writes the shadow before commit(),
-         *  so this is also what a read of the line sees. */
+         *  since applied. Nothing writes the shadow between begin()
+         *  and commit(), so this is also what a read of the line sees. */
         LineData data;
         /** Bit i set: byte i was written. */
         std::uint64_t written;

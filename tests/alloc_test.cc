@@ -1,8 +1,8 @@
 /**
  * @file
- * Heap-allocation budget of the event hot path. This binary replaces
- * the global operator new with a counting one, so it is its own test
- * executable.
+ * Heap-allocation budget of the event hot path and of a transaction's
+ * writes. This binary replaces the global operator new with a counting
+ * one, so it is its own test executable.
  */
 
 #include <gtest/gtest.h>
